@@ -654,14 +654,30 @@ fn exec_select(
         trace::rows_out(rel.rows.len() as u64);
     }
 
-    output_stage(db, s, order_by, limit, outer, &rel)
+    // 3. Projection plan.
+    let items = expand_projections(&rel.cols, &s.projections)?;
+    output_stage(db, s, order_by, limit, outer, &rel, &items)
 }
 
-/// Steps 3–4 of SELECT execution, shared between the row engine and the
+/// Whether the output stage groups: GROUP BY, or an aggregate anywhere
+/// in the projections, HAVING or ORDER BY.
+pub(crate) fn uses_aggregates(
+    s: &Select,
+    items: &[(String, Expr)],
+    order_by: &[OrderItem],
+) -> bool {
+    !s.group_by.is_empty()
+        || items.iter().any(|(_, e)| e.contains_aggregate())
+        || s.having.as_ref().is_some_and(|h| h.contains_aggregate())
+        || order_by.iter().any(|o| o.expr.contains_aggregate())
+}
+
+/// Step 4 of SELECT execution, shared between the row engine and the
 /// vectorized executor (which materializes surviving batches into a
 /// [`Relation`] before any output path its kernels don't cover
-/// natively): projection expansion, then aggregation / plain projection
-/// / top-k / full sort, with DISTINCT, LIMIT, and output-row fuel.
+/// natively): aggregation / plain projection / top-k / full sort over
+/// the expanded projection `items`, with DISTINCT, LIMIT, and
+/// output-row fuel.
 pub(crate) fn output_stage(
     db: &Database,
     s: &Select,
@@ -669,22 +685,15 @@ pub(crate) fn output_stage(
     limit: Option<u64>,
     outer: Option<&Env<'_>>,
     rel: &Relation,
+    items: &[(String, Expr)],
 ) -> Result<ResultSet, EngineError> {
-    // 3. Projection plan.
-    let items = expand_projections(&rel.cols, &s.projections)?;
-
-    let uses_aggregates = !s.group_by.is_empty()
-        || items.iter().any(|(_, e)| e.contains_aggregate())
-        || s.having.as_ref().is_some_and(|h| h.contains_aggregate())
-        || order_by.iter().any(|o| o.expr.contains_aggregate());
-
     let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
     let mut out = ResultSet::new(columns);
 
-    if uses_aggregates {
+    if uses_aggregates(s, items, order_by) {
         {
             let _span = trace::span("aggregate");
-            exec_aggregate(db, s, order_by, rel, &items, outer, &mut out)?;
+            exec_aggregate(db, s, order_by, rel, items, outer, &mut out)?;
             trace::rows_out(out.rows.len() as u64);
         }
         if let Some(n) = limit {
@@ -708,7 +717,7 @@ pub(crate) fn output_stage(
                 plan: Some(&plan),
             };
             let mut out_row = Vec::with_capacity(items.len());
-            for (_, e) in &items {
+            for (_, e) in items {
                 out_row.push(eval(db, e, &env)?);
             }
             rows.push(out_row);
@@ -749,7 +758,7 @@ pub(crate) fn output_stage(
                 plan: Some(&plan),
             };
             let mut out_row = Vec::with_capacity(items.len());
-            for (_, e) in &items {
+            for (_, e) in items {
                 out_row.push(eval(db, e, &env)?);
             }
             let keys = order_key_row(
@@ -758,7 +767,7 @@ pub(crate) fn output_stage(
                 rel,
                 row,
                 &out_row,
-                &items,
+                items,
                 outer,
                 &out.columns,
                 Some(&plan),
@@ -809,7 +818,7 @@ pub(crate) fn output_stage(
                 plan: Some(&plan),
             };
             let mut out_row = Vec::with_capacity(items.len());
-            for (_, e) in &items {
+            for (_, e) in items {
                 out_row.push(eval(db, e, &env)?);
             }
             pairs.push((row.clone(), out_row));
@@ -826,7 +835,7 @@ pub(crate) fn output_stage(
                     rel,
                     src,
                     outr,
-                    &items,
+                    items,
                     outer,
                     &out.columns,
                     Some(&plan),

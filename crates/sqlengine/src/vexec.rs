@@ -8,7 +8,9 @@
 //! a `Vec<u32>` of surviving row ids borrowing the base table, a join
 //! pushes `(left id, right id)` pairs, and values materialize exactly
 //! once — either in the native projection kernel or in one final
-//! [`Relation`] handed to the row engine's shared output stage.
+//! [`Relation`] handed to the row engine's shared output stage. That
+//! relation keeps the full column layout but copies only the columns
+//! the output stage can read ([`output_columns`]); the rest hold NULL.
 //!
 //! # Equivalence contract
 //!
@@ -38,7 +40,8 @@ use crate::db::Database;
 use crate::error::EngineError;
 use crate::exec::{
     apply_binary, apply_function, apply_unary, dedup_by_key, eval, expand_projections, find_col,
-    key_of, lit_value, output_stage, resolve_column, truth, ColumnPlan, Env, Key, Relation, Slot,
+    key_of, lit_value, output_stage, resolve_column, truth, uses_aggregates, ColumnPlan, Env, Key,
+    Relation, Slot,
 };
 use crate::plan::{contains_subquery, Access, JoinAlgo, JoinStep, SelectPlan};
 use crate::result::ResultSet;
@@ -121,21 +124,21 @@ impl<'a> VRel<'a> {
         }
     }
 
-    /// The one materialization point: clones every surviving value into
-    /// a row-engine [`Relation`]. Deliberately uncharged and span-free,
-    /// exactly like the row engine's own scan/join materialization.
-    fn materialize(&self) -> Relation {
-        let mut rows: Vec<Vec<Value>> = (0..self.len)
-            .map(|_| Vec::with_capacity(self.cols.len()))
-            .collect();
-        for slot in &self.slots {
-            for (r, row) in rows.iter_mut().enumerate() {
-                match slot.gather[r] {
-                    NONE_ROW => row.extend((0..slot.width).map(|_| Value::Null)),
-                    g => row.extend_from_slice(&slot.base[g as usize][..slot.width]),
+    /// The one materialization point: copies the surviving rows into a
+    /// row-engine [`Relation`] with the full column layout, cloning only
+    /// the `kept` columns ([`output_columns`]) and writing NULL into the
+    /// rest. Deliberately uncharged and span-free, exactly like the row
+    /// engine's own scan/join materialization.
+    fn materialize(&self, kept: &[usize]) -> Relation {
+        let rows = (0..self.len)
+            .map(|r| {
+                let mut row = vec![Value::Null; self.cols.len()];
+                for &i in kept {
+                    row[i] = self.value(r, i).clone();
                 }
-            }
-        }
+                row
+            })
+            .collect();
         Relation {
             cols: self.cols.clone(),
             rows,
@@ -467,18 +470,16 @@ pub(crate) fn exec_select_vec(
 
     // 3./4. Output. The plain unordered projection runs natively over
     // the gather vectors; everything else (aggregation, sorts, top-k,
-    // subquery projections) materializes the surviving rows once and
-    // reuses the row engine's output stage verbatim.
+    // subquery projections) materializes the surviving rows once —
+    // only the columns the output stage can read — and reuses the row
+    // engine's output stage verbatim.
     let items = expand_projections(&rel.cols, &s.projections)?;
-    let uses_aggregates = !s.group_by.is_empty()
-        || items.iter().any(|(_, e)| e.contains_aggregate())
-        || s.having.as_ref().is_some_and(|h| h.contains_aggregate())
-        || order_by.iter().any(|o| o.expr.contains_aggregate());
-    let native =
-        !uses_aggregates && order_by.is_empty() && items.iter().all(|(_, e)| !contains_subquery(e));
+    let native = !uses_aggregates(s, &items, order_by)
+        && order_by.is_empty()
+        && items.iter().all(|(_, e)| !contains_subquery(e));
     if !native {
-        let rel = rel.materialize();
-        return output_stage(db, s, order_by, limit, None, &rel);
+        let rel = rel.materialize(&output_columns(&rel.cols, s, &items, order_by));
+        return output_stage(db, s, order_by, limit, None, &rel, &items);
     }
 
     let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
@@ -513,6 +514,48 @@ pub(crate) fn exec_select_vec(
         trace::batches(batches_of(out.rows.len()));
     }
     Ok(out)
+}
+
+/// The positions in `cols` the shared output stage can read while it
+/// evaluates the projections `items`, GROUP BY, HAVING and ORDER BY. A
+/// qualified reference keeps the column with the same binding and name;
+/// an unqualified one keeps every column with that name, so an
+/// ambiguous name still fails against the full layout. A subquery
+/// anywhere keeps every column: its correlated references resolve
+/// through the row scope.
+fn output_columns(
+    cols: &[(String, String)],
+    s: &Select,
+    items: &[(String, Expr)],
+    order_by: &[OrderItem],
+) -> Vec<usize> {
+    let exprs: Vec<&Expr> = items
+        .iter()
+        .map(|(_, e)| e)
+        .chain(&s.group_by)
+        .chain(&s.having)
+        .chain(order_by.iter().map(|o| &o.expr))
+        .collect();
+    if exprs.iter().any(|e| contains_subquery(e)) {
+        return (0..cols.len()).collect();
+    }
+    let mut refs: Vec<&ColumnRef> = Vec::new();
+    for e in exprs {
+        e.visit(&mut |x| {
+            if let Expr::Column(c) = x {
+                refs.push(c);
+            }
+        });
+    }
+    (0..cols.len())
+        .filter(|&i| {
+            let (b, n) = &cols[i];
+            refs.iter().any(|c| {
+                n.eq_ignore_ascii_case(&c.column)
+                    && c.table.as_ref().is_none_or(|t| b.eq_ignore_ascii_case(t))
+            })
+        })
+        .collect()
 }
 
 /// `exec::load_scan` over gather vectors: same span, same detail
@@ -1002,4 +1045,84 @@ fn restore_column_order(rel: &mut VRel<'_>, from_width: usize, blocks: &[(usize,
     }
     rel.slots = new_slots;
     rel.col_slot = col_slot;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// [`output_columns`] for one query over the layout
+    /// `t(id, name, x) ⨝ u(id, name, y)`, with the projections expanded
+    /// as the executor expands them.
+    fn kept(sql: &str) -> Vec<usize> {
+        let cols: Vec<(String, String)> = [
+            ("t", "id"),
+            ("t", "name"),
+            ("t", "x"),
+            ("u", "id"),
+            ("u", "name"),
+            ("u", "y"),
+        ]
+        .iter()
+        .map(|(b, n)| (b.to_string(), n.to_string()))
+        .collect();
+        let q = sqlkit::parse_query(sql).unwrap();
+        let s = q.leftmost_select();
+        let items = expand_projections(&cols, &s.projections).unwrap();
+        output_columns(&cols, s, &items, &q.order_by)
+    }
+
+    #[test]
+    fn qualified_reference_keeps_only_its_binding() {
+        // Join keys and WHERE columns are consumed before materialization.
+        assert_eq!(
+            kept("SELECT u.name FROM t JOIN u ON t.id = u.id WHERE u.y > 1 ORDER BY T.X"),
+            vec![2, 4]
+        );
+        assert_eq!(
+            kept("SELECT t.name FROM t JOIN u ON t.id = u.id GROUP BY t.name HAVING SUM(u.y) > 1"),
+            vec![1, 5]
+        );
+    }
+
+    #[test]
+    fn unqualified_name_keeps_every_binding_with_that_name() {
+        assert_eq!(
+            kept("SELECT name, COUNT(*) FROM t JOIN u ON t.id = u.id GROUP BY name"),
+            vec![1, 4]
+        );
+        assert_eq!(
+            kept("SELECT t.x FROM t JOIN u ON t.id = u.id ORDER BY y"),
+            vec![2, 5]
+        );
+    }
+
+    #[test]
+    fn wildcards_keep_the_columns_they_expand_to() {
+        assert_eq!(
+            kept("SELECT * FROM t JOIN u ON t.id = u.id ORDER BY 1"),
+            (0..6).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            kept("SELECT u.* FROM t JOIN u ON t.id = u.id ORDER BY 1"),
+            vec![3, 4, 5]
+        );
+    }
+
+    #[test]
+    fn count_star_keeps_no_column() {
+        assert!(kept("SELECT COUNT(*) FROM t JOIN u ON t.id = u.id").is_empty());
+    }
+
+    #[test]
+    fn subquery_keeps_every_column() {
+        assert_eq!(
+            kept("SELECT t.x, (SELECT COUNT(*) FROM u AS v WHERE v.id = t.id) FROM t JOIN u ON t.id = u.id"),
+            (0..6).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            kept("SELECT t.x FROM t JOIN u ON t.id = u.id ORDER BY (SELECT 1)"),
+            (0..6).collect::<Vec<_>>()
+        );
+    }
 }

@@ -9,13 +9,15 @@
 //! and gold-pair axes that need `evalkit`/`nlq`) lives in
 //! `cargo run --release -p bench --bin conformance`.
 
+use footballdb::DataModel;
 use sqlengine::conformance::{
     check_case, check_dialect_oracles, check_oracles, corpus_db, gen_corpus, gen_dialect_corpus,
     minimize_sql, run_corpus, run_dialect_corpus, CorpusConfig,
 };
 use sqlengine::{
     execute_sql, planner_config_fingerprint, set_dialect, set_force_seqscan, set_vectorized,
-    Catalog, DataType, Database, Dialect, QueryCache, TableSchema, Value,
+    trace_execute_sql_with_budget, Catalog, DataType, Database, Dialect, EngineError, ExecBudget,
+    QueryCache, ResultSet, TableSchema, TraceSpan, Value,
 };
 use std::sync::Mutex;
 
@@ -496,4 +498,139 @@ fn query_cache_does_not_serve_results_across_dialects() {
     assert_eq!(cache.stats().hits, 0, "no cross-dialect cache hit");
     assert_eq!(pg.rows, vec![vec![Value::Int(3)]]);
     assert_eq!(lite.rows, vec![vec![Value::Float(3.5)]]);
+}
+
+/// Runs `sql` under `budget` on the vectorized executor, then on the row
+/// engine, and asserts that the outcome (rows or error value, budget
+/// trip point included) and the deterministic counter tree are identical
+/// and that the first run really was vectorized.
+fn on_both_executors(
+    db: &Database,
+    sql: &str,
+    budget: &ExecBudget,
+) -> (Result<ResultSet, EngineError>, TraceSpan) {
+    set_vectorized(Some(true));
+    let (vec_out, vec_span) = trace_execute_sql_with_budget(db, sql, budget);
+    set_vectorized(Some(false));
+    let (row_out, row_span) = trace_execute_sql_with_budget(db, sql, budget);
+    set_vectorized(None);
+    assert_eq!(vec_out, row_out, "{sql}");
+    assert_eq!(vec_span.counter_tree(), row_span.counter_tree(), "{sql}");
+    let mut batches = 0;
+    vec_span.visit(&mut |s, _| batches += s.counters.batches_out);
+    assert!(batches > 0, "{sql}: the vectorized executor did not run");
+    (vec_out, vec_span)
+}
+
+/// `(steps, cells)` charged in the whole trace and inside `stage` spans.
+fn fuel(span: &TraceSpan, stage: &str) -> ((u64, u64), (u64, u64)) {
+    let mut total = (0, 0);
+    span.visit(&mut |s, _| {
+        total.0 += s.counters.fuel_steps;
+        total.1 += s.counters.fuel_cells;
+    });
+    let (_, c) = span.stage_totals(stage);
+    (total, (c.fuel_steps, c.fuel_cells))
+}
+
+/// Column-pruned materialization: before its shared output stage the
+/// vectorized executor copies only the columns that stage can read and
+/// leaves NULL in the rest. The pruning must be invisible on the real
+/// FootballDB v1 schema: identical rows, errors, counter trees and
+/// budget trip points on both executors, for every way the output stage
+/// reaches a column.
+#[test]
+fn column_pruned_materialization_is_invisible() {
+    let _g = mode_guard();
+    let db = footballdb::load(
+        &footballdb::generate(footballdb::DEFAULT_SEED),
+        DataModel::V1,
+    );
+    let pc = "FROM player p JOIN club c ON p.club_id = c.club_id";
+    let pcl = format!("{pc} JOIN league l ON c.league_id = l.league_id");
+    let unlimited = ExecBudget::UNLIMITED;
+
+    for sql in [
+        // Empty mask.
+        format!("SELECT COUNT(*) {pcl}"),
+        // Wildcards with ORDER BY (full sort and top-k).
+        "SELECT * FROM club c JOIN league l ON c.league_id = l.league_id ORDER BY c.club_id"
+            .to_string(),
+        format!("SELECT l.* {pcl} ORDER BY c.name, p.player_id LIMIT 7"),
+        // ORDER BY a non-projected column, an alias, a position.
+        format!("SELECT p.full_name {pc} ORDER BY c.founded_year DESC, p.player_id"),
+        format!("SELECT p.full_name AS who, c.name AS home {pc} ORDER BY home, who"),
+        format!("SELECT p.full_name, c.name {pc} ORDER BY 2 DESC, 1 LIMIT 10"),
+        // HAVING over an aggregate argument that is not projected; a
+        // grouping key that nothing else reads.
+        format!("SELECT c.name {pc} GROUP BY c.name HAVING SUM(caps) > 50 ORDER BY c.name"),
+        format!("SELECT COUNT(*) {pc} GROUP BY c.league_id ORDER BY 1 DESC"),
+        // LEFT JOIN null extension, read and counted.
+        "SELECT c.name, COUNT(p.player_id) FROM club c LEFT JOIN player p \
+         ON p.club_id = c.club_id AND p.caps > 100 GROUP BY c.name ORDER BY 2 DESC, 1"
+            .to_string(),
+        "SELECT nt.teamname, co.name FROM national_team nt LEFT JOIN coach co \
+         ON co.team_id = nt.team_id AND nt.fifa_ranking <= 10 ORDER BY nt.teamname, co.name"
+            .to_string(),
+        // DISTINCT with ORDER BY.
+        format!("SELECT DISTINCT c.country {pc} ORDER BY c.country DESC"),
+        // A correlated scalar subquery reads the row scope: all columns.
+        "SELECT c.name, (SELECT COUNT(*) FROM player p2 WHERE p2.club_id = c.club_id) \
+         FROM club c JOIN league l ON c.league_id = l.league_id WHERE c.club_id < 12 \
+         ORDER BY c.name"
+            .to_string(),
+    ] {
+        let (out, _) = on_both_executors(&db, &sql, &unlimited);
+        let rows = out.unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
+        assert!(!rows.is_empty(), "{sql}: no rows");
+    }
+
+    // `country` is a column of both player and club.
+    for sql in [
+        format!("SELECT p.full_name {pc} ORDER BY country"),
+        format!("SELECT COUNT(*) {pc} GROUP BY country"),
+        format!("SELECT c.name {pc} GROUP BY c.name HAVING COUNT(DISTINCT country) > 1"),
+    ] {
+        let (out, _) = on_both_executors(&db, &sql, &unlimited);
+        assert_eq!(
+            out,
+            Err(EngineError::AmbiguousColumn("country".into())),
+            "{sql}"
+        );
+    }
+
+    // Budgets that trip inside `aggregate` (one up-front charge of the
+    // full input) and inside `sort` (per-row charges whose width is the
+    // full source layout plus the projections).
+    let sql = format!("SELECT l.name, COUNT(*) {pcl} GROUP BY l.name");
+    let (_, span) = on_both_executors(&db, &sql, &unlimited);
+    let ((steps, _), (agg_steps, _)) = fuel(&span, "aggregate");
+    assert!(agg_steps > 1, "{sql}");
+    let budget = unlimited.with_max_steps(steps - agg_steps + 1);
+    let (out, _) = on_both_executors(&db, &sql, &budget);
+    assert_eq!(
+        out,
+        Err(EngineError::BudgetExceeded {
+            stage: "aggregate",
+            spent: steps
+        }),
+        "{sql}"
+    );
+    for sql in [
+        format!("SELECT p.full_name {pc} ORDER BY c.name, p.player_id"),
+        format!("SELECT p.full_name {pc} ORDER BY c.name, p.player_id LIMIT 3"),
+    ] {
+        let (_, span) = on_both_executors(&db, &sql, &unlimited);
+        let ((_, cells), (_, sort_cells)) = fuel(&span, "sort");
+        assert!(sort_cells > 1, "{sql}");
+        let budget = unlimited.with_max_cells(cells - sort_cells / 2);
+        let (out, tripped) = on_both_executors(&db, &sql, &budget);
+        assert!(
+            matches!(out, Err(EngineError::BudgetExceeded { stage: "project", spent })
+                if spent > cells - sort_cells / 2),
+            "{sql}: {out:?}"
+        );
+        let (_, (_, charged_in_sort)) = fuel(&tripped, "sort");
+        assert!(charged_in_sort > 0, "{sql}: tripped outside sort");
+    }
 }

@@ -171,10 +171,7 @@ fn counter_tree_is_identical_for_vectorized_and_row_executors() {
             set_vectorized(Some(false));
             let (row_res, row_span) = trace_execute_sql(db, sql);
 
-            assert_eq!(vec_res.is_ok(), row_res.is_ok(), "{model} {sql}");
-            if let (Ok(a), Ok(b)) = (&vec_res, &row_res) {
-                assert_eq!(a, b, "{model} {sql}");
-            }
+            assert_eq!(vec_res, row_res, "{model} {sql}");
             // Not just the logical digest: the full deterministic
             // counter tree — every span, stage, row count, and fuel
             // charge — is identical between the executors. Only the
