@@ -12,9 +12,9 @@
 //!    tables, NULL ordering, bag set ops, empty-group aggregates) hold
 //!    on both the engine and the reference interpreter.
 //! 2. **Corpus**: a seeded generated corpus runs under {indexed,
-//!    seqscan} × {vectorized, row-at-a-time} × {fresh, cached} (six
-//!    configs) with bit-identical results, and under the naive
-//!    reference interpreter with EX-equal results.
+//!    seqscan} × {fresh, cached} (four configs) with bit-identical
+//!    results, and under the naive reference interpreter with EX-equal
+//!    results.
 //! 3. **Threads**: the same corpus (and the gold corpus) evaluated
 //!    through `evalkit::par_map` at 1 worker vs 8 workers is
 //!    bit-identical case by case.
@@ -96,7 +96,7 @@ struct DialectPass {
 }
 
 /// One complete cross-dialect pass: known-difference oracles, per-
-/// dialect self-consistency (six configs + reference under each
+/// dialect self-consistency (four configs + reference under each
 /// dialect), and the classified cross-dialect sweep.
 fn dialect_pass(seed: u64, seeds: usize, queries: usize) -> DialectPass {
     let mut failures = 0usize;
@@ -130,7 +130,7 @@ fn dialect_pass(seed: u64, seeds: usize, queries: usize) -> DialectPass {
             queries: (queries / 4).max(50),
         }));
 
-        // Per-dialect self-consistency: each dialect must hold the six-
+        // Per-dialect self-consistency: each dialect must hold the four-
         // config + reference identity on its own before the dialects
         // are compared to each other.
         for (i, dialect) in Dialect::ALL.into_iter().enumerate() {
@@ -287,7 +287,7 @@ fn main() {
         }
     });
 
-    // Axis 2: generated corpus, six engine configs + reference.
+    // Axis 2: generated corpus, four engine configs + reference.
     let mut total_queries = 0usize;
     let mut total_execs = 0usize;
     let mut total_errored = 0usize;
@@ -306,7 +306,7 @@ fn main() {
         corpora.push((s, db, corpus));
     }
     println!(
-        "corpus axis: {total_queries} queries x 6 configs + reference \
+        "corpus axis: {total_queries} queries x 4 configs + reference \
          ({total_execs} engine executions, {total_errored} consistent-error entries)"
     );
 
@@ -399,9 +399,8 @@ fn main() {
 
     // Axis 5: runaway-hazard templates must trip the fuel budget, and
     // must trip it identically (same stage, same spent count) whether
-    // joins go through hash indexes or forced sequential scans, and
-    // whether the vectorized or the row executor runs them — the fuel
-    // model only charges mode-independent logical quantities.
+    // joins go through hash indexes or forced sequential scans — the
+    // fuel model only charges mode-independent logical quantities.
     let hazard_budget = ExecBudget::UNLIMITED.with_max_steps(60_000);
     let mut hazard_total = 0usize;
     let mut hazard_diffs = 0usize;
@@ -420,8 +419,8 @@ fn main() {
     }
     failures += hazard_diffs;
     println!(
-        "hazard axis: {hazard_total} runaway queries x {{indexed, seqscan}} x \
-         {{vectorized, rowexec}}, {hazard_diffs} divergences"
+        "hazard axis: {hazard_total} runaway queries x {{indexed, seqscan}}, \
+         {hazard_diffs} divergences"
     );
 
     // Axis 6: morphed data models. A few synthesized transform chains

@@ -6,7 +6,7 @@
 //! anything:
 //!
 //! 1. **EX-equality conformance** — every gold and template query,
-//!    co-rewritten onto every model, is bit-identical across the six
+//!    co-rewritten onto every model, is bit-identical across the four
 //!    engine configs + reference interpreter on the morphed database AND
 //!    EX-equal to the source-model result (zero divergences required);
 //! 2. **Thread determinism** — the rewritten corpus per model executes

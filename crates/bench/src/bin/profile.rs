@@ -7,7 +7,7 @@
 //! latency histogram buckets) must be byte-identical between the two
 //! passes. Timing (whole-pass wall seconds, per-stage thread-CPU
 //! seconds), the scheduling-dependent cache split,
-//! and the vectorized executor's batch statistics (`batches_out` and
+//! and the columnar executor's batch statistics (`batches_out` and
 //! the mean selection-vector fill `sel_vec_density` per stage) are
 //! reported in a separate `wall` section that carries no such
 //! guarantee.
@@ -131,9 +131,9 @@ fn main() {
         .map(|&s| format!("\"{s}_s\": {:.4}", total.trace.stage(s).cpu_ns as f64 / 1e9))
         .collect::<Vec<_>>()
         .join(", ");
-    // Advisory vectorized-executor stats: batches emitted per stage and
-    // the mean fill of those 1024-row vectors. Zero-batch stages (and
-    // row-engine runs) are omitted; never part of the digest.
+    // Advisory columnar-executor stats: batches emitted per stage and
+    // the mean fill of those 1024-row vectors. Zero-batch stages are
+    // omitted; never part of the digest.
     let stage_batches = STAGES
         .iter()
         .filter_map(|&s| {

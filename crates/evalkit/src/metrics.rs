@@ -52,8 +52,8 @@ pub struct StageAgg {
     pub fuel_steps: u64,
     /// Budget cells charged, summed (deterministic).
     pub fuel_cells: u64,
-    /// Column-vector batches emitted, summed (advisory: zero whenever
-    /// the row engine ran, so excluded from the deterministic JSON).
+    /// Column-vector batches emitted, summed (advisory: a property of
+    /// the batch layout, so excluded from the deterministic JSON).
     pub batches_out: u64,
     /// Thread-CPU nanoseconds, summed (never deterministic).
     pub cpu_ns: u64,

@@ -15,11 +15,10 @@
 //!    under bag (or ordered, when both sides order) comparison.
 //! 3. **Config layer** ([`check_case`]): the engine re-runs every query
 //!    under each planner configuration that claims observational
-//!    equivalence — indexed vs forced sequential scans, vectorized vs
-//!    row-at-a-time execution, cached vs uncached — and all runs must
-//!    be *bit-identical*, not merely EX-equal. (The thread-count and
-//!    cross-data-model axes need crates above `sqlengine` and live in
-//!    the `conformance` bench driver.)
+//!    equivalence — indexed vs forced sequential scans, cached vs
+//!    uncached — and all runs must be *bit-identical*, not merely
+//!    EX-equal. (The thread-count and cross-data-model axes need crates
+//!    above `sqlengine` and live in the `conformance` bench driver.)
 //! 4. **Dialect layer** ([`dialects`]): the corpus is re-run under the
 //!    SQLite dialect and compared against the PostgreSQL-dialect run;
 //!    divergences must be explained by a checked-in table of known
@@ -50,7 +49,7 @@ use crate::budget::ExecBudget;
 use crate::cache::QueryCache;
 use crate::db::Database;
 use crate::error::EngineError;
-use crate::exec::{execute_sql, execute_sql_with_budget, set_force_seqscan, set_vectorized};
+use crate::exec::{execute_sql, execute_sql_with_budget, set_force_seqscan};
 use crate::result::ResultSet;
 use crate::value::Value;
 use sqlkit::ast::{Expr, Query, QueryBody};
@@ -105,18 +104,13 @@ impl ConformanceReport {
 }
 
 /// The engine-side configurations that must be observationally
-/// identical for any query: {indexed, forced seqscan} × {vectorized,
-/// forced row-at-a-time} on fresh runs, plus the cached variants of the
-/// vectorized pair. `vec = true` only *allows* the columnar executor —
-/// plan-ineligible queries still run row-at-a-time, which is itself
-/// part of the equivalence claim.
-const CONFIGS: [(&str, bool, bool, bool); 6] = [
-    ("indexed", false, false, true),
-    ("seqscan", true, false, true),
-    ("indexed+rowexec", false, false, false),
-    ("seqscan+rowexec", true, false, false),
-    ("indexed+cache", false, true, true),
-    ("seqscan+cache", true, true, true),
+/// identical for any query: {indexed, forced seqscan} × {fresh,
+/// cached}.
+const CONFIGS: [(&str, bool, bool); 4] = [
+    ("indexed", false, false),
+    ("seqscan", true, false),
+    ("indexed+cache", false, true),
+    ("seqscan+cache", true, true),
 ];
 
 fn run_config(
@@ -125,17 +119,14 @@ fn run_config(
     sql: &str,
     force: bool,
     cached: bool,
-    vec: bool,
 ) -> Result<ResultSet, EngineError> {
     set_force_seqscan(Some(force));
-    set_vectorized(Some(vec));
     let out = if cached {
         cache.execute_cached(db, sql).map(|rs| (*rs).clone())
     } else {
         execute_sql(db, sql)
     };
     set_force_seqscan(None);
-    set_vectorized(None);
     out
 }
 
@@ -186,8 +177,8 @@ fn render(outcome: &Result<ResultSet, EngineError>) -> String {
 }
 
 /// The engine-config identity axis alone: one query bit-identical across
-/// all six {indexed, seqscan} × {vectorized, rowexec} × {fresh, cached}
-/// configurations. Returns the raw disagreement, if any.
+/// all four {indexed, seqscan} × {fresh, cached} configurations. Returns
+/// the raw disagreement, if any.
 fn check_engine_configs(
     db: &Database,
     cache: &QueryCache,
@@ -195,9 +186,7 @@ fn check_engine_configs(
 ) -> Option<(String, String, String)> {
     let runs: Vec<(&str, Result<ResultSet, EngineError>)> = CONFIGS
         .iter()
-        .map(|(name, force, cached, vec)| {
-            (*name, run_config(db, cache, sql, *force, *cached, *vec))
-        })
+        .map(|(name, force, cached)| (*name, run_config(db, cache, sql, *force, *cached)))
         .collect();
     let (base_name, base) = &runs[0];
     for (name, outcome) in &runs[1..] {
@@ -224,7 +213,7 @@ fn check_raw(
     if let Some(found) = check_engine_configs(db, cache, sql) {
         return Some(found);
     }
-    let base = &run_config(db, cache, sql, false, true, true);
+    let base = &run_config(db, cache, sql, false, true);
     let reference = ref_execute_sql(db, sql);
     match (base, &reference) {
         (Ok(engine_rs), Ok(ref_rs)) => {
@@ -295,30 +284,23 @@ pub fn run_corpus(db: &Database, corpus: &[String]) -> ConformanceReport {
 }
 
 /// Verifies one `hazard: runaway` query: under `budget` it must return
-/// [`EngineError::BudgetExceeded`] in *all four* execution modes —
-/// {indexed, forced seqscan} × {vectorized, row-at-a-time} — at the
-/// same `(stage, spent)` fuel count. Returns the agreed trip point, or
-/// a description of the violated invariant. Fuel is charged only on
-/// logical quantities that are bit-identical across access paths and
-/// executors (see [`crate::budget`]), so any disagreement here is an
-/// engine bug, not a tolerance issue. Restores both mode overrides
-/// before returning.
+/// [`EngineError::BudgetExceeded`] in both execution modes — indexed
+/// and forced seqscan — at the same `(stage, spent)` fuel count.
+/// Returns the agreed trip point, or a description of the violated
+/// invariant. Fuel is charged only on logical quantities that are
+/// bit-identical across access paths (see [`crate::budget`]), so any
+/// disagreement here is an engine bug, not a tolerance issue. Restores
+/// the mode override before returning.
 pub fn check_hazard(
     db: &Database,
     sql: &str,
     budget: &ExecBudget,
 ) -> Result<(&'static str, u64), String> {
-    const MODES: [(&str, bool, bool); 4] = [
-        ("indexed", false, true),
-        ("seqscan", true, true),
-        ("indexed+rowexec", false, false),
-        ("seqscan+rowexec", true, false),
-    ];
+    const MODES: [(&str, bool); 2] = [("indexed", false), ("seqscan", true)];
     let mut trips: Vec<(&'static str, (&'static str, u64))> = Vec::new();
     let mut violation = None;
-    for (mode, force, vec) in MODES {
+    for (mode, force) in MODES {
         set_force_seqscan(Some(force));
-        set_vectorized(Some(vec));
         let outcome = execute_sql_with_budget(db, sql, budget);
         match outcome {
             Err(EngineError::BudgetExceeded { stage, spent }) => trips.push((mode, (stage, spent))),
@@ -336,7 +318,6 @@ pub fn check_hazard(
         }
     }
     set_force_seqscan(None);
-    set_vectorized(None);
     if let Some(v) = violation {
         return Err(v);
     }
@@ -435,8 +416,8 @@ fn morph_raw(
     if let Some(found) = check_engine_configs(dst_db, dst_cache, dst_sql) {
         return Some(found);
     }
-    let src = run_config(src_db, src_cache, src_sql, false, false, true);
-    let dst = run_config(dst_db, dst_cache, dst_sql, false, false, true);
+    let src = run_config(src_db, src_cache, src_sql, false, false);
+    let dst = run_config(dst_db, dst_cache, dst_sql, false, false);
     match (&src, &dst) {
         (Ok(a), Ok(b)) if a.matches(b) => None,
         (Err(_), Err(_)) => {

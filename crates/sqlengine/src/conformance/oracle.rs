@@ -373,6 +373,19 @@ fn scenarios() -> Vec<(&'static str, Database, &'static str, Expected)> {
                 true,
             ),
         ),
+        // --- integer overflow wraps, like `+ - * /` and SUM -------------
+        (
+            "negate_i64_min_wraps",
+            data_db(),
+            "SELECT -(-9223372036854775807 - 1)",
+            exp(vec![vec![i(i64::MIN)]], false),
+        ),
+        (
+            "abs_i64_min_wraps",
+            data_db(),
+            "SELECT abs(-9223372036854775807 - 1)",
+            exp(vec![vec![i(i64::MIN)]], false),
+        ),
     ]
 }
 

@@ -941,7 +941,7 @@ fn r_unary(op: UnaryOp, v: &Value) -> Result<Value, EngineError> {
     match op {
         UnaryOp::Not => Ok(not3(truth_of(v)).to_value()),
         UnaryOp::Neg => match v {
-            Value::Int(x) => Ok(Value::Int(-x)),
+            Value::Int(x) => Ok(Value::Int(x.wrapping_neg())),
             Value::Float(x) => Ok(Value::Float(-x)),
             Value::Null => Ok(Value::Null),
             other => Err(EngineError::Eval(format!("cannot negate {other:?}"))),
@@ -1033,7 +1033,7 @@ fn r_function(name: &str, args: &[Value]) -> Result<Value, EngineError> {
         ("lower", [Value::Text(s)]) => Ok(Value::Text(s.to_lowercase())),
         ("upper", [Value::Text(s)]) => Ok(Value::Text(s.to_uppercase())),
         ("length", [Value::Text(s)]) => Ok(Value::Int(s.chars().count() as i64)),
-        ("abs", [Value::Int(x)]) => Ok(Value::Int(x.abs())),
+        ("abs", [Value::Int(x)]) => Ok(Value::Int(x.wrapping_abs())),
         ("abs", [Value::Float(x)]) => Ok(Value::Float(x.abs())),
         (_, args) if args.iter().any(|a| a.is_null()) => Ok(Value::Null),
         _ => Err(EngineError::Unsupported(format!("function {name}"))),

@@ -1,34 +1,33 @@
-//! Row-at-a-time query executor.
+//! Query execution: entry points, set operations, the SELECT output
+//! stage, and expression evaluation.
 //!
-//! A correctness-first executor over the in-memory database, driven by
-//! the physical plan from [`crate::plan`]: scans resolve pushed-down
-//! equality predicates through lazy hash indexes and materialize only
-//! surviving rows; equi-joins hash the estimated-smaller side or probe
-//! an index-nested-loop when the probe side is an indexed base table;
-//! commutative inner joins run in greedily cost-ordered sequence. Hash
-//! grouping, three-valued NULL logic, set operations with SQL set
-//! semantics, and correlated subqueries (through an environment chain)
-//! complete the feature set.
+//! Every SELECT block is planned here ([`crate::plan`]) and its FROM,
+//! JOIN and WHERE clauses run on the columnar executor in
+//! [`crate::vexec`]. This module owns what surrounds that path: the
+//! query level (set operations with SQL set and bag semantics, ORDER BY
+//! and LIMIT over their output), the shared output stage (hash
+//! grouping, top-k and full sorts, projection), three-valued NULL
+//! logic, and correlated subqueries, which resolve outer columns
+//! through the [`Env`] parent chain.
 //!
 //! Every access-path decision is a pure function of the database
 //! statistics and the query (see [`crate::plan`]), never of timing, so
-//! results are bit-identical across thread counts, across the
+//! results are bit-identical across thread counts and across the
 //! `REPRO_FORCE_SEQSCAN=1` reference mode (which disables index usage
-//! but not the planner's order decisions), and across the columnar
-//! executor in [`crate::vexec`] (which shares this module's plan,
-//! charging discipline, and output stage).
+//! but not the planner's order decisions).
 
 use crate::budget::{charge, charge_rows, ExecBudget};
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::result::ResultSet;
 use crate::trace;
-use crate::value::{like_match, value_key_eq, value_key_hash, Value};
+use crate::value::{like_match, value_key_eq, value_key_hash, IndexKey, Value};
+use crate::vexec::VRel;
 use sqlkit::ast::*;
 use sqlkit::printer::expr_to_sql;
 use sqlkit::Dialect;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -100,11 +99,11 @@ pub fn set_force_seqscan(force: Option<bool>) {
 
 /// Fingerprint of every process-wide planner/execution toggle a cached
 /// result could depend on. [`crate::cache::QueryCache`] keys entries by
-/// this, so a mid-process `set_force_seqscan` or `set_vectorized` flip
-/// can never serve a result computed under the other configuration —
-/// even though today the modes are bit-identical by construction, the
-/// cache must not *rely* on that invariant. Any future planner toggle
-/// must be folded in here.
+/// this, so a mid-process `set_force_seqscan` flip can never serve a
+/// result computed under the other configuration — even though today
+/// the modes are bit-identical by construction, the cache must not
+/// *rely* on that invariant. Any future planner toggle must be folded
+/// in here.
 ///
 /// The dialect bit is the one toggle that is *not* observationally
 /// neutral — `7 / 2` really is `3` under Postgres and `3.5` under
@@ -112,9 +111,7 @@ pub fn set_force_seqscan(force: Option<bool>) {
 /// result from ever answering a SQLite query (and splits the serve
 /// layer's sharded caches per dialect for free).
 pub fn planner_config_fingerprint() -> u64 {
-    force_seqscan() as u64
-        | (vectorized_enabled() as u64) << 1
-        | ((current_dialect() == Dialect::Sqlite) as u64) << 2
+    force_seqscan() as u64 | ((current_dialect() == Dialect::Sqlite) as u64) << 1
 }
 
 /// True when index access paths are disabled.
@@ -128,45 +125,13 @@ pub(crate) fn force_seqscan() -> bool {
     }
 }
 
-/// 0 = follow `REPRO_FORCE_ROWEXEC`; 1 = force the columnar executor
-/// on; 2 = force the row executor.
-static VECTORIZED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static VECTORIZED_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Programmatic override of the `REPRO_FORCE_ROWEXEC` environment
-/// variable: `Some(false)` pins every eligible query to the
-/// row-at-a-time executor (the differential reference mode),
-/// `Some(true)` enables the columnar executor regardless of the
-/// environment, `None` restores environment resolution. Process wide;
-/// results, fuel charges, and deterministic trace counters are
-/// identical either way by construction — only the inner loops differ.
-pub fn set_vectorized(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    VECTORIZED_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// True when eligible queries run on the columnar executor.
-pub(crate) fn vectorized_enabled() -> bool {
-    match VECTORIZED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => !*VECTORIZED_ENV.get_or_init(|| {
-            std::env::var("REPRO_FORCE_ROWEXEC").is_ok_and(|v| !v.trim().is_empty() && v != "0")
-        }),
-    }
-}
-
 /// 0 = follow `REPRO_DIALECT`; 1 = Postgres; 2 = Sqlite.
 static DIALECT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 static DIALECT_ENV: OnceLock<Dialect> = OnceLock::new();
 
 /// Programmatic override of the `REPRO_DIALECT` environment variable:
-/// pins the whole engine — both executors, ordering, `LIKE`, arithmetic
-/// — to one backend's observable semantics. `None` restores environment
+/// pins the whole engine — evaluation, ordering, `LIKE`, arithmetic —
+/// to one backend's observable semantics. `None` restores environment
 /// resolution (default: [`Dialect::Postgres`], the semantics this
 /// engine has always had). Process wide, like the other mode switches;
 /// unlike them the dialect is *observable* in results, which is exactly
@@ -209,11 +174,11 @@ pub(crate) struct Relation {
     pub(crate) rows: Vec<Vec<Value>>,
 }
 
-/// Evaluation environment: one relation row, optionally chained to an
-/// outer query's environment for correlated subqueries.
+/// Evaluation environment: one row laid out as `cols`, optionally
+/// chained to an outer query's environment for correlated subqueries.
 pub(crate) struct Env<'a> {
     pub(crate) cols: &'a [(String, String)],
-    pub(crate) row: &'a [Value],
+    pub(crate) row: Row<'a>,
     pub(crate) parent: Option<&'a Env<'a>>,
     /// Pre-resolved column positions for the expressions a row loop is
     /// about to evaluate. Purely an accelerator: any reference not in
@@ -221,12 +186,52 @@ pub(crate) struct Env<'a> {
     pub(crate) plan: Option<&'a ColumnPlan>,
 }
 
+/// Where an [`Env`]'s row values live. Only `Slice` is materialized;
+/// the other forms read through gather vectors, so a scan, filter or
+/// join candidate is evaluated without building its row.
+#[derive(Clone, Copy)]
+pub(crate) enum Row<'a> {
+    /// A materialized row.
+    Slice(&'a [Value]),
+    /// Row `.1` of a relation.
+    Rel(&'a VRel<'a>, usize),
+    /// A join candidate: left row `.1` followed by right row `.3`.
+    Pair(&'a VRel<'a>, usize, &'a VRel<'a>, usize),
+    /// An index-nested-loop candidate: left row `.1` followed by row
+    /// `.3` of the probed base table.
+    Base(&'a VRel<'a>, usize, &'a [Vec<Value>], usize),
+}
+
 impl<'a> Env<'a> {
+    #[inline]
+    fn at(&self, i: usize) -> &Value {
+        match self.row {
+            Row::Slice(row) => &row[i],
+            Row::Rel(rel, r) => rel.value(r, i),
+            Row::Pair(left, l, right, r) => {
+                let lw = left.width();
+                if i < lw {
+                    left.value(l, i)
+                } else {
+                    right.value(r, i - lw)
+                }
+            }
+            Row::Base(left, l, right, r) => {
+                let lw = left.width();
+                if i < lw {
+                    left.value(l, i)
+                } else {
+                    &right[r][i - lw]
+                }
+            }
+        }
+    }
+
     fn lookup(&self, c: &ColumnRef) -> Result<&Value, EngineError> {
         if let Some(plan) = self.plan {
             if let Some(slot) = plan.get(c) {
                 return match slot {
-                    Slot::Local(i) => Ok(&self.row[i]),
+                    Slot::Local(i) => Ok(self.at(i)),
                     Slot::Deferred => match self.parent {
                         Some(p) => p.lookup(c),
                         None => Err(EngineError::UnknownColumn(c.to_string())),
@@ -235,27 +240,20 @@ impl<'a> Env<'a> {
                 };
             }
         }
-        match self.find_local(c)? {
-            Some(i) => Ok(&self.row[i]),
+        match resolve_column(self.cols, c)? {
+            Some(i) => Ok(self.at(i)),
             None => match self.parent {
                 Some(p) => p.lookup(c),
                 None => Err(EngineError::UnknownColumn(c.to_string())),
             },
         }
     }
-
-    fn find_local(&self, c: &ColumnRef) -> Result<Option<usize>, EngineError> {
-        resolve_column(self.cols, c)
-    }
 }
 
 /// Resolves a column reference against one relation's bindings by
 /// case-insensitive name scan. `Ok(None)` means "not in this relation"
 /// (the caller may continue up the environment chain).
-pub(crate) fn resolve_column(
-    cols: &[(String, String)],
-    c: &ColumnRef,
-) -> Result<Option<usize>, EngineError> {
+fn resolve_column(cols: &[(String, String)], c: &ColumnRef) -> Result<Option<usize>, EngineError> {
     match &c.table {
         Some(t) => Ok(cols
             .iter()
@@ -331,37 +329,17 @@ impl ColumnPlan {
     }
 }
 
-/// A hashable canonical key for join probes, grouping, and DISTINCT.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Key {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Text(String),
-}
-
-pub(crate) fn key_of(v: &Value) -> Key {
-    match v {
-        Value::Null => Key::Null,
-        Value::Bool(b) => Key::Bool(*b),
-        Value::Int(i) => Key::Num(normal_bits(*i as f64)),
-        Value::Float(f) => Key::Num(normal_bits(*f)),
-        Value::Text(s) => Key::Text(s.clone()),
-    }
-}
-
-fn normal_bits(f: f64) -> u64 {
-    // Normalize -0.0 to 0.0 so they key identically.
-    if f == 0.0 { 0.0f64 } else { f }.to_bits()
-}
-
-fn keys_of(row: &[Value], idx: &[usize]) -> Vec<Key> {
-    idx.iter().map(|i| key_of(&row[*i])).collect()
+/// The exact hashable key of a value list, for hash joins and
+/// INTERSECT/EXCEPT (GROUP BY and DISTINCT aggregates key each value
+/// the same way): NULL keys as `None`, so NULLs group together, and
+/// integers beyond 2^53 keep their own key.
+pub(crate) fn row_key<'v>(vals: impl IntoIterator<Item = &'v Value>) -> Vec<Option<IndexKey>> {
+    vals.into_iter().map(IndexKey::of).collect()
 }
 
 // ---- query level --------------------------------------------------------
 
-fn exec_query(
+pub(crate) fn exec_query(
     db: &Database,
     query: &Query,
     outer: Option<&Env<'_>>,
@@ -431,27 +409,21 @@ fn exec_body(
                 (SetOp::Intersect, false) => {
                     let mut lrows = l.rows;
                     dedupe(&mut lrows);
-                    let rkeys: std::collections::HashSet<Vec<Key>> = r
-                        .rows
-                        .iter()
-                        .map(|row| row.iter().map(key_of).collect())
-                        .collect();
+                    let rkeys: HashSet<Vec<Option<IndexKey>>> =
+                        r.rows.iter().map(row_key).collect();
                     out.rows = lrows
                         .into_iter()
-                        .filter(|row| rkeys.contains(&row.iter().map(key_of).collect::<Vec<_>>()))
+                        .filter(|row| rkeys.contains(&row_key(row)))
                         .collect();
                 }
                 (SetOp::Except, false) => {
                     let mut lrows = l.rows;
                     dedupe(&mut lrows);
-                    let rkeys: std::collections::HashSet<Vec<Key>> = r
-                        .rows
-                        .iter()
-                        .map(|row| row.iter().map(key_of).collect())
-                        .collect();
+                    let rkeys: HashSet<Vec<Option<IndexKey>>> =
+                        r.rows.iter().map(row_key).collect();
                     out.rows = lrows
                         .into_iter()
-                        .filter(|row| !rkeys.contains(&row.iter().map(key_of).collect::<Vec<_>>()))
+                        .filter(|row| !rkeys.contains(&row_key(row)))
                         .collect();
                 }
                 // Bag semantics (SQL standard, as in PostgreSQL): a row
@@ -489,17 +461,17 @@ fn dedupe(rows: &mut Vec<Vec<Value>>) {
 
 /// Multiplicity of each distinct row (grouping-key equality) in the
 /// right arm of a bag-semantics set operation.
-fn right_multiplicities(rows: &[Vec<Value>]) -> HashMap<Vec<Key>, usize> {
-    let mut counts: HashMap<Vec<Key>, usize> = HashMap::with_capacity(rows.len());
+fn right_multiplicities(rows: &[Vec<Value>]) -> HashMap<Vec<Option<IndexKey>>, usize> {
+    let mut counts: HashMap<Vec<Option<IndexKey>>, usize> = HashMap::with_capacity(rows.len());
     for row in rows {
-        *counts.entry(row.iter().map(key_of).collect()).or_insert(0) += 1;
+        *counts.entry(row_key(row)).or_insert(0) += 1;
     }
     counts
 }
 
 /// Consumes one unit of `row`'s multiplicity if any remains.
-fn consume_match(counts: &mut HashMap<Vec<Key>, usize>, row: &[Value]) -> bool {
-    match counts.get_mut(&row.iter().map(key_of).collect::<Vec<Key>>()) {
+fn consume_match(counts: &mut HashMap<Vec<Option<IndexKey>>, usize>, row: &[Value]) -> bool {
+    match counts.get_mut(&row_key(row)) {
         Some(n) if *n > 0 => {
             *n -= 1;
             true
@@ -599,64 +571,9 @@ fn exec_select(
         crate::plan::plan_select(db, s, folded_where.as_ref())
     };
 
-    // Plan-gated query shapes run on the columnar batch executor, which
-    // produces bit-identical results and charges fuel in the identical
-    // order (`crate::vexec`). Correlated subqueries (outer env) stay on
-    // the row engine.
-    if plan.vectorized && outer.is_none() && vectorized_enabled() {
-        return crate::vexec::exec_select_vec(db, s, order_by, limit, &plan);
-    }
-
-    // 1. FROM: build the source relation. Each scan resolves its pushed
-    // predicates through the plan's access path (index lookup where an
-    // equality key is available, filtered sequential scan otherwise),
-    // and commutative inner joins run in greedily cost-ordered sequence
-    // with the column layout restored to the written order afterwards.
-    let mut rel = Relation::default();
-    let mut first = true;
-    for (item, sp) in s.from.iter().zip(&plan.scans) {
-        let r = load_scan(db, item, &plan.pushed, &sp.access, outer)?;
-        rel = if first { r } else { cross_join(rel, r)? };
-        first = false;
-    }
-    let from_width = rel.cols.len();
-    let mut blocks: Vec<(usize, usize)> = Vec::with_capacity(plan.join_order.len());
-    for step in &plan.join_order {
-        let before = rel.cols.len();
-        rel = exec_join(db, rel, &s.joins[step.ji], step, &plan.pushed, outer)?;
-        blocks.push((step.ji, rel.cols.len() - before));
-    }
-    restore_join_column_order(&mut rel, from_width, &blocks);
-    if first {
-        // SELECT without FROM: a single empty row.
-        rel.rows.push(Vec::new());
-    }
-
-    // 2. Residual WHERE predicates (multi-table or non-pushable).
-    // `residual` is borrowed, not moved: the compiled plan keys column
-    // occurrences by node address, so the expression must stay put.
-    if let Some(w) = &plan.residual {
-        let _span = trace::span("filter");
-        let plan = ColumnPlan::compile([w], &rel.cols);
-        let mut kept = Vec::with_capacity(rel.rows.len());
-        for row in std::mem::take(&mut rel.rows) {
-            let env = Env {
-                cols: &rel.cols,
-                row: &row,
-                parent: outer,
-                plan: Some(&plan),
-            };
-            if eval(db, w, &env)?.is_true() {
-                kept.push(row);
-            }
-        }
-        rel.rows = kept;
-        trace::rows_out(rel.rows.len() as u64);
-    }
-
-    // 3. Projection plan.
-    let items = expand_projections(&rel.cols, &s.projections)?;
-    output_stage(db, s, order_by, limit, outer, &rel, &items)
+    // 1.-4. FROM, joins, the residual WHERE and the output run on the
+    // columnar executor.
+    crate::vexec::exec_select_vec(db, s, order_by, limit, &plan, outer)
 }
 
 /// Whether the output stage groups: GROUP BY, or an aggregate anywhere
@@ -672,12 +589,11 @@ pub(crate) fn uses_aggregates(
         || order_by.iter().any(|o| o.expr.contains_aggregate())
 }
 
-/// Step 4 of SELECT execution, shared between the row engine and the
-/// vectorized executor (which materializes surviving batches into a
-/// [`Relation`] before any output path its kernels don't cover
-/// natively): aggregation / plain projection / top-k / full sort over
-/// the expanded projection `items`, with DISTINCT, LIMIT, and
-/// output-row fuel.
+/// Step 4 of SELECT execution for every output path the columnar
+/// executor doesn't cover natively (it materializes the surviving rows
+/// into a [`Relation`] first): aggregation / plain projection / top-k /
+/// full sort over the expanded projection `items`, with DISTINCT,
+/// LIMIT, and output-row fuel.
 pub(crate) fn output_stage(
     db: &Database,
     s: &Select,
@@ -712,7 +628,7 @@ pub(crate) fn output_stage(
             charge_rows("output", 1)?;
             let env = Env {
                 cols: &rel.cols,
-                row,
+                row: Row::Slice(row),
                 parent: outer,
                 plan: Some(&plan),
             };
@@ -753,7 +669,7 @@ pub(crate) fn output_stage(
             charge("project", 1, width)?;
             let env = Env {
                 cols: &rel.cols,
-                row,
+                row: Row::Slice(row),
                 parent: outer,
                 plan: Some(&plan),
             };
@@ -813,7 +729,7 @@ pub(crate) fn output_stage(
             charge("project", 1, width)?;
             let env = Env {
                 cols: &rel.cols,
-                row,
+                row: Row::Slice(row),
                 parent: outer,
                 plan: Some(&plan),
             };
@@ -875,7 +791,7 @@ fn order_key_row(
 ) -> Result<Vec<Value>, EngineError> {
     let env = Env {
         cols: &rel.cols,
-        row: src,
+        row: Row::Slice(src),
         parent: outer,
         plan,
     };
@@ -982,512 +898,12 @@ fn order_keys_by_output(
     Ok(all)
 }
 
-// ---- FROM / joins -------------------------------------------------------
+// ---- join keys ----------------------------------------------------------
 
-/// Loads one FROM/JOIN source and applies its pushed-down predicates.
-///
-/// Named tables follow the plan's access path: an [`Access::Index`]
-/// choice probes the lazy hash index to narrow the scan to candidate
-/// row ids and only surviving rows are materialized — the table is
-/// never cloned wholesale. Every pushed predicate is still re-evaluated
-/// on the candidates, so the index can only prune, never decide:
-/// indexed and forced-seqscan execution yield bit-identical relations
-/// (candidate ids are visited in ascending row order, the scan order).
-///
-/// [`Access::Index`]: crate::plan::Access::Index
-fn load_scan(
-    db: &Database,
-    t: &TableRef,
-    pushed: &[(String, Expr)],
-    access: &crate::plan::Access,
-    outer: Option<&Env<'_>>,
-) -> Result<Relation, EngineError> {
-    let _span = trace::span_labeled("scan", || t.binding().to_string());
-    let mine: Vec<&Expr> = pushed
-        .iter()
-        .filter(|(b, _)| b.eq_ignore_ascii_case(t.binding()))
-        .map(|(_, e)| e)
-        .collect();
-    let rel = match t {
-        TableRef::Named { name, alias } => {
-            let schema = db
-                .schema(name)
-                .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
-            let binding = alias.clone().unwrap_or_else(|| name.clone());
-            let cols: Vec<(String, String)> = schema
-                .columns
-                .iter()
-                .map(|c| (binding.clone(), c.name.clone()))
-                .collect();
-            let all = db.rows(name).unwrap();
-            if mine.is_empty() {
-                trace::detail(|| "seq scan".to_string());
-                Relation {
-                    cols,
-                    rows: all.to_vec(),
-                }
-            } else {
-                let plan = ColumnPlan::compile(mine.iter().copied(), &cols);
-                let keep = |row: &[Value]| -> Result<bool, EngineError> {
-                    for e in &mine {
-                        let env = Env {
-                            cols: &cols,
-                            row,
-                            parent: outer,
-                            plan: Some(&plan),
-                        };
-                        if !eval(db, e, &env)?.is_true() {
-                            return Ok(false);
-                        }
-                    }
-                    Ok(true)
-                };
-                // The plan already decided the access path; the index
-                // itself is fetched at run time (EXPLAIN never builds
-                // one), falling back to the filtered scan if the
-                // catalog can't serve it.
-                let driver = match access {
-                    crate::plan::Access::Index { column, keys } => {
-                        db.index(name, column).map(|ix| (ix, keys.as_slice()))
-                    }
-                    _ => None,
-                };
-                let mut rows = Vec::new();
-                match driver {
-                    Some((ix, keys)) => {
-                        trace::detail(|| format!("index lookup ({} key(s))", keys.len()));
-                        let mut ids: Vec<u32> = Vec::new();
-                        let (mut hits, mut misses) = (0u64, 0u64);
-                        for k in keys {
-                            match ix.lookup(k) {
-                                Some(found) => {
-                                    hits += 1;
-                                    ids.extend_from_slice(found);
-                                }
-                                None => misses += 1,
-                            }
-                        }
-                        db.note_index_probes(hits + misses, hits);
-                        ids.sort_unstable();
-                        ids.dedup();
-                        for id in ids {
-                            let row = &all[id as usize];
-                            if keep(row)? {
-                                rows.push(row.clone());
-                            }
-                        }
-                    }
-                    None => {
-                        trace::detail(|| "filtered seq scan".to_string());
-                        for row in all {
-                            if keep(row)? {
-                                rows.push(row.clone());
-                            }
-                        }
-                    }
-                }
-                Relation { cols, rows }
-            }
-        }
-        TableRef::Derived { query, alias } => {
-            trace::detail(|| "derived".to_string());
-            let rs = exec_query(db, query, outer)?;
-            let cols: Vec<(String, String)> = rs
-                .columns
-                .iter()
-                .map(|c| (alias.clone(), c.clone()))
-                .collect();
-            let mut rel = Relation {
-                cols,
-                rows: rs.rows,
-            };
-            apply_scan_filters(db, &mut rel, &mine, outer)?;
-            rel
-        }
-    };
-    trace::rows_out(rel.rows.len() as u64);
-    Ok(rel)
-}
-
-/// Executes one JOIN step following the plan's algorithm choice: an
-/// index-nested-loop when the plan selected one (the index itself is
-/// fetched at run time; if the catalog can't serve it the step degrades
-/// to the result-identical hash path), otherwise the right side is
-/// materialized through the plan's access path and joined by hash or
-/// nested loop.
-fn exec_join(
-    db: &Database,
-    left: Relation,
-    join: &Join,
-    step: &crate::plan::JoinStep,
-    pushed: &[(String, Expr)],
-    outer: Option<&Env<'_>>,
-) -> Result<Relation, EngineError> {
-    if let crate::plan::JoinAlgo::IndexNestedLoop { right_col, lpos } = &step.algo {
-        if let TableRef::Named { name, .. } = &join.table {
-            if let Some(ix) = db.index(name, right_col) {
-                return index_nested_loop_join(db, left, join, *lpos, &ix, pushed, outer);
-            }
-        }
-    }
-    // Pushed predicates only ever target inner-join bindings, but guard
-    // against a FROM binding shadowing an outer-join binding of the same
-    // name: an outer join's scan must stay unfiltered.
-    let right_pushed = if join.kind == JoinKind::Inner {
-        pushed
-    } else {
-        &[]
-    };
-    let right = load_scan(db, &join.table, right_pushed, &step.scan.access, outer)?;
-    let _span = trace::span_labeled("join", || join.table.binding().to_string());
-    let out = join_relations(db, left, right, join, &step.algo, outer);
-    if let Ok(rel) = &out {
-        trace::rows_out(rel.rows.len() as u64);
-    }
-    out
-}
-
-/// Index-nested-loop join: probes the right table's hash index with each
-/// left row's key and materializes only the matching right rows.
-/// Candidate postings are ascending in row order and the full ON clause
-/// (plus any pushed right-side predicates) is re-evaluated per
-/// candidate, so the output is bit-identical to the hash-join path.
-fn index_nested_loop_join(
-    db: &Database,
-    left: Relation,
-    join: &Join,
-    lpos: usize,
-    ix: &crate::db::ColumnIndex,
-    pushed: &[(String, Expr)],
-    outer: Option<&Env<'_>>,
-) -> Result<Relation, EngineError> {
-    let _span = trace::span_labeled("join", || join.table.binding().to_string());
-    trace::detail(|| "index nested-loop".to_string());
-    let TableRef::Named { name, .. } = &join.table else {
-        unreachable!("INL join requires a named table");
-    };
-    let binding = join.table.binding();
-    let schema = db.schema(name).expect("checked by inl_key");
-    let right_rows = db.rows(name).unwrap();
-    let mut cols = left.cols;
-    cols.extend(
-        schema
-            .columns
-            .iter()
-            .map(|c| (binding.to_string(), c.name.clone())),
-    );
-
-    // Pushed right-side predicates first (cheap, single-table), then the
-    // full ON clause, all resolved once against the joined layout.
-    let mine: Vec<&Expr> = pushed
-        .iter()
-        .filter(|(b, _)| b.eq_ignore_ascii_case(binding))
-        .map(|(_, e)| e)
-        .collect();
-    let on = join.on.as_ref().expect("checked by inl_key");
-    let checks: Vec<&Expr> = mine.iter().copied().chain([on]).collect();
-    let plan = ColumnPlan::compile(checks.iter().copied(), &cols);
-
-    // Emitted rows are charged identically to the hash-join path (same
-    // rows, same order), so tripping the budget reports the same
-    // (stage, spent) in indexed and seqscan modes.
-    let width = cols.len() as u64;
-    let mut rows = Vec::new();
-    // One probe per left row: tallied locally and flushed in a single
-    // batch — even on a budget abort — so the hot loop pays no
-    // per-probe atomics or thread-local reads.
-    let (mut probes, mut hits) = (0u64, 0u64);
-    let scanned: Result<(), EngineError> = (|| {
-        for l in &left.rows {
-            probes += 1;
-            let candidates = match ix.lookup(&l[lpos]) {
-                Some(c) => {
-                    hits += 1;
-                    c
-                }
-                None => continue,
-            };
-            'cand: for &ri in candidates {
-                let mut row = l.clone();
-                row.extend(right_rows[ri as usize].iter().cloned());
-                for e in &checks {
-                    let env = Env {
-                        cols: &cols,
-                        row: &row,
-                        parent: outer,
-                        plan: Some(&plan),
-                    };
-                    if !eval(db, e, &env)?.is_true() {
-                        continue 'cand;
-                    }
-                }
-                charge("join", 1, width)?;
-                rows.push(row);
-            }
-        }
-        Ok(())
-    })();
-    db.note_index_probes(probes, hits);
-    scanned?;
-    trace::rows_out(rows.len() as u64);
-    Ok(Relation { cols, rows })
-}
-
-/// After greedy join reordering the physical column layout follows the
-/// execution order; permute the column blocks back to the query's
-/// written order so wildcard projections and unqualified resolution see
-/// the expected layout.
-fn restore_join_column_order(rel: &mut Relation, from_width: usize, blocks: &[(usize, usize)]) {
-    // (original join index, start offset in executed layout, width)
-    let mut executed: Vec<(usize, usize, usize)> = Vec::with_capacity(blocks.len());
-    let mut off = from_width;
-    for &(ji, w) in blocks {
-        executed.push((ji, off, w));
-        off += w;
-    }
-    executed.sort_by_key(|&(ji, _, _)| ji);
-    let mut perm: Vec<usize> = (0..from_width).collect();
-    for &(_, s, w) in &executed {
-        perm.extend(s..s + w);
-    }
-    if perm.iter().enumerate().all(|(i, &p)| i == p) {
-        return;
-    }
-    rel.cols = perm.iter().map(|&i| rel.cols[i].clone()).collect();
-    for row in &mut rel.rows {
-        let mut old = std::mem::take(row);
-        *row = perm
-            .iter()
-            .map(|&i| std::mem::replace(&mut old[i], Value::Null))
-            .collect();
-    }
-}
-
-/// Cartesian product of two relations. Fallible: every emitted row is
-/// charged to the fuel budget, so an unconstrained multi-way product
-/// aborts instead of materializing quadratic (or worse) row counts.
-fn cross_join(left: Relation, right: Relation) -> Result<Relation, EngineError> {
-    let _span = trace::span_labeled("join", || "cross".to_string());
-    trace::detail(|| "cross product".to_string());
-    let mut cols = left.cols;
-    cols.extend(right.cols);
-    let width = cols.len() as u64;
-    let mut rows = Vec::new();
-    for l in &left.rows {
-        for r in &right.rows {
-            charge("cross-join", 1, width)?;
-            let mut row = l.clone();
-            row.extend(r.iter().cloned());
-            rows.push(row);
-        }
-    }
-    trace::rows_out(rows.len() as u64);
-    Ok(Relation { cols, rows })
-}
-
-/// Joins two relations with hash-join acceleration for equi-conditions.
-/// The equi-key pairs are re-derived against the materialized layouts
-/// (the plan's `has_equi_key` check is a superset: a pair it saw may
-/// resolve to an outer binding at run time and drop to the residual);
-/// the plan supplies only the build side.
-fn join_relations(
-    db: &Database,
-    left: Relation,
-    right: Relation,
-    join: &Join,
-    algo: &crate::plan::JoinAlgo,
-    outer: Option<&Env<'_>>,
-) -> Result<Relation, EngineError> {
-    let mut cols = left.cols.clone();
-    cols.extend(right.cols.iter().cloned());
-
-    // Identify hashable equi-join pairs in the ON conjunction.
-    let mut left_keys = Vec::new();
-    let mut right_keys = Vec::new();
-    let mut residual: Vec<&Expr> = Vec::new();
-    if let Some(on) = &join.on {
-        for conj in on.conjuncts() {
-            if let Expr::Binary {
-                left: a,
-                op: BinOp::Eq,
-                right: b,
-            } = conj
-            {
-                if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                    let la = find_col(&left.cols, ca);
-                    let rb = find_col(&right.cols, cb);
-                    if let (Some(i), Some(j)) = (la, rb) {
-                        left_keys.push(i);
-                        right_keys.push(j);
-                        continue;
-                    }
-                    let lb = find_col(&left.cols, cb);
-                    let ra = find_col(&right.cols, ca);
-                    if let (Some(i), Some(j)) = (lb, ra) {
-                        left_keys.push(i);
-                        right_keys.push(j);
-                        continue;
-                    }
-                }
-            }
-            residual.push(conj);
-        }
-    }
-
-    let mut rows = Vec::new();
-    let null_right = vec![Value::Null; right.cols.len()];
-
-    if !left_keys.is_empty() {
-        // Hash join with plan-chosen build side: hash the estimated
-        // smaller input, probe with the larger. Residual ON conjuncts
-        // are evaluated per candidate pair; resolve their columns
-        // against the joined layout once. Both variants emit rows
-        // left-major with right candidates ascending, so the choice (a
-        // pure function of catalog estimates) never changes the output
-        // or the fuel charged.
-        let plan = ColumnPlan::compile(residual.iter().copied(), &cols);
-        let build_left = matches!(algo, crate::plan::JoinAlgo::Hash { build_left: true });
-        if build_left {
-            // Build on the left: collect per-left-row match lists during
-            // the right-side probe, then emit in left order.
-            trace::detail(|| "hash (build left)".to_string());
-            let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::with_capacity(left.rows.len());
-            for (i, l) in left.rows.iter().enumerate() {
-                if left_keys.iter().any(|k| l[*k].is_null()) {
-                    continue; // NULL keys never match.
-                }
-                table.entry(keys_of(l, &left_keys)).or_default().push(i);
-            }
-            let mut matches: Vec<Vec<usize>> = vec![Vec::new(); left.rows.len()];
-            for (ri, r) in right.rows.iter().enumerate() {
-                if right_keys.iter().any(|k| r[*k].is_null()) {
-                    continue;
-                }
-                if let Some(lids) = table.get(&keys_of(r, &right_keys)) {
-                    for &li in lids {
-                        matches[li].push(ri);
-                    }
-                }
-            }
-            let width = cols.len() as u64;
-            for (li, l) in left.rows.iter().enumerate() {
-                let mut matched = false;
-                for &ri in &matches[li] {
-                    let mut row = l.clone();
-                    row.extend(right.rows[ri].iter().cloned());
-                    if residual_ok(db, &residual, &cols, &row, outer, &plan)? {
-                        charge("join", 1, width)?;
-                        rows.push(row);
-                        matched = true;
-                    }
-                }
-                if !matched && join.kind == JoinKind::Left {
-                    charge("join", 1, width)?;
-                    let mut row = l.clone();
-                    row.extend(null_right.iter().cloned());
-                    rows.push(row);
-                }
-            }
-        } else {
-            // Build on the right, probe with left rows.
-            trace::detail(|| "hash (build right)".to_string());
-            let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::with_capacity(right.rows.len());
-            for (i, r) in right.rows.iter().enumerate() {
-                if right_keys.iter().any(|k| r[*k].is_null()) {
-                    continue; // NULL keys never match.
-                }
-                table.entry(keys_of(r, &right_keys)).or_default().push(i);
-            }
-            let width = cols.len() as u64;
-            for l in &left.rows {
-                let mut matched = false;
-                if !left_keys.iter().any(|k| l[*k].is_null()) {
-                    if let Some(candidates) = table.get(&keys_of(l, &left_keys)) {
-                        for &ri in candidates {
-                            let mut row = l.clone();
-                            row.extend(right.rows[ri].iter().cloned());
-                            if residual_ok(db, &residual, &cols, &row, outer, &plan)? {
-                                charge("join", 1, width)?;
-                                rows.push(row);
-                                matched = true;
-                            }
-                        }
-                    }
-                }
-                if !matched && join.kind == JoinKind::Left {
-                    charge("join", 1, width)?;
-                    let mut row = l.clone();
-                    row.extend(null_right.iter().cloned());
-                    rows.push(row);
-                }
-            }
-        }
-    } else {
-        // Nested loop. Every candidate pair is charged (not just emitted
-        // rows): a selective non-equi ON over huge inputs does quadratic
-        // work regardless of output size. This path is chosen by key
-        // shape alone, identically in indexed and seqscan modes, so the
-        // extra candidate charges stay mode-independent.
-        trace::detail(|| "nested loop".to_string());
-        let width = cols.len() as u64;
-        let plan = join.on.as_ref().map(|on| ColumnPlan::compile([on], &cols));
-        for l in &left.rows {
-            let mut matched = false;
-            for r in &right.rows {
-                charge("join", 1, width)?;
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
-                let ok = match &join.on {
-                    Some(on) => {
-                        let env = Env {
-                            cols: &cols,
-                            row: &row,
-                            parent: outer,
-                            plan: plan.as_ref(),
-                        };
-                        eval(db, on, &env)?.is_true()
-                    }
-                    None => true,
-                };
-                if ok {
-                    rows.push(row);
-                    matched = true;
-                }
-            }
-            if !matched && join.kind == JoinKind::Left {
-                charge("join", 1, width)?;
-                let mut row = l.clone();
-                row.extend(null_right.iter().cloned());
-                rows.push(row);
-            }
-        }
-    }
-
-    Ok(Relation { cols, rows })
-}
-
-fn residual_ok(
-    db: &Database,
-    residual: &[&Expr],
-    cols: &[(String, String)],
-    row: &[Value],
-    outer: Option<&Env<'_>>,
-    plan: &ColumnPlan,
-) -> Result<bool, EngineError> {
-    for e in residual {
-        let env = Env {
-            cols,
-            row,
-            parent: outer,
-            plan: Some(plan),
-        };
-        if !eval(db, e, &env)?.is_true() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
+/// Position of a column reference in one relation's layout, or `None`
+/// when it is absent or an ambiguous unqualified name: join-key
+/// detection leaves such a pair to the residual ON filter instead of
+/// failing.
 pub(crate) fn find_col(cols: &[(String, String)], c: &ColumnRef) -> Option<usize> {
     match &c.table {
         Some(t) => cols
@@ -1574,17 +990,17 @@ fn exec_aggregate(
         groups.push((0..rel.rows.len()).collect());
     } else {
         let plan = ColumnPlan::compile(s.group_by.iter(), &rel.cols);
-        let mut index: HashMap<Vec<Key>, usize> = HashMap::new();
+        let mut index: HashMap<Vec<Option<IndexKey>>, usize> = HashMap::new();
         for (ri, row) in rel.rows.iter().enumerate() {
             let env = Env {
                 cols: &rel.cols,
-                row,
+                row: Row::Slice(row),
                 parent: outer,
                 plan: Some(&plan),
             };
             let mut key = Vec::with_capacity(s.group_by.len());
             for g in &s.group_by {
-                key.push(key_of(&eval(db, g, &env)?));
+                key.push(IndexKey::of(&eval(db, g, &env)?));
             }
             let gi = *index.entry(key).or_insert_with(|| {
                 groups.push(Vec::new());
@@ -1720,7 +1136,7 @@ fn eval_agg(
             Some(&ri) => {
                 let env = Env {
                     cols: &rel.cols,
-                    row: &rel.rows[ri],
+                    row: Row::Slice(&rel.rows[ri]),
                     parent: outer,
                     plan: None,
                 };
@@ -1730,7 +1146,7 @@ fn eval_agg(
                 Expr::Literal(_) => {
                     let env = Env {
                         cols: &rel.cols,
-                        row: &[],
+                        row: Row::Slice(&[]),
                         parent: outer,
                         plan: None,
                     };
@@ -1743,7 +1159,7 @@ fn eval_agg(
             Some(&ri) => {
                 let env = Env {
                     cols: &rel.cols,
-                    row: &rel.rows[ri],
+                    row: Row::Slice(&rel.rows[ri]),
                     parent: outer,
                     plan: None,
                 };
@@ -1772,7 +1188,7 @@ fn compute_aggregate(
     for &ri in group {
         let env = Env {
             cols: &rel.cols,
-            row: &rel.rows[ri],
+            row: Row::Slice(&rel.rows[ri]),
             parent: outer,
             plan: Some(&plan),
         };
@@ -1782,8 +1198,8 @@ fn compute_aggregate(
         }
     }
     if distinct {
-        let mut seen = std::collections::HashSet::new();
-        values.retain(|v| seen.insert(key_of(v)));
+        let mut seen = HashSet::new();
+        values.retain(|v| seen.insert(IndexKey::of(v)));
     }
     match func {
         AggFunc::Count => Ok(Value::Int(values.len() as i64)),
@@ -1845,38 +1261,6 @@ fn compute_aggregate(
             Ok(best.unwrap_or(Value::Null))
         }
     }
-}
-
-/// Filters a freshly materialized relation (derived tables, which have
-/// no base-table index) with the predicates pushed to its binding.
-fn apply_scan_filters(
-    db: &Database,
-    rel: &mut Relation,
-    mine: &[&Expr],
-    outer: Option<&Env<'_>>,
-) -> Result<(), EngineError> {
-    if mine.is_empty() {
-        return Ok(());
-    }
-    let cols = rel.cols.clone();
-    let plan = ColumnPlan::compile(mine.iter().copied(), &cols);
-    let mut kept = Vec::with_capacity(rel.rows.len());
-    'rows: for row in rel.rows.drain(..) {
-        for e in mine {
-            let env = Env {
-                cols: &cols,
-                row: &row,
-                parent: outer,
-                plan: Some(&plan),
-            };
-            if !eval(db, e, &env)?.is_true() {
-                continue 'rows;
-            }
-        }
-        kept.push(row);
-    }
-    rel.rows = kept;
-    Ok(())
 }
 
 // ---- subquery folding -----------------------------------------------------
@@ -2107,7 +1491,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
     }
 }
 
-pub(crate) fn truth(v: &Value) -> Option<bool> {
+fn truth(v: &Value) -> Option<bool> {
     match v {
         Value::Bool(b) => Some(*b),
         Value::Null => None,
@@ -2119,14 +1503,14 @@ pub(crate) fn truth(v: &Value) -> Option<bool> {
     }
 }
 
-pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value, EngineError> {
+fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value, EngineError> {
     match op {
         UnaryOp::Not => Ok(match truth(v) {
             Some(b) => Value::Bool(!b),
             None => Value::Null,
         }),
         UnaryOp::Neg => match v {
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
             Value::Float(f) => Ok(Value::Float(-f)),
             Value::Null => Ok(Value::Null),
             other => Err(EngineError::Eval(format!("cannot negate {other:?}"))),
@@ -2134,7 +1518,7 @@ pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value, EngineError> 
     }
 }
 
-pub(crate) fn apply_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
+fn apply_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
     use BinOp::*;
     let dialect = current_dialect();
     match op {
@@ -2222,12 +1606,12 @@ pub(crate) fn apply_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, Eng
     }
 }
 
-pub(crate) fn apply_function(name: &str, args: &[Value]) -> Result<Value, EngineError> {
+fn apply_function(name: &str, args: &[Value]) -> Result<Value, EngineError> {
     match (name, args) {
         ("lower", [Value::Text(s)]) => Ok(Value::Text(s.to_lowercase())),
         ("upper", [Value::Text(s)]) => Ok(Value::Text(s.to_uppercase())),
         ("length", [Value::Text(s)]) => Ok(Value::Int(s.chars().count() as i64)),
-        ("abs", [Value::Int(i)]) => Ok(Value::Int(i.abs())),
+        ("abs", [Value::Int(i)]) => Ok(Value::Int(i.wrapping_abs())),
         ("abs", [Value::Float(f)]) => Ok(Value::Float(f.abs())),
         (_, args) if args.iter().any(|a| a.is_null()) => Ok(Value::Null),
         _ => Err(EngineError::Unsupported(format!("function {name}"))),
@@ -3048,7 +2432,7 @@ mod tests {
     }
 
     #[test]
-    fn index_nested_loop_join_skips_null_keys() {
+    fn inl_join_skips_null_keys() {
         let catalog = Catalog::new(vec![
             TableSchema::new("l").column("k", DataType::Int),
             TableSchema::new("r")

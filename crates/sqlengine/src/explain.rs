@@ -7,13 +7,13 @@
 //! cost-chosen build side), or nested loop — the cost-based join order,
 //! what remains as a residual filter, and the aggregation/ordering
 //! tail. Every decision is read off the one [`crate::plan::SelectPlan`]
-//! both executors obey — EXPLAIN renders the plan tree, it does not
+//! the executor obeys — EXPLAIN renders the plan tree, it does not
 //! re-derive it — so the displayed plan is the executed plan. Used by
 //! the SQL shell's `\explain` and by tests pinning the planner's
 //! decisions.
 
 use crate::db::Database;
-use crate::exec::{fold_uncorrelated, vectorized_enabled};
+use crate::exec::fold_uncorrelated;
 use crate::plan::{plan_select, Access, JoinAlgo};
 use sqlkit::ast::*;
 use sqlkit::printer::expr_to_sql;
@@ -150,7 +150,7 @@ fn table_label(t: &TableRef) -> String {
 
 fn explain_select(db: &Database, s: &Select, indent: usize, out: &mut String) {
     // Fold uncorrelated subqueries exactly as the executor does, then
-    // build the one physical plan both executors obey. EXPLAIN renders
+    // build the one physical plan the executor obeys. EXPLAIN renders
     // that plan tree; it never re-derives a decision.
     let folded = s.where_clause.as_ref().map(|w| fold_uncorrelated(db, w));
     let plan = plan_select(db, s, folded.as_ref());
@@ -173,10 +173,6 @@ fn explain_select(db: &Database, s: &Select, indent: usize, out: &mut String) {
 
     pad(out, indent);
     let _ = writeln!(out, "select ({} output column(s))", s.projections.len());
-    if plan.vectorized && vectorized_enabled() {
-        pad(out, indent + 1);
-        out.push_str("executor: vectorized (columnar batches)\n");
-    }
 
     for (t, sp) in s.from.iter().zip(&plan.scans) {
         pad(out, indent + 1);
@@ -490,29 +486,29 @@ mod tests {
     #[test]
     fn explain_renders_the_executed_physical_plan() {
         let db = db();
-        // Vectorized-eligible query: the rendered plan advertises the
-        // columnar executor that will actually run it.
+        // The access path and join algorithm EXPLAIN renders are the
+        // ones the executed spans report, with no routing line: every
+        // SELECT block runs on the one columnar executor.
         let sql = "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE b.y = 103";
         let plan = explain_sql(&db, sql).unwrap();
-        assert!(
-            plan.contains("executor: vectorized (columnar batches)"),
-            "{plan}"
-        );
-        // Forcing the row engine removes the routing line — EXPLAIN
-        // reflects the executor that will run, not a fixed banner.
-        crate::exec::set_vectorized(Some(false));
-        let plan_row = explain_sql(&db, sql).unwrap();
-        crate::exec::set_vectorized(None);
-        assert!(!plan_row.contains("executor:"), "{plan_row}");
-        // Derived tables are not vectorizable: the outer select carries
-        // no executor line (the derived subquery, a plain scan of u,
-        // still vectorizes on its own at its deeper indent).
-        let plan = explain_sql(
-            &db,
-            "SELECT a.x FROM t AS a JOIN (SELECT id FROM u) AS b ON a.id = b.id",
-        )
-        .unwrap();
-        assert!(!plan.contains("\n  executor:"), "{plan}");
+        assert!(plan.contains("index nested-loop join u AS b"), "{plan}");
+        assert!(!plan.contains("executor:"), "{plan}");
+        let report = explain_analyze_sql(&db, sql).unwrap();
+        assert!(report.contains("join b [index nested-loop]"), "{report}");
+        // A derived table, including the subquery it runs, also executes
+        // in column batches.
+        let sql = "SELECT a.x FROM t AS a JOIN (SELECT id FROM u) AS b ON a.id = b.id";
+        let plan = explain_sql(&db, sql).unwrap();
+        assert!(plan.contains("hash join (build left)"), "{plan}");
+        assert!(!plan.contains("executor:"), "{plan}");
+        let report = explain_analyze_sql(&db, sql).unwrap();
+        assert!(report.contains("join b [hash (build left)]"), "{report}");
+        let derived = report
+            .lines()
+            .find(|l| l.contains("scan b [derived]"))
+            .unwrap_or_else(|| panic!("{report}"));
+        assert!(derived.contains("batches=1"), "{report}");
+        assert!(report.contains("scan u [seq scan]  rows=5"), "{report}");
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //!   auditing, and lazy per-`(table, column)` hash indexes;
 //! * [`plan`] — the physical planner: predicate pushdown, access-path
 //!   selection, join ordering and algorithm choice as a pure function
-//!   of catalog and query, rendered by EXPLAIN and obeyed by both
-//!   executors;
-//! * [`exec`] — the row-at-a-time executor (index or sequential scans,
-//!   cost-ordered index-nested-loop/hash/nested-loop joins, grouping,
-//!   HAVING, top-k ordering, set operations, correlated subqueries);
-//!   plan-gated query shapes are routed to `vexec`, the columnar batch
-//!   executor (late materialization over gather vectors), which is
-//!   bit-identical in results, fuel, and deterministic trace counters;
+//!   of catalog and query, rendered by EXPLAIN and obeyed by the
+//!   executor;
+//! * [`exec`] — query execution: set operations, grouping, HAVING,
+//!   top-k ordering, expression evaluation and correlated subqueries;
+//!   every SELECT block's scans and joins (index or sequential scans,
+//!   cost-ordered index-nested-loop/hash/nested-loop joins) run on
+//!   `vexec`, the columnar batch executor (late materialization over
+//!   gather vectors);
 //! * [`trace`] — per-query, thread-local trace spans: deterministic
 //!   operator counters kept strictly apart from wall-clock timing;
 //! * [`value`] — runtime values with SQL NULL semantics;
@@ -65,7 +65,7 @@ pub use db::{ColumnIndex, Database, IndexStats};
 pub use error::EngineError;
 pub use exec::{
     current_dialect, execute, execute_sql, execute_sql_with_budget, execute_with_budget,
-    planner_config_fingerprint, set_dialect, set_force_seqscan, set_vectorized,
+    planner_config_fingerprint, set_dialect, set_force_seqscan,
 };
 pub use explain::{explain, explain_analyze, explain_analyze_sql, explain_sql};
 pub use morph::{catalog_fingerprint, migrate, migrate_database, schema_of};

@@ -1,13 +1,12 @@
 //! Logical→physical planning.
 //!
 //! Every planner decision — predicate pushdown, per-scan access path,
-//! join order, join algorithm, hash build side, and whether the
-//! vectorized executor may run — is a pure function of the catalog
-//! statistics, the query text, and the process-wide planner toggles.
-//! [`plan_select`] folds all of them into one explicit [`SelectPlan`]
-//! that the row executor ([`crate::exec`]), the columnar executor
-//! ([`crate::vexec`]), and [`crate::explain`] all consume, so the
-//! rendered plan can never drift from the executed one.
+//! join order, join algorithm and hash build side — is a pure function
+//! of the catalog statistics, the query text, and the process-wide
+//! planner toggles. [`plan_select`] folds all of them into one explicit
+//! [`SelectPlan`] that the executor ([`crate::vexec`]) and
+//! [`crate::explain`] both consume, so the rendered plan can never
+//! drift from the executed one.
 //!
 //! Planning never touches index *state*: access paths are decided from
 //! [`scan_index_choice`] alone and the executor fetches (and lazily
@@ -69,7 +68,7 @@ pub struct JoinStep {
 }
 
 /// The physical plan of one SELECT block: the single source of truth
-/// for the row executor, the vectorized executor, and EXPLAIN.
+/// for the executor and EXPLAIN.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectPlan {
     /// Per-binding pushable WHERE conjuncts (after uncorrelated-subquery
@@ -81,12 +80,6 @@ pub struct SelectPlan {
     pub scans: Vec<ScanPlan>,
     /// Joins in cost-chosen execution order.
     pub join_order: Vec<JoinStep>,
-    /// True when the query shape is eligible for the columnar batch
-    /// executor: a non-empty FROM of named base tables only, with a
-    /// subquery-free residual and subquery-free ON clauses. The
-    /// executor additionally requires no outer (correlated) scope and
-    /// an enabled `vectorized` toggle at run time.
-    pub vectorized: bool,
 }
 
 /// Plans one SELECT block. `folded_where` is the WHERE clause after
@@ -155,23 +148,11 @@ pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> Se
         });
     }
 
-    let all_named = s
-        .from
-        .iter()
-        .chain(s.joins.iter().map(|j| &j.table))
-        .all(|t| matches!(t, TableRef::Named { .. }));
-    let no_subqueries = residual.as_ref().is_none_or(|w| !contains_subquery(w))
-        && s.joins
-            .iter()
-            .all(|j| j.on.as_ref().is_none_or(|on| !contains_subquery(on)));
-    let vectorized = !s.from.is_empty() && all_named && no_subqueries;
-
     SelectPlan {
         pushed,
         residual,
         scans,
         join_order,
-        vectorized,
     }
 }
 
@@ -635,7 +616,6 @@ mod tests {
             &plan.scans[0].access,
             Access::Index { column, keys } if column == "id" && keys == &[Value::Int(3)]
         ));
-        assert!(plan.vectorized);
     }
 
     #[test]
@@ -685,7 +665,7 @@ mod tests {
         // The derived left side makes the layout opaque, so the plan
         // conservatively falls back to the (result-identical) hash join.
         assert!(matches!(&plan.join_order[0].algo, JoinAlgo::Hash { .. }));
-        assert!(!plan.vectorized, "derived table gates off vectorization");
+        assert_eq!(plan.scans[0].access, Access::Derived);
     }
 
     #[test]
@@ -696,12 +676,13 @@ mod tests {
     }
 
     #[test]
-    fn subquery_in_on_gates_off_vectorization() {
+    fn subquery_in_on_plans_nested_loop() {
         let db = db();
         let plan = plan_of(
             &db,
             "SELECT a.x FROM t AS a JOIN u AS b ON a.id = (SELECT min(id) FROM u)",
         );
-        assert!(!plan.vectorized);
+        // No column = column pair and no index probe through a subquery.
+        assert!(matches!(&plan.join_order[0].algo, JoinAlgo::NestedLoop));
     }
 }

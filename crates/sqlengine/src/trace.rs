@@ -114,9 +114,10 @@ pub struct TraceCounters {
     pub cache_hits: u64,
     /// Query-cache misses observed while this span was innermost (advisory).
     pub cache_misses: u64,
-    /// Column-vector batches emitted by the vectorized executor while
-    /// this span was innermost (advisory: zero on the row engine, so —
-    /// like the access-path fields — excluded from both digests).
+    /// Column-vector batches emitted by the columnar executor while
+    /// this span was innermost (advisory: a property of the batch
+    /// layout, not of the query, so — like the access-path fields —
+    /// excluded from both digests).
     pub batches_out: u64,
 }
 
@@ -433,7 +434,7 @@ pub(crate) fn on_charge(steps: u64, cells: u64) {
 }
 
 /// Records column-vector batches emitted by the innermost open span
-/// (advisory; the vectorized executor only).
+/// (advisory).
 pub(crate) fn batches(n: u64) {
     with_top(|s| s.counters.batches_out += n);
 }

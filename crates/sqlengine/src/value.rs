@@ -31,8 +31,8 @@ pub enum Value {
 /// A comparison between values that the active dialect refuses to
 /// perform (PostgreSQL errors where SQLite coerces). Carries the
 /// message body; [`crate::EngineError::Eval`] adds the `eval:` stage
-/// prefix, so the row and vectorized executors and the reference
-/// interpreter all render the identical error string.
+/// prefix, so the engine and the reference interpreter render the
+/// identical error string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CmpTypeError(pub String);
 

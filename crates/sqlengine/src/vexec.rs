@@ -1,53 +1,52 @@
-//! Columnar batch executor with late materialization.
+//! Columnar batch executor with late materialization: the FROM, JOIN
+//! and WHERE path of every SELECT block.
 //!
-//! The row engine ([`crate::exec`]) pays one `Vec<Value>` clone per
-//! emitted join row and one per scanned row — on the paper-scale grid
-//! that is tens of millions of deep `String` clones dominating the join
-//! wall. This executor runs the *same* physical plan
-//! ([`crate::plan::SelectPlan`]) over gather vectors instead: a scan is
-//! a `Vec<u32>` of surviving row ids borrowing the base table, a join
-//! pushes `(left id, right id)` pairs, and values materialize exactly
+//! The executor runs the physical plan ([`crate::plan::SelectPlan`])
+//! over gather vectors instead of rows: a scan is a `Vec<u32>` of
+//! surviving row ids over its base (a borrowed base table, or a derived
+//! table's own result rows), a join pushes `(left id, right id)` pairs,
+//! a filter produces a selection vector, and values materialize exactly
 //! once — either in the native projection kernel or in one final
-//! [`Relation`] handed to the row engine's shared output stage. That
-//! relation keeps the full column layout but copies only the columns
-//! the output stage can read ([`output_columns`]); the rest hold NULL.
+//! [`Relation`] handed to the shared output stage (`exec::output_stage`:
+//! aggregation, sorts, subquery projections). That relation keeps the
+//! full column layout but copies only the columns the output stage can
+//! read ([`output_columns`]); the rest hold NULL.
 //!
-//! # Equivalence contract
+//! Every expression — pushed scan filters, ON clauses, the residual
+//! WHERE, projections — evaluates through the one `exec::eval` over an
+//! `exec::Env` whose row reads through the gather vectors
+//! (`exec::Row`). Subqueries therefore run wherever they appear, and a
+//! correlated block receives its enclosing row as `outer`, which
+//! reaches every scan filter, join predicate, the residual filter and
+//! the output stage through the environment's parent chain. A SELECT
+//! without FROM evaluates over one zero-width row and opens no scan.
 //!
-//! Everything observable is bit-identical to the row engine:
+//! # Determinism
 //!
-//! * **Results** — operators visit rows in the identical order and
-//!   evaluate the identical expressions ([`veval`] mirrors
-//!   `exec::eval` arm for arm, sharing `apply_unary`/`apply_binary`/
-//!   `apply_function`/`truth` and the column-resolution errors).
-//! * **Fuel** — every `budget::charge`/`charge_rows` call site is
-//!   replicated at the same per-row position in the same order, so a
-//!   budget trips with the identical `(stage, spent)` on both engines.
-//! * **Deterministic trace counters** — spans open in the same nesting
-//!   with the same stage/label, `rows_out` at the same points;
-//!   `counter_tree()` is byte-identical. Only the advisory fields
-//!   differ: `detail` strings and the `batches_out` column-vector
-//!   counter (both excluded from the digests).
-//!
-//! Eligibility is decided by the planner (`SelectPlan::vectorized`:
-//! non-empty FROM of named base tables, subquery-free residual and ON
-//! clauses) plus two run-time conditions checked by `exec_select`: no
-//! outer (correlated) scope and the `REPRO_FORCE_ROWEXEC` /
-//! [`crate::exec::set_vectorized`] toggle.
+//! Operators visit rows in a fixed order — scans ascending by row id,
+//! joins left-major with right candidates ascending whichever side the
+//! plan hashes — so results, fuel charges and the deterministic trace
+//! counters are pure functions of the database, the query and the
+//! planner configuration. Only the advisory fields differ between
+//! access paths: `detail` strings, index probes and the `batches_out`
+//! column-vector counter (all excluded from the digests). The
+//! conformance harness holds results bit-identical across {indexed,
+//! forced seqscan} × {fresh, cached} and checks them against the naive
+//! reference interpreter (`conformance::reference`).
 
 use crate::budget::{charge, charge_rows};
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::exec::{
-    apply_binary, apply_function, apply_unary, dedup_by_key, eval, expand_projections, find_col,
-    key_of, lit_value, output_stage, resolve_column, truth, uses_aggregates, ColumnPlan, Env, Key,
-    Relation, Slot,
+    dedup_by_key, eval, exec_query, expand_projections, find_col, output_stage, row_key,
+    uses_aggregates, ColumnPlan, Env, Relation, Row,
 };
 use crate::plan::{contains_subquery, Access, JoinAlgo, JoinStep, SelectPlan};
 use crate::result::ResultSet;
 use crate::trace;
-use crate::value::Value;
+use crate::value::{IndexKey, Value};
 use sqlkit::ast::*;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Advisory batch granularity: `batches_out` counts how many vectors of
@@ -63,20 +62,21 @@ fn batches_of(len: usize) -> u64 {
     (len as u64).div_ceil(BATCH)
 }
 
-/// One column block of a [`VRel`]: a borrowed base table plus a gather
-/// vector mapping output row → base row ([`NONE_ROW`] = NULL-extended).
-/// The block covers columns `[start, start + width)` of the relation.
+/// One column block of a [`VRel`]: a base plus a gather vector mapping
+/// output row → base row ([`NONE_ROW`] = NULL-extended). The base is a
+/// borrowed table, or the owned result rows of a derived table. The
+/// block covers columns `[start, start + width)` of the relation.
 struct VSlot<'a> {
-    base: &'a [Vec<Value>],
+    base: Cow<'a, [Vec<Value>]>,
     start: usize,
     width: usize,
     gather: Vec<u32>,
 }
 
-/// A late-materialized relation: the same `(binding, column)` layout as
-/// `exec::Relation`, but rows exist only as per-slot gather vectors
-/// over borrowed base tables. Slots are kept in column order (slot
-/// `i+1.start == slot i.start + slot i.width`).
+/// A late-materialized relation: `(binding, column)` per position, but
+/// rows exist only as per-slot gather vectors over their bases. Slots
+/// are kept in column order (slot `i+1.start == slot i.start + slot
+/// i.width`).
 pub(crate) struct VRel<'a> {
     cols: Vec<(String, String)>,
     slots: Vec<VSlot<'a>>,
@@ -86,7 +86,11 @@ pub(crate) struct VRel<'a> {
 }
 
 impl<'a> VRel<'a> {
-    fn single(cols: Vec<(String, String)>, base: &'a [Vec<Value>], gather: Vec<u32>) -> VRel<'a> {
+    fn single(
+        cols: Vec<(String, String)>,
+        base: Cow<'a, [Vec<Value>]>,
+        gather: Vec<u32>,
+    ) -> VRel<'a> {
         let width = cols.len();
         let len = gather.len();
         VRel {
@@ -99,6 +103,17 @@ impl<'a> VRel<'a> {
                 gather,
             }],
             len,
+        }
+    }
+
+    /// The one-row, zero-width relation a SELECT without FROM evaluates
+    /// over.
+    fn unit() -> VRel<'a> {
+        VRel {
+            cols: Vec::new(),
+            slots: Vec::new(),
+            len: 1,
+            col_slot: Vec::new(),
         }
     }
 
@@ -115,8 +130,12 @@ impl<'a> VRel<'a> {
         }
     }
 
+    pub(crate) fn width(&self) -> usize {
+        self.cols.len()
+    }
+
     #[inline]
-    fn value(&self, row: usize, col: usize) -> &Value {
+    pub(crate) fn value(&self, row: usize, col: usize) -> &Value {
         let slot = &self.slots[self.col_slot[col]];
         match slot.gather[row] {
             NONE_ROW => &NULL_VALUE,
@@ -125,10 +144,9 @@ impl<'a> VRel<'a> {
     }
 
     /// The one materialization point: copies the surviving rows into a
-    /// row-engine [`Relation`] with the full column layout, cloning only
-    /// the `kept` columns ([`output_columns`]) and writing NULL into the
-    /// rest. Deliberately uncharged and span-free, exactly like the row
-    /// engine's own scan/join materialization.
+    /// [`Relation`] with the full column layout, cloning only the `kept`
+    /// columns ([`output_columns`]) and writing NULL into the rest.
+    /// Deliberately uncharged and span-free.
     fn materialize(&self, kept: &[usize]) -> Relation {
         let rows = (0..self.len)
             .map(|r| {
@@ -167,10 +185,8 @@ fn vfilter<'a>(rel: VRel<'a>, keeps: &[u32]) -> VRel<'a> {
         .slots
         .into_iter()
         .map(|s| VSlot {
-            base: s.base,
-            start: s.start,
-            width: s.width,
             gather: compose(&s.gather, keeps),
+            ..s
         })
         .collect();
     VRel {
@@ -191,275 +207,76 @@ fn join_output<'a>(
     lpicks: &[u32],
     rpicks: &[u32],
 ) -> VRel<'a> {
-    let left_width = left.cols.len();
+    let left_width = left.width();
     let mut slots: Vec<VSlot<'a>> = Vec::with_capacity(left.slots.len() + right.slots.len());
     for s in left.slots {
         slots.push(VSlot {
-            base: s.base,
-            start: s.start,
-            width: s.width,
             gather: compose(&s.gather, lpicks),
+            ..s
         });
     }
     for s in right.slots {
         slots.push(VSlot {
-            base: s.base,
             start: s.start + left_width,
-            width: s.width,
             gather: compose(&s.gather, rpicks),
+            ..s
         });
     }
     VRel::from_parts(cols, slots, lpicks.len())
 }
 
-// ---- vectorized expression evaluation ------------------------------------
-
-/// Row source for one [`VEnv`]: a single relation, or a candidate join
-/// pair that exists only during the probe (the join output is not built
-/// yet when residual ON conjuncts run).
-enum VSrc<'a, 'r> {
-    One {
-        rel: &'r VRel<'a>,
-        row: usize,
-    },
-    /// `rrow: None` is the NULL-extended right side of a LEFT JOIN.
-    Pair {
-        left: &'r VRel<'a>,
-        lrow: usize,
-        right: &'r VRel<'a>,
-        rrow: Option<usize>,
-    },
-    /// Index-nested-loop candidate: the right side is the base table
-    /// itself (never materialized).
-    PairBase {
-        left: &'r VRel<'a>,
-        lrow: usize,
-        right: &'a [Vec<Value>],
-        rrow: usize,
-    },
-}
-
-/// The vectorized analog of `exec::Env`: same column layout, same
-/// compiled [`ColumnPlan`], same resolution errors. No parent chain —
-/// the planner gate guarantees no correlated scope.
-struct VEnv<'a, 'r> {
-    src: VSrc<'a, 'r>,
-    cols: &'r [(String, String)],
-    plan: Option<&'r ColumnPlan>,
-}
-
-impl VEnv<'_, '_> {
-    #[inline]
-    fn at(&self, i: usize) -> &Value {
-        match &self.src {
-            VSrc::One { rel, row } => rel.value(*row, i),
-            VSrc::Pair {
-                left,
-                lrow,
-                right,
-                rrow,
-            } => {
-                let lw = left.cols.len();
-                if i < lw {
-                    left.value(*lrow, i)
-                } else {
-                    match rrow {
-                        Some(r) => right.value(*r, i - lw),
-                        None => &NULL_VALUE,
-                    }
-                }
-            }
-            VSrc::PairBase {
-                left,
-                lrow,
-                right,
-                rrow,
-            } => {
-                let lw = left.cols.len();
-                if i < lw {
-                    left.value(*lrow, i)
-                } else {
-                    &right[*rrow][i - lw]
-                }
-            }
-        }
-    }
-
-    /// Mirrors `Env::lookup` with `parent: None`: compiled slot first,
-    /// name-scan fallback, identical error values.
-    fn lookup(&self, c: &ColumnRef) -> Result<&Value, EngineError> {
-        if let Some(plan) = self.plan {
-            if let Some(slot) = plan.get(c) {
-                return match slot {
-                    Slot::Local(i) => Ok(self.at(i)),
-                    Slot::Deferred => Err(EngineError::UnknownColumn(c.to_string())),
-                    Slot::Ambiguous => Err(EngineError::AmbiguousColumn(c.column.clone())),
-                };
-            }
-        }
-        match resolve_column(self.cols, c)? {
-            Some(i) => Ok(self.at(i)),
-            None => Err(EngineError::UnknownColumn(c.to_string())),
-        }
-    }
-}
-
-/// `exec::eval` arm for arm over a [`VEnv`], minus the subquery arms
-/// (unreachable: the planner gate rejects any query whose vectorized
-/// expressions could contain one). Evaluation order, short-circuiting,
-/// and the first error raised are identical to the row engine.
-fn veval(expr: &Expr, env: &VEnv<'_, '_>) -> Result<Value, EngineError> {
-    match expr {
-        Expr::Column(c) => env.lookup(c).cloned(),
-        Expr::Literal(l) => Ok(lit_value(l)),
-        Expr::Unary { op, expr } => {
-            let v = veval(expr, env)?;
-            apply_unary(*op, &v)
-        }
-        Expr::Binary { left, op, right } => match op {
-            BinOp::And => {
-                let l = veval(left, env)?;
-                if matches!(l, Value::Bool(false)) {
-                    return Ok(Value::Bool(false));
-                }
-                let r = veval(right, env)?;
-                Ok(match (truth(&l), truth(&r)) {
-                    (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                })
-            }
-            BinOp::Or => {
-                let l = veval(left, env)?;
-                if matches!(l, Value::Bool(true)) {
-                    return Ok(Value::Bool(true));
-                }
-                let r = veval(right, env)?;
-                Ok(match (truth(&l), truth(&r)) {
-                    (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                })
-            }
-            _ => {
-                let l = veval(left, env)?;
-                let r = veval(right, env)?;
-                apply_binary(&l, *op, &r)
-            }
-        },
-        Expr::Agg { .. } => Err(EngineError::Eval(
-            "aggregate outside aggregation context".into(),
-        )),
-        Expr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(veval(a, env)?);
-            }
-            apply_function(name, &vals)
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = veval(expr, env)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let w = veval(item, env)?;
-                match v.sql_eq(&w, crate::exec::current_dialect())? {
-                    Some(true) => return Ok(Value::Bool(!negated)),
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = veval(expr, env)?;
-            let lo = veval(low, env)?;
-            let hi = veval(high, env)?;
-            let dialect = crate::exec::current_dialect();
-            let ge = v
-                .sql_cmp(&lo, dialect)?
-                .map(|o| o != std::cmp::Ordering::Less);
-            let le = v
-                .sql_cmp(&hi, dialect)?
-                .map(|o| o != std::cmp::Ordering::Greater);
-            Ok(match (ge, le) {
-                (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
-                _ => Value::Null,
-            })
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = veval(expr, env)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => Err(
-            EngineError::Unsupported("subquery in vectorized executor".into()),
-        ),
-    }
-}
-
-fn vkeys_of(rel: &VRel<'_>, row: usize, idx: &[usize]) -> Vec<Key> {
-    idx.iter().map(|&i| key_of(rel.value(row, i))).collect()
+fn join_key(rel: &VRel<'_>, row: usize, idx: &[usize]) -> Vec<Option<IndexKey>> {
+    row_key(idx.iter().map(|&i| rel.value(row, i)))
 }
 
 // ---- operators -----------------------------------------------------------
 
-/// Vectorized SELECT execution over a planned query. The caller
-/// (`exec::exec_select`) has already opened the `plan` span and checked
-/// eligibility.
+/// Executes one planned SELECT block. The caller (`exec::exec_select`)
+/// has already opened the `plan` span; `outer` is the enclosing row of
+/// a correlated subquery.
 pub(crate) fn exec_select_vec(
     db: &Database,
     s: &Select,
     order_by: &[OrderItem],
     limit: Option<u64>,
     plan: &SelectPlan,
+    outer: Option<&Env<'_>>,
 ) -> Result<ResultSet, EngineError> {
-    // 1. FROM + joins: identical span/charge structure to the row
-    // engine, but every operator emits gather vectors.
+    // 1. FROM + joins: every operator emits gather vectors. Commutative
+    // inner joins run in the plan's cost-chosen order, with the column
+    // layout restored to the written order afterwards.
     let mut rel: Option<VRel<'_>> = None;
     for (item, sp) in s.from.iter().zip(&plan.scans) {
-        let r = vscan(db, item, &plan.pushed, &sp.access)?;
+        let r = vscan(db, item, &plan.pushed, &sp.access, outer)?;
         rel = Some(match rel {
             None => r,
             Some(l) => vcross_join(l, r)?,
         });
     }
-    let mut rel = rel.expect("vectorized gate requires a non-empty FROM");
-    let from_width = rel.cols.len();
+    let mut rel = rel.unwrap_or_else(VRel::unit);
+    let from_width = rel.width();
     let mut blocks: Vec<(usize, usize)> = Vec::with_capacity(plan.join_order.len());
     for step in &plan.join_order {
-        let before = rel.cols.len();
-        rel = vexec_join(db, rel, &s.joins[step.ji], step, &plan.pushed)?;
-        blocks.push((step.ji, rel.cols.len() - before));
+        let before = rel.width();
+        rel = vexec_join(db, rel, &s.joins[step.ji], step, &plan.pushed, outer)?;
+        blocks.push((step.ji, rel.width() - before));
     }
     restore_column_order(&mut rel, from_width, &blocks);
 
-    // 2. Residual WHERE filter: a selection vector, no value movement.
+    // 2. Residual WHERE predicates (multi-table or non-pushable): a
+    // selection vector, no value movement.
     if let Some(w) = &plan.residual {
         let _span = trace::span("filter");
         let cplan = ColumnPlan::compile([w], &rel.cols);
         let mut keeps: Vec<u32> = Vec::with_capacity(rel.len);
         for row in 0..rel.len {
-            let env = VEnv {
-                src: VSrc::One { rel: &rel, row },
+            let env = Env {
                 cols: &rel.cols,
+                row: Row::Rel(&rel, row),
+                parent: outer,
                 plan: Some(&cplan),
             };
-            if veval(w, &env)?.is_true() {
+            if eval(db, w, &env)?.is_true() {
                 keeps.push(row as u32);
             }
         }
@@ -471,15 +288,15 @@ pub(crate) fn exec_select_vec(
     // 3./4. Output. The plain unordered projection runs natively over
     // the gather vectors; everything else (aggregation, sorts, top-k,
     // subquery projections) materializes the surviving rows once —
-    // only the columns the output stage can read — and reuses the row
-    // engine's output stage verbatim.
+    // only the columns the output stage can read — and runs the shared
+    // output stage.
     let items = expand_projections(&rel.cols, &s.projections)?;
     let native = !uses_aggregates(s, &items, order_by)
         && order_by.is_empty()
         && items.iter().all(|(_, e)| !contains_subquery(e));
     if !native {
         let rel = rel.materialize(&output_columns(&rel.cols, s, &items, order_by));
-        return output_stage(db, s, order_by, limit, None, &rel, &items);
+        return output_stage(db, s, order_by, limit, outer, &rel, &items);
     }
 
     let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
@@ -492,14 +309,15 @@ pub(crate) fn exec_select_vec(
         for row in 0..rel.len {
             charge("project", 1, width)?;
             charge_rows("output", 1)?;
-            let env = VEnv {
-                src: VSrc::One { rel: &rel, row },
+            let env = Env {
                 cols: &rel.cols,
+                row: Row::Rel(&rel, row),
+                parent: outer,
                 plan: Some(&cplan),
             };
             let mut out_row = Vec::with_capacity(items.len());
             for (_, e) in &items {
-                out_row.push(veval(e, &env)?);
+                out_row.push(eval(db, e, &env)?);
             }
             rows.push(out_row);
         }
@@ -558,90 +376,123 @@ fn output_columns(
         .collect()
 }
 
-/// `exec::load_scan` over gather vectors: same span, same detail
-/// strings, same index probes, same per-row predicate evaluation (via
-/// `exec::eval` directly on the base rows) — but survivors are row ids,
-/// not clones.
+/// Loads one FROM/JOIN source as a single-slot relation and applies its
+/// pushed-down predicates. Survivors are row ids, not clones.
+///
+/// Named tables follow the plan's access path: an [`Access::Index`]
+/// choice probes the lazy hash index to narrow the scan to candidate
+/// row ids. Every pushed predicate is still re-evaluated on the
+/// candidates, so the index can only prune, never decide: indexed and
+/// forced-seqscan execution yield identical gather vectors (candidate
+/// ids are visited in ascending row order, the scan order). A derived
+/// table executes its query — with `outer` in scope — and owns the
+/// result rows.
 fn vscan<'a>(
     db: &'a Database,
     t: &TableRef,
     pushed: &[(String, Expr)],
     access: &Access,
+    outer: Option<&Env<'_>>,
 ) -> Result<VRel<'a>, EngineError> {
     let _span = trace::span_labeled("scan", || t.binding().to_string());
-    let TableRef::Named { name, alias } = t else {
-        // Unreachable: the planner gate rejects derived tables.
-        return Err(EngineError::Unsupported(
-            "derived table in vectorized executor".into(),
-        ));
-    };
-    let schema = db
-        .schema(name)
-        .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
-    let binding = alias.clone().unwrap_or_else(|| name.clone());
-    let cols: Vec<(String, String)> = schema
-        .columns
-        .iter()
-        .map(|c| (binding.clone(), c.name.clone()))
-        .collect();
-    let all = db.rows(name).unwrap();
     let mine: Vec<&Expr> = pushed
         .iter()
         .filter(|(b, _)| b.eq_ignore_ascii_case(t.binding()))
         .map(|(_, e)| e)
         .collect();
+    // `candidates: None` visits every base row.
+    let (cols, base, candidates) = match t {
+        TableRef::Named { name, alias } => {
+            let schema = db
+                .schema(name)
+                .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
+            let binding = alias.clone().unwrap_or_else(|| name.clone());
+            let cols: Vec<(String, String)> = schema
+                .columns
+                .iter()
+                .map(|c| (binding.clone(), c.name.clone()))
+                .collect();
+            let all = db.rows(name).expect("a cataloged table has rows");
+            // The plan already decided the access path; the index
+            // itself is fetched at run time (EXPLAIN never builds
+            // one), falling back to the filtered scan if the catalog
+            // can't serve it.
+            let driver = match access {
+                Access::Index { column, keys } if !mine.is_empty() => {
+                    db.index(name, column).map(|ix| (ix, keys.as_slice()))
+                }
+                _ => None,
+            };
+            let candidates = match driver {
+                Some((ix, keys)) => {
+                    trace::detail(|| format!("index lookup ({} key(s))", keys.len()));
+                    let mut ids: Vec<u32> = Vec::new();
+                    let (mut hits, mut misses) = (0u64, 0u64);
+                    for k in keys {
+                        match ix.lookup(k) {
+                            Some(found) => {
+                                hits += 1;
+                                ids.extend_from_slice(found);
+                            }
+                            None => misses += 1,
+                        }
+                    }
+                    db.note_index_probes(hits + misses, hits);
+                    ids.sort_unstable();
+                    ids.dedup();
+                    Some(ids)
+                }
+                None if mine.is_empty() => {
+                    trace::detail(|| "seq scan".to_string());
+                    None
+                }
+                None => {
+                    trace::detail(|| "filtered seq scan".to_string());
+                    None
+                }
+            };
+            (cols, Cow::Borrowed(all), candidates)
+        }
+        TableRef::Derived { query, alias } => {
+            trace::detail(|| "derived".to_string());
+            let rs = exec_query(db, query, outer)?;
+            let cols: Vec<(String, String)> = rs
+                .columns
+                .iter()
+                .map(|c| (alias.clone(), c.clone()))
+                .collect();
+            (cols, Cow::Owned(rs.rows), None)
+        }
+    };
     let gather: Vec<u32> = if mine.is_empty() {
-        trace::detail(|| "seq scan".to_string());
-        (0..all.len() as u32).collect()
+        (0..base.len() as u32).collect()
     } else {
         let cplan = ColumnPlan::compile(mine.iter().copied(), &cols);
         let keep = |row: &[Value]| -> Result<bool, EngineError> {
+            let env = Env {
+                cols: &cols,
+                row: Row::Slice(row),
+                parent: outer,
+                plan: Some(&cplan),
+            };
             for e in &mine {
-                let env = Env {
-                    cols: &cols,
-                    row,
-                    parent: None,
-                    plan: Some(&cplan),
-                };
                 if !eval(db, e, &env)?.is_true() {
                     return Ok(false);
                 }
             }
             Ok(true)
         };
-        let driver = match access {
-            Access::Index { column, keys } => {
-                db.index(name, column).map(|ix| (ix, keys.as_slice()))
-            }
-            _ => None,
-        };
         let mut g = Vec::new();
-        match driver {
-            Some((ix, keys)) => {
-                trace::detail(|| format!("index lookup ({} key(s))", keys.len()));
-                let mut ids: Vec<u32> = Vec::new();
-                let (mut hits, mut misses) = (0u64, 0u64);
-                for k in keys {
-                    match ix.lookup(k) {
-                        Some(found) => {
-                            hits += 1;
-                            ids.extend_from_slice(found);
-                        }
-                        None => misses += 1,
-                    }
-                }
-                db.note_index_probes(hits + misses, hits);
-                ids.sort_unstable();
-                ids.dedup();
+        match candidates {
+            Some(ids) => {
                 for id in ids {
-                    if keep(&all[id as usize])? {
+                    if keep(&base[id as usize])? {
                         g.push(id);
                     }
                 }
             }
             None => {
-                trace::detail(|| "filtered seq scan".to_string());
-                for (i, row) in all.iter().enumerate() {
+                for (i, row) in base.iter().enumerate() {
                     if keep(row)? {
                         g.push(i as u32);
                     }
@@ -650,13 +501,15 @@ fn vscan<'a>(
         }
         g
     };
-    let rel = VRel::single(cols, all, gather);
+    let rel = VRel::single(cols, base, gather);
     trace::rows_out(rel.len as u64);
     trace::batches(batches_of(rel.len));
     Ok(rel)
 }
 
-/// `exec::cross_join` over pick pairs: per-pair fuel, zero clones.
+/// Cartesian product over pick pairs. Every emitted pair is charged, so
+/// an unconstrained multi-way product aborts instead of building
+/// quadratic (or worse) gather vectors.
 fn vcross_join<'a>(left: VRel<'a>, right: VRel<'a>) -> Result<VRel<'a>, EngineError> {
     let _span = trace::span_labeled("join", || "cross".to_string());
     trace::detail(|| "cross product".to_string());
@@ -678,29 +531,38 @@ fn vcross_join<'a>(left: VRel<'a>, right: VRel<'a>) -> Result<VRel<'a>, EngineEr
     Ok(rel)
 }
 
-/// `exec::exec_join` over gather vectors, following the same plan step.
+/// Executes one JOIN step following the plan's algorithm choice: an
+/// index-nested-loop when the plan selected one (the index itself is
+/// fetched at run time; if the catalog can't serve it the step degrades
+/// to the result-identical hash path), otherwise the right side is
+/// scanned through the plan's access path and joined by hash or nested
+/// loop.
 fn vexec_join<'a>(
     db: &'a Database,
     left: VRel<'a>,
     join: &Join,
     step: &JoinStep,
     pushed: &[(String, Expr)],
+    outer: Option<&Env<'_>>,
 ) -> Result<VRel<'a>, EngineError> {
     if let JoinAlgo::IndexNestedLoop { right_col, lpos } = &step.algo {
         if let TableRef::Named { name, .. } = &join.table {
             if let Some(ix) = db.index(name, right_col) {
-                return vinl_join(db, left, join, *lpos, &ix, pushed);
+                return vinl_join(db, left, join, *lpos, &ix, pushed, outer);
             }
         }
     }
+    // Pushed predicates only ever target inner-join bindings, but guard
+    // against a FROM binding shadowing an outer-join binding of the same
+    // name: an outer join's scan must stay unfiltered.
     let right_pushed: &[(String, Expr)] = if join.kind == JoinKind::Inner {
         pushed
     } else {
         &[]
     };
-    let right = vscan(db, &join.table, right_pushed, &step.scan.access)?;
+    let right = vscan(db, &join.table, right_pushed, &step.scan.access, outer)?;
     let _span = trace::span_labeled("join", || join.table.binding().to_string());
-    let out = vjoin_relations(left, right, join, &step.algo);
+    let out = vjoin_relations(db, left, right, join, &step.algo, outer);
     if let Ok(rel) = &out {
         trace::rows_out(rel.len as u64);
         trace::batches(batches_of(rel.len));
@@ -708,9 +570,12 @@ fn vexec_join<'a>(
     out
 }
 
-/// `exec::index_nested_loop_join` over gather vectors: identical probe
-/// sequence, check order, and per-emitted-row fuel; the matching right
-/// rows stay in the base table.
+/// Index-nested-loop join: probes the right table's hash index with
+/// each left row's key; the matching right rows stay in the base table.
+/// Candidate postings are ascending in row order and the full ON clause
+/// (plus any pushed right-side predicates) is re-evaluated per
+/// candidate, so the output and the per-emitted-row fuel are identical
+/// to the hash-join path.
 fn vinl_join<'a>(
     db: &'a Database,
     left: VRel<'a>,
@@ -718,6 +583,7 @@ fn vinl_join<'a>(
     lpos: usize,
     ix: &crate::db::ColumnIndex,
     pushed: &[(String, Expr)],
+    outer: Option<&Env<'_>>,
 ) -> Result<VRel<'a>, EngineError> {
     let _span = trace::span_labeled("join", || join.table.binding().to_string());
     trace::detail(|| "index nested-loop".to_string());
@@ -726,7 +592,7 @@ fn vinl_join<'a>(
     };
     let binding = join.table.binding();
     let schema = db.schema(name).expect("checked by the planner");
-    let right_rows = db.rows(name).unwrap();
+    let right_rows = db.rows(name).expect("a cataloged table has rows");
     let mut cols = left.cols.clone();
     cols.extend(
         schema
@@ -735,6 +601,8 @@ fn vinl_join<'a>(
             .map(|c| (binding.to_string(), c.name.clone())),
     );
 
+    // Pushed right-side predicates first (cheap, single-table), then the
+    // full ON clause, all resolved once against the joined layout.
     let mine: Vec<&Expr> = pushed
         .iter()
         .filter(|(b, _)| b.eq_ignore_ascii_case(binding))
@@ -762,18 +630,14 @@ fn vinl_join<'a>(
                 None => continue,
             };
             'cand: for &ri in candidates {
-                let env = VEnv {
-                    src: VSrc::PairBase {
-                        left: &left,
-                        lrow,
-                        right: right_rows,
-                        rrow: ri as usize,
-                    },
+                let env = Env {
                     cols: &cols,
+                    row: Row::Base(&left, lrow, right_rows, ri as usize),
+                    parent: outer,
                     plan: Some(&cplan),
                 };
                 for e in &checks {
-                    if !veval(e, &env)?.is_true() {
+                    if !eval(db, e, &env)?.is_true() {
                         continue 'cand;
                     }
                 }
@@ -787,37 +651,40 @@ fn vinl_join<'a>(
     db.note_index_probes(probes, hits);
     scanned?;
 
-    let left_width = left.cols.len();
+    let left_width = left.width();
     let mut slots: Vec<VSlot<'a>> = Vec::with_capacity(left.slots.len() + 1);
     for s in left.slots {
         slots.push(VSlot {
-            base: s.base,
-            start: s.start,
-            width: s.width,
             gather: compose(&s.gather, &lpicks),
+            ..s
         });
     }
     slots.push(VSlot {
-        base: right_rows,
+        base: Cow::Borrowed(right_rows),
         start: left_width,
         width: cols.len() - left_width,
         gather: rpicks,
     });
-    let len = slots[0].gather.len();
-    let rel = VRel::from_parts(cols, slots, len);
+    let rel = VRel::from_parts(cols, slots, lpicks.len());
     trace::rows_out(rel.len as u64);
     trace::batches(batches_of(rel.len));
     Ok(rel)
 }
 
-/// `exec::join_relations` over pick pairs: equi-pairs re-derived
-/// against the same layouts, plan-chosen build side, identical emit
-/// order (left-major, right candidates ascending) and fuel.
+/// Joins two relations with hash-join acceleration for equi-conditions.
+/// The equi-key pairs are re-derived against the actual layouts (the
+/// plan's `has_equi_key` check is a superset: a pair it saw may resolve
+/// to an outer binding at run time and drop to the residual); the plan
+/// supplies only the build side. Both build sides emit left-major with
+/// right candidates ascending, so the choice (a pure function of
+/// catalog estimates) never changes the output or the fuel charged.
 fn vjoin_relations<'a>(
+    db: &Database,
     left: VRel<'a>,
     right: VRel<'a>,
     join: &Join,
     algo: &JoinAlgo,
+    outer: Option<&Env<'_>>,
 ) -> Result<VRel<'a>, EngineError> {
     let mut cols = left.cols.clone();
     cols.extend(right.cols.iter().cloned());
@@ -860,19 +727,17 @@ fn vjoin_relations<'a>(
     if !left_keys.is_empty() {
         let cplan = ColumnPlan::compile(residual.iter().copied(), &cols);
         let width = cols.len() as u64;
+        // Residual ON conjuncts run per candidate pair, before the pair
+        // is emitted.
         let residual_ok = |lrow: usize, rrow: usize| -> Result<bool, EngineError> {
+            let env = Env {
+                cols: &cols,
+                row: Row::Pair(&left, lrow, &right, rrow),
+                parent: outer,
+                plan: Some(&cplan),
+            };
             for e in &residual {
-                let env = VEnv {
-                    src: VSrc::Pair {
-                        left: &left,
-                        lrow,
-                        right: &right,
-                        rrow: Some(rrow),
-                    },
-                    cols: &cols,
-                    plan: Some(&cplan),
-                };
-                if !veval(e, &env)?.is_true() {
+                if !eval(db, e, &env)?.is_true() {
                     return Ok(false);
                 }
             }
@@ -882,13 +747,14 @@ fn vjoin_relations<'a>(
             // Build on the left: collect per-left-row match lists during
             // the right-side probe, then emit in left order.
             trace::detail(|| "hash (build left)".to_string());
-            let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::with_capacity(left.len);
+            let mut table: HashMap<Vec<Option<IndexKey>>, Vec<usize>> =
+                HashMap::with_capacity(left.len);
             for l in 0..left.len {
                 if left_keys.iter().any(|&k| left.value(l, k).is_null()) {
                     continue; // NULL keys never match.
                 }
                 table
-                    .entry(vkeys_of(&left, l, &left_keys))
+                    .entry(join_key(&left, l, &left_keys))
                     .or_default()
                     .push(l);
             }
@@ -897,7 +763,7 @@ fn vjoin_relations<'a>(
                 if right_keys.iter().any(|&k| right.value(r, k).is_null()) {
                     continue;
                 }
-                if let Some(lids) = table.get(&vkeys_of(&right, r, &right_keys)) {
+                if let Some(lids) = table.get(&join_key(&right, r, &right_keys)) {
                     for &li in lids {
                         matches[li].push(r as u32);
                     }
@@ -922,20 +788,21 @@ fn vjoin_relations<'a>(
         } else {
             // Build on the right, probe with left rows.
             trace::detail(|| "hash (build right)".to_string());
-            let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::with_capacity(right.len);
+            let mut table: HashMap<Vec<Option<IndexKey>>, Vec<usize>> =
+                HashMap::with_capacity(right.len);
             for r in 0..right.len {
                 if right_keys.iter().any(|&k| right.value(r, k).is_null()) {
                     continue; // NULL keys never match.
                 }
                 table
-                    .entry(vkeys_of(&right, r, &right_keys))
+                    .entry(join_key(&right, r, &right_keys))
                     .or_default()
                     .push(r);
             }
             for l in 0..left.len {
                 let mut matched = false;
                 if !left_keys.iter().any(|&k| left.value(l, k).is_null()) {
-                    if let Some(candidates) = table.get(&vkeys_of(&left, l, &left_keys)) {
+                    if let Some(candidates) = table.get(&join_key(&left, l, &left_keys)) {
                         for &ri in candidates {
                             if residual_ok(l, ri)? {
                                 charge("join", 1, width)?;
@@ -954,8 +821,11 @@ fn vjoin_relations<'a>(
             }
         }
     } else {
-        // Nested loop: every candidate pair is charged, identically to
-        // the row engine.
+        // Nested loop. Every candidate pair is charged (not just emitted
+        // rows): a selective non-equi ON over huge inputs does quadratic
+        // work regardless of output size. This path is chosen by key
+        // shape alone, identically in indexed and seqscan modes, so the
+        // extra candidate charges stay mode-independent.
         trace::detail(|| "nested loop".to_string());
         let width = cols.len() as u64;
         let cplan = join.on.as_ref().map(|on| ColumnPlan::compile([on], &cols));
@@ -965,17 +835,13 @@ fn vjoin_relations<'a>(
                 charge("join", 1, width)?;
                 let ok = match &join.on {
                     Some(on) => {
-                        let env = VEnv {
-                            src: VSrc::Pair {
-                                left: &left,
-                                lrow: l,
-                                right: &right,
-                                rrow: Some(r),
-                            },
+                        let env = Env {
                             cols: &cols,
+                            row: Row::Pair(&left, l, &right, r),
+                            parent: outer,
                             plan: cplan.as_ref(),
                         };
-                        veval(on, &env)?.is_true()
+                        eval(db, on, &env)?.is_true()
                     }
                     None => true,
                 };
@@ -996,10 +862,12 @@ fn vjoin_relations<'a>(
     Ok(join_output(left, right, cols, &lpicks, &rpicks))
 }
 
-/// `exec::restore_join_column_order` at slot granularity: every join
-/// step contributed exactly one slot, so permuting the join slots back
-/// to written order (and recomputing the column offsets) is pure
-/// metadata work — no row movement at all.
+/// After greedy join reordering the column layout follows the execution
+/// order; permute the join slots back to the query's written order so
+/// wildcard projections and unqualified resolution see the expected
+/// layout. Every join step contributed exactly one slot, so this (and
+/// recomputing the column offsets) is pure metadata work — no row
+/// movement at all.
 fn restore_column_order(rel: &mut VRel<'_>, from_width: usize, blocks: &[(usize, usize)]) {
     let nfrom = rel.slots.iter().filter(|s| s.start < from_width).count();
     debug_assert_eq!(rel.slots.len(), nfrom + blocks.len());

@@ -12,25 +12,23 @@
 use footballdb::DataModel;
 use sqlengine::conformance::{
     check_case, check_dialect_oracles, check_oracles, corpus_db, gen_corpus, gen_dialect_corpus,
-    minimize_sql, run_corpus, run_dialect_corpus, CorpusConfig,
+    minimize_sql, ref_execute_sql, run_corpus, run_dialect_corpus, CorpusConfig,
 };
 use sqlengine::{
-    execute_sql, planner_config_fingerprint, set_dialect, set_force_seqscan, set_vectorized,
+    execute_sql, planner_config_fingerprint, set_dialect, set_force_seqscan,
     trace_execute_sql_with_budget, Catalog, DataType, Database, Dialect, EngineError, ExecBudget,
     QueryCache, ResultSet, TableSchema, TraceSpan, Value,
 };
 use std::sync::Mutex;
 
 /// Serializes every test that toggles (or observes the effect of) the
-/// process-global forced-seqscan, vectorization, or dialect modes. A
-/// poisoned lock is fine to reuse — the state it guards is reset on
-/// each acquisition.
+/// process-global forced-seqscan or dialect modes. A poisoned lock is
+/// fine to reuse — the state it guards is reset on each acquisition.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 fn mode_guard() -> std::sync::MutexGuard<'static, ()> {
     let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_force_seqscan(None);
-    set_vectorized(None);
     set_dialect(None);
     guard
 }
@@ -314,7 +312,7 @@ fn dialect_oracles_hold_and_classify() {
 }
 
 /// The SQLite dialect must be just as self-consistent as the PostgreSQL
-/// one: six planner configurations plus the reference interpreter agree
+/// one: four planner configurations plus the reference interpreter agree
 /// bit-for-bit on the generated corpus (including the dialect-stress
 /// templates, which are engineered to sit on the semantic boundary).
 #[test]
@@ -340,7 +338,7 @@ fn sqlite_dialect_is_self_consistent() {
 /// templates too (the plain corpus is covered by
 /// `generated_corpus_is_conformant_on_every_seed`). This is where the
 /// error-producing comparisons (division by zero, unparseable text,
-/// invalid boolean forms) must fail identically across all six
+/// invalid boolean forms) must fail identically across all four
 /// configurations and the reference interpreter.
 #[test]
 fn postgres_dialect_is_self_consistent_on_stress_templates() {
@@ -416,35 +414,74 @@ fn postgres_integer_division_truncates_and_zero_errors() {
     set_dialect(None);
 }
 
-/// Regression (latent engine bug, found while building the dialect
-/// axis): equality and index keys collapsed `Int` through `f64`, so
-/// integers beyond 2^53 aliased — `9007199254740993 = 9007199254740992`
-/// came back true and an index probe could return the wrong row. Exact
-/// integer comparison must hold on both scan paths, bit-identically.
+/// Regression (latent engine bugs, found while building the dialect
+/// axis and again in the executor's hash keys): equality, index keys
+/// and the hash keys of joins, grouping, DISTINCT aggregates and
+/// INTERSECT/EXCEPT collapsed `Int` through `f64`, so integers beyond
+/// 2^53 aliased — `9007199254740993 = 9007199254740992` came back true,
+/// an index probe could return the wrong row, and a forced-seqscan hash
+/// join matched both. Exact integer keys must hold on both scan paths,
+/// bit-identically, and agree with the reference interpreter.
 #[test]
 fn huge_integers_do_not_alias_on_either_scan_path() {
     let _g = mode_guard();
-    let mut db = Database::new(Catalog::new(vec![TableSchema::new("big")
-        .column("id", DataType::Int)
-        .column("v", DataType::Int)
-        .pk(&["id"])]));
+    let mut db = Database::new(Catalog::new(vec![
+        TableSchema::new("big")
+            .column("id", DataType::Int)
+            .column("v", DataType::Int)
+            .pk(&["id"]),
+        TableSchema::new("a").column("x", DataType::Int),
+        TableSchema::new("b").column("y", DataType::Int),
+    ]));
     let two53 = 9_007_199_254_740_992_i64; // 2^53
     for (id, v) in [(1, two53), (2, two53 + 1), (3, 7)] {
         db.insert("big", vec![Value::Int(id), Value::Int(v)])
             .unwrap();
     }
-    let sql = "SELECT id FROM big WHERE v = 9007199254740993";
-    let mut outcomes = Vec::new();
-    for force in [false, true] {
-        set_force_seqscan(Some(force));
-        outcomes.push(execute_sql(&db, sql).unwrap());
-        set_force_seqscan(None);
+    for x in [two53 + 1, two53] {
+        db.insert("a", vec![Value::Int(x)]).unwrap();
     }
-    // Only the 2^53 + 1 row matches, and indexed vs forced-seqscan are
-    // bit-identical.
-    assert_eq!(outcomes[0].rows, vec![vec![Value::Int(2)]]);
-    assert_eq!(outcomes[0].rows, outcomes[1].rows);
-    assert_eq!(outcomes[0].columns, outcomes[1].columns);
+    db.insert("b", vec![Value::Int(two53)]).unwrap();
+    let int = |v: i64| vec![Value::Int(v)];
+    for (sql, want) in [
+        // Only the 2^53 + 1 row matches.
+        (
+            "SELECT id FROM big WHERE v = 9007199254740993",
+            vec![int(2)],
+        ),
+        (
+            "SELECT a.x, b.y FROM a JOIN b ON a.x = b.y",
+            vec![vec![Value::Int(two53), Value::Int(two53)]],
+        ),
+        (
+            "SELECT x, COUNT(*) FROM a GROUP BY x ORDER BY x",
+            vec![
+                vec![Value::Int(two53), Value::Int(1)],
+                vec![Value::Int(two53 + 1), Value::Int(1)],
+            ],
+        ),
+        ("SELECT COUNT(DISTINCT x) FROM a", vec![int(2)]),
+        (
+            "SELECT x FROM a INTERSECT SELECT y FROM b",
+            vec![int(two53)],
+        ),
+        (
+            "SELECT x FROM a EXCEPT SELECT y FROM b",
+            vec![int(two53 + 1)],
+        ),
+    ] {
+        let mut outcomes = Vec::new();
+        for force in [false, true] {
+            set_force_seqscan(Some(force));
+            outcomes.push(execute_sql(&db, sql).unwrap());
+            set_force_seqscan(None);
+        }
+        assert_eq!(outcomes[0].rows, want, "{sql}");
+        assert_eq!(outcomes[1].rows, want, "{sql} (forced seqscan)");
+        assert_eq!(outcomes[0].columns, outcomes[1].columns, "{sql}");
+        let reference = ref_execute_sql(&db, sql).unwrap();
+        assert_eq!(reference.rows, want, "{sql} (reference)");
+    }
 }
 
 /// Regression (latent engine bug, found by the dialect axis): comparing
@@ -500,26 +537,32 @@ fn query_cache_does_not_serve_results_across_dialects() {
     assert_eq!(lite.rows, vec![vec![Value::Float(3.5)]]);
 }
 
-/// Runs `sql` under `budget` on the vectorized executor, then on the row
-/// engine, and asserts that the outcome (rows or error value, budget
-/// trip point included) and the deterministic counter tree are identical
-/// and that the first run really was vectorized.
-fn on_both_executors(
+/// Runs `sql` under `budget` with tracing and asserts that the columnar
+/// executor ran it: every `scan` span emitted column batches, and a
+/// query without any scan (a FROM-less SELECT) emitted them from its
+/// `project` span.
+fn traced_columnar(
     db: &Database,
     sql: &str,
     budget: &ExecBudget,
 ) -> (Result<ResultSet, EngineError>, TraceSpan) {
-    set_vectorized(Some(true));
-    let (vec_out, vec_span) = trace_execute_sql_with_budget(db, sql, budget);
-    set_vectorized(Some(false));
-    let (row_out, row_span) = trace_execute_sql_with_budget(db, sql, budget);
-    set_vectorized(None);
-    assert_eq!(vec_out, row_out, "{sql}");
-    assert_eq!(vec_span.counter_tree(), row_span.counter_tree(), "{sql}");
-    let mut batches = 0;
-    vec_span.visit(&mut |s, _| batches += s.counters.batches_out);
-    assert!(batches > 0, "{sql}: the vectorized executor did not run");
-    (vec_out, vec_span)
+    let (out, span) = trace_execute_sql_with_budget(db, sql, budget);
+    let mut scans = 0;
+    span.visit(&mut |s, _| {
+        if s.stage == "scan" {
+            scans += 1;
+            assert!(
+                s.counters.batches_out > 0,
+                "{sql}: scan {} emitted no batches",
+                s.label
+            );
+        }
+    });
+    if scans == 0 {
+        let (_, project) = span.stage_totals("project");
+        assert!(project.batches_out > 0, "{sql}: project emitted no batches");
+    }
+    (out, span)
 }
 
 /// `(steps, cells)` charged in the whole trace and inside `stage` spans.
@@ -534,11 +577,11 @@ fn fuel(span: &TraceSpan, stage: &str) -> ((u64, u64), (u64, u64)) {
 }
 
 /// Column-pruned materialization: before its shared output stage the
-/// vectorized executor copies only the columns that stage can read and
+/// columnar executor copies only the columns that stage can read and
 /// leaves NULL in the rest. The pruning must be invisible on the real
-/// FootballDB v1 schema: identical rows, errors, counter trees and
-/// budget trip points on both executors, for every way the output stage
-/// reaches a column.
+/// FootballDB v1 schema, for every way the output stage reaches a
+/// column, and every SELECT shape — derived tables, correlated
+/// subqueries, subqueries in ON, no FROM — runs on that executor.
 #[test]
 fn column_pruned_materialization_is_invisible() {
     let _g = mode_guard();
@@ -580,9 +623,41 @@ fn column_pruned_materialization_is_invisible() {
          ORDER BY c.name"
             .to_string(),
     ] {
-        let (out, _) = on_both_executors(&db, &sql, &unlimited);
+        let (out, _) = traced_columnar(&db, &sql, &unlimited);
         let rows = out.unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
         assert!(!rows.is_empty(), "{sql}: no rows");
+    }
+
+    // Shapes with a subquery or no FROM, small enough for the reference
+    // interpreter's cross products.
+    for sql in [
+        // A derived table joined to a base table, with a filter pushed to
+        // the derived scan.
+        "SELECT l.name, d.old_clubs FROM league l JOIN (SELECT league_id, COUNT(*) AS old_clubs \
+         FROM club WHERE founded_year < 1900 GROUP BY league_id) AS d \
+         ON d.league_id = l.league_id WHERE d.old_clubs > 5 ORDER BY l.name",
+        // Correlated EXISTS, IN and scalar subqueries.
+        "SELECT nt.teamname FROM national_team nt WHERE NOT EXISTS (SELECT 1 FROM coach co \
+         WHERE co.team_id = nt.team_id AND co.name LIKE 'A%') ORDER BY nt.teamname",
+        "SELECT l.name FROM league l WHERE l.league_id IN (SELECT c.league_id FROM club c \
+         WHERE c.country = l.country AND c.founded_year < 1875) ORDER BY l.name",
+        "SELECT nt.teamname, nt.fifa_ranking FROM national_team nt WHERE nt.fifa_ranking * 2 < \
+         (SELECT COUNT(*) FROM coach co WHERE co.team_id = nt.team_id) ORDER BY nt.teamname",
+        // A subquery in ON, correlated to the joined table.
+        "SELECT nt.teamname, l.name FROM national_team nt JOIN league l \
+         ON l.confederation = nt.confederation AND l.division = \
+         (SELECT MAX(l2.division) FROM league l2 WHERE l2.country = l.country) \
+         WHERE nt.fifa_ranking <= 3 ORDER BY nt.teamname, l.name",
+        "SELECT 1 + 2 AS three, 'x' AS y",
+    ] {
+        let (out, _) = traced_columnar(&db, sql, &unlimited);
+        let rs = out.unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert!(!rs.rows.is_empty(), "{sql}: no rows");
+        let reference = ref_execute_sql(&db, sql).unwrap();
+        assert!(
+            rs.matches(&reference),
+            "{sql}:\n{rs}\nreference:\n{reference}"
+        );
     }
 
     // `country` is a column of both player and club.
@@ -591,7 +666,7 @@ fn column_pruned_materialization_is_invisible() {
         format!("SELECT COUNT(*) {pc} GROUP BY country"),
         format!("SELECT c.name {pc} GROUP BY c.name HAVING COUNT(DISTINCT country) > 1"),
     ] {
-        let (out, _) = on_both_executors(&db, &sql, &unlimited);
+        let (out, _) = traced_columnar(&db, &sql, &unlimited);
         assert_eq!(
             out,
             Err(EngineError::AmbiguousColumn("country".into())),
@@ -603,11 +678,11 @@ fn column_pruned_materialization_is_invisible() {
     // full input) and inside `sort` (per-row charges whose width is the
     // full source layout plus the projections).
     let sql = format!("SELECT l.name, COUNT(*) {pcl} GROUP BY l.name");
-    let (_, span) = on_both_executors(&db, &sql, &unlimited);
+    let (_, span) = traced_columnar(&db, &sql, &unlimited);
     let ((steps, _), (agg_steps, _)) = fuel(&span, "aggregate");
     assert!(agg_steps > 1, "{sql}");
     let budget = unlimited.with_max_steps(steps - agg_steps + 1);
-    let (out, _) = on_both_executors(&db, &sql, &budget);
+    let (out, _) = traced_columnar(&db, &sql, &budget);
     assert_eq!(
         out,
         Err(EngineError::BudgetExceeded {
@@ -620,11 +695,11 @@ fn column_pruned_materialization_is_invisible() {
         format!("SELECT p.full_name {pc} ORDER BY c.name, p.player_id"),
         format!("SELECT p.full_name {pc} ORDER BY c.name, p.player_id LIMIT 3"),
     ] {
-        let (_, span) = on_both_executors(&db, &sql, &unlimited);
+        let (_, span) = traced_columnar(&db, &sql, &unlimited);
         let ((_, cells), (_, sort_cells)) = fuel(&span, "sort");
         assert!(sort_cells > 1, "{sql}");
         let budget = unlimited.with_max_cells(cells - sort_cells / 2);
-        let (out, tripped) = on_both_executors(&db, &sql, &budget);
+        let (out, tripped) = traced_columnar(&db, &sql, &budget);
         assert!(
             matches!(out, Err(EngineError::BudgetExceeded { stage: "project", spent })
                 if spent > cells - sort_cells / 2),

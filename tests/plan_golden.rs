@@ -4,14 +4,12 @@
 //! representative query per planner decision: predicate pushdown,
 //! access-path choice, index nested-loop joins, hash joins with their
 //! cost-chosen build side, cost-based join reordering, left-join
-//! residuals, derived tables, the aggregation/ordering tail, and the
-//! executor-routing line. EXPLAIN renders the one `sqlengine::plan`
-//! tree both executors obey, so any drift in these snapshots is a
-//! planner behavior change and must be reviewed as one.
+//! residuals, derived tables, correlated subqueries, FROM-less selects,
+//! and the aggregation/ordering tail. EXPLAIN renders the one
+//! `sqlengine::plan` tree the executor obeys, so any drift in these
+//! snapshots is a planner behavior change and must be reviewed as one.
 
-use sqlengine::{
-    explain_sql, set_force_seqscan, set_vectorized, Catalog, DataType, Database, TableSchema, Value,
-};
+use sqlengine::{explain_sql, set_force_seqscan, Catalog, DataType, Database, TableSchema, Value};
 use std::sync::Mutex;
 
 /// Serializes tests in this binary: some toggle the process-global
@@ -21,7 +19,6 @@ static MODE_LOCK: Mutex<()> = Mutex::new(());
 fn mode_guard() -> std::sync::MutexGuard<'static, ()> {
     let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_force_seqscan(None);
-    set_vectorized(None);
     guard
 }
 
@@ -59,7 +56,6 @@ fn golden_pushdown_and_index_nested_loop() {
         &db,
         "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE a.x > 1 AND b.y = 103",
         "select (1 output column(s))\n\
-         \u{20} executor: vectorized (columnar batches)\n\
          \u{20} scan t AS a [5 row(s)] filter: a.x > 1 via seq scan\n\
          \u{20} index nested-loop join u AS b [5 row(s)] filter: b.y = 103 \
          via index lookup(b.id) on a.id = b.id\n",
@@ -74,7 +70,6 @@ fn golden_index_scan_access_path() {
         &db,
         "SELECT x FROM t WHERE id = 3",
         "select (1 output column(s))\n\
-         \u{20} executor: vectorized (columnar batches)\n\
          \u{20} scan t [5 row(s)] filter: id = 3 via index lookup(t.id)\n",
     );
     // The forced-seqscan override flows through the plan, and with it
@@ -85,7 +80,6 @@ fn golden_index_scan_access_path() {
     assert_eq!(
         plan,
         "select (1 output column(s))\n\
-         \u{20} executor: vectorized (columnar batches)\n\
          \u{20} scan t [5 row(s)] filter: id = 3 via seq scan\n",
     );
 }
@@ -98,7 +92,6 @@ fn golden_left_join_residual() {
         &db,
         "SELECT a.x FROM t AS a LEFT JOIN u AS b ON a.id = b.id WHERE b.y = 103",
         "select (1 output column(s))\n\
-         \u{20} executor: vectorized (columnar batches)\n\
          \u{20} scan t AS a [5 row(s)] via seq scan\n\
          \u{20} hash join (build right) (left outer) u AS b [5 row(s)] \
          via seq scan on a.id = b.id\n\
@@ -133,7 +126,6 @@ fn golden_cost_based_join_reorder() {
         &db,
         "SELECT t.id FROM t JOIN big ON big.tid = t.id JOIN small ON small.tid = t.id",
         "select (1 output column(s))\n\
-         \u{20} executor: vectorized (columnar batches)\n\
          \u{20} scan t [4 row(s)] via seq scan\n\
          \u{20} join order (cost-based): small, big\n\
          \u{20} index nested-loop join small [4 row(s)] \
@@ -154,7 +146,6 @@ fn golden_derived_table_hash_join() {
          \u{20} scan t AS a [5 row(s)] via seq scan\n\
          \u{20} hash join (build left) (subquery) AS b [0 row(s)] on a.id = b.id\n\
          \u{20}   select (1 output column(s))\n\
-         \u{20}     executor: vectorized (columnar batches)\n\
          \u{20}     scan u [5 row(s)] via seq scan\n",
     );
 }
@@ -167,7 +158,6 @@ fn golden_aggregation_and_tail() {
         &db,
         "SELECT x, count(*) FROM t GROUP BY x HAVING count(*) > 0 ORDER BY x DESC LIMIT 2",
         "select (2 output column(s))\n\
-         \u{20} executor: vectorized (columnar batches)\n\
          \u{20} scan t [5 row(s)] via seq scan\n\
          \u{20} aggregate: group by x\n\
          \u{20} having: count(*) > 0\n\
@@ -177,17 +167,18 @@ fn golden_aggregation_and_tail() {
 }
 
 #[test]
-fn golden_row_executor_routing() {
+fn golden_correlated_subquery_and_from_less_select() {
     let _g = mode_guard();
     let db = fixture();
-    // Forcing the row engine removes only the routing line; every
-    // planner decision stays identical.
-    set_vectorized(Some(false));
-    let plan = explain_sql(&db, "SELECT x FROM t WHERE id = 3").unwrap();
-    set_vectorized(None);
-    assert_eq!(
-        plan,
+    // A correlated subquery stays in the residual filter (it cannot be
+    // pushed to a scan), and its own block renders nothing: EXPLAIN
+    // plans subqueries only where they are derived tables.
+    assert_plan(
+        &db,
+        "SELECT a.x FROM t AS a WHERE a.id = 3 AND EXISTS (SELECT 1 FROM u WHERE u.id = a.id)",
         "select (1 output column(s))\n\
-         \u{20} scan t [5 row(s)] filter: id = 3 via index lookup(t.id)\n",
+         \u{20} scan t AS a [5 row(s)] filter: a.id = 3 via index lookup(a.id)\n\
+         \u{20} residual filter: EXISTS (SELECT 1 FROM u WHERE u.id = a.id)\n",
     );
+    assert_plan(&db, "SELECT 1 + 2", "select (1 output column(s))\n");
 }

@@ -454,25 +454,22 @@ fn conformance_corpus_has_no_divergences() {
 }
 
 /// Satellite of the dialect work: division semantics pinned in BOTH
-/// executors (row-at-a-time and vectorized) under BOTH dialects.
-/// PostgreSQL: `/` on integers truncates and a zero divisor is an
-/// error (integer or float). SQLite: `/` on integers is real-valued
-/// and a zero divisor yields NULL. Takes [`MODE_LOCK`] because both
-/// the executor and dialect switches are process-global.
+/// executors (the engine and the reference interpreter) under BOTH
+/// dialects. PostgreSQL: `/` on integers truncates and a zero divisor
+/// is an error (integer or float). SQLite: `/` on integers is
+/// real-valued and a zero divisor yields NULL. Takes [`MODE_LOCK`]
+/// because the dialect switch is process-global.
 #[test]
 fn division_semantics_hold_in_both_dialects_and_executors() {
-    use sqlengine::conformance::dialect_db;
-    use sqlengine::{set_dialect, set_vectorized};
+    use sqlengine::conformance::{dialect_db, ref_execute_sql};
+    use sqlengine::{set_dialect, Database, EngineError, ResultSet};
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let db = dialect_db();
-    let run = |sql: &str| {
-        execute_sql(&db, sql)
-            .map(|rs| rs.rows)
-            .map_err(|e| e.to_string())
-    };
+    type Exec = fn(&Database, &str) -> Result<ResultSet, EngineError>;
+    let executors: [(&str, Exec); 2] = [("engine", execute_sql), ("reference", ref_execute_sql)];
     // nums(n) holds 1, 2, 10.
-    for vectorized in [false, true] {
-        set_vectorized(Some(vectorized));
+    for (executor, exec) in executors {
+        let run = |sql: &str| exec(&db, sql).map(|rs| rs.rows).map_err(|e| e.to_string());
 
         set_dialect(Some(Dialect::Postgres));
         assert_eq!(
@@ -482,13 +479,13 @@ fn division_semantics_hold_in_both_dialects_and_executors() {
                 vec![Value::Int(0)],
                 vec![Value::Int(2)]
             ]),
-            "postgres truncating division (vectorized: {vectorized})"
+            "postgres truncating division ({executor})"
         );
         for sql in ["SELECT n / 0 FROM nums", "SELECT n / 0.0 FROM nums"] {
             let err = run(sql).expect_err("postgres zero divisor must error");
             assert!(
                 err.contains("division by zero"),
-                "unexpected message {err:?} for {sql} (vectorized: {vectorized})"
+                "unexpected message {err:?} for {sql} ({executor})"
             );
         }
 
@@ -500,18 +497,17 @@ fn division_semantics_hold_in_both_dialects_and_executors() {
                 vec![Value::Float(0.5)],
                 vec![Value::Float(2.5)]
             ]),
-            "sqlite real-valued division (vectorized: {vectorized})"
+            "sqlite real-valued division ({executor})"
         );
         for sql in ["SELECT n / 0 FROM nums", "SELECT n / 0.0 FROM nums"] {
             assert_eq!(
                 run(sql),
                 Ok(vec![vec![Value::Null]; 3]),
-                "sqlite zero divisor yields NULL (vectorized: {vectorized})"
+                "sqlite zero divisor yields NULL ({executor})"
             );
         }
         set_dialect(None);
     }
-    set_vectorized(None);
 }
 
 /// The canonical float key: `-0.0` collapses onto `0.0`, non-finite
