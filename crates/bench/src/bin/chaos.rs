@@ -26,9 +26,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use evalkit::{
-    run_config_governed, set_thread_override, EvalSetup, Governor, ItemResult, RunResult,
-};
+use evalkit::{run_config_governed, set_thread_override, Governor, ItemResult, RunResult};
 use footballdb::DataModel;
 use sqlengine::ExecBudget;
 use textosql::{Budget, FaultPlan, SystemKind};
@@ -59,6 +57,7 @@ fn fingerprint(items: &[ItemResult]) -> Vec<(usize, String, String)> {
 }
 
 fn main() {
+    let dialect = bench::dialect_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut seed = 11u64;
@@ -112,7 +111,7 @@ fn main() {
     std::panic::set_hook(Box::new(|_| {}));
 
     eprintln!("chaos: building setup...");
-    let setup = EvalSetup::small(11);
+    let setup = bench::eval_setup(true, 11, dialect);
     let pool: Vec<_> = setup.benchmark.train[..20.min(setup.benchmark.train.len())].to_vec();
 
     let mut cells = 0usize;

@@ -30,10 +30,13 @@
 //!    `bench --bin morph`; this axis keeps the cross-model property in
 //!    the conformance gate).
 //!
+//! Axes 2–6 run their databases in the dialect `REPRO_DIALECT` names
+//! (PostgreSQL by default); the oracle axis pins PostgreSQL semantics.
+//!
 //! With `--dialects` the driver instead runs the **cross-dialect
 //! isomorphism axis**: the corpus (plus dialect-stress templates) is
-//! checked for per-dialect self-consistency under both the PostgreSQL
-//! and SQLite dialects, then swept across the pair; every cross-dialect
+//! checked for per-dialect self-consistency on the corpus database and
+//! its SQLite twin, then swept across the pair; every cross-dialect
 //! divergence must classify against the checked-in dialect-difference
 //! oracle, and the whole record is built twice (thread override 1 vs 8)
 //! and byte-compared before `BENCH_dialect.json` is written.
@@ -49,9 +52,7 @@ use sqlengine::conformance::{
     gen_hazard_corpus, result_bits_eq, run_corpus, run_dialect_corpus, run_morph_corpus,
     CorpusConfig, DialectDiffClass,
 };
-use sqlengine::{
-    execute_sql, set_dialect, set_force_seqscan, Database, Dialect, ExecBudget, ResultSet,
-};
+use sqlengine::{execute_sql, set_force_seqscan, Database, Dialect, ExecBudget, ResultSet};
 use std::fmt::Write as _;
 use xrng::Rng;
 
@@ -134,9 +135,7 @@ fn dialect_pass(seed: u64, seeds: usize, queries: usize) -> DialectPass {
         // config + reference identity on its own before the dialects
         // are compared to each other.
         for (i, dialect) in Dialect::ALL.into_iter().enumerate() {
-            set_dialect(Some(dialect));
-            let report = run_corpus(&db, &corpus);
-            set_dialect(None);
+            let report = run_corpus(&db.clone().with_dialect(dialect), &corpus);
             for d in &report.divergences {
                 eprintln!("[{dialect} seed {s}] {d}\n");
             }
@@ -227,6 +226,7 @@ fn run_dialect_axis(seed: u64, seeds: usize, queries: usize, smoke: bool, out_pa
 }
 
 fn main() {
+    let dialect = bench::dialect_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed = 40u64;
     let mut seeds = 5usize;
@@ -293,7 +293,7 @@ fn main() {
     let mut total_errored = 0usize;
     let mut corpora: Vec<(u64, Database, Vec<String>)> = Vec::new();
     for s in seed..seed + seeds as u64 {
-        let db = corpus_db(s);
+        let db = corpus_db(s).with_dialect(dialect);
         let corpus = gen_corpus(&CorpusConfig { seed: s, queries });
         let report = run_corpus(&db, &corpus);
         total_queries += report.queries;
@@ -314,7 +314,7 @@ fn main() {
     // corpus. Forced seqscan keeps the comparison independent of which
     // axis-2 run last warmed the lazy indexes.
     let domain = generate(footballdb::DEFAULT_SEED);
-    let dbs = load_all(&domain);
+    let dbs = load_all(&domain).map(|(m, db)| (m, db.with_dialect(dialect)));
     let mut rng = Rng::new(seed ^ 0x7EAD);
     let examples = build_raw_corpus(&domain, &mut rng, if queries >= 1200 { 300 } else { 120 });
     let mut cases: Vec<Case<'_>> = Vec::new();
@@ -435,7 +435,7 @@ fn main() {
     let mut morph_diffs = 0usize;
     let mut morph_execs = 0usize;
     for m in &morph_models {
-        let mdb = load_morphed(&domain, m);
+        let mdb = load_morphed(&domain, m).with_dialect(dialect);
         let mut rewrite = |sql: &str| m.rewrite(sql).ok();
         let report = run_morph_corpus(v1_db, &mdb, &morph_corpus, &mut rewrite);
         for d in &report.divergences {

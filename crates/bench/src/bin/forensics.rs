@@ -46,6 +46,7 @@ fn pass(setup: &EvalSetup, threads: usize, cold: bool) -> (Vec<RunResult>, Strin
 }
 
 fn main() {
+    let dialect = bench::dialect_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut small = false;
     let mut smoke = false;
@@ -72,11 +73,7 @@ fn main() {
         "forensics: building setup ({}, seed {seed})...",
         if small { "small" } else { "paper scale" }
     );
-    let setup = if small {
-        EvalSetup::small(seed)
-    } else {
-        EvalSetup::paper_scale(seed)
-    };
+    let setup = bench::eval_setup(small, seed, dialect);
 
     eprintln!("forensics: serial pass (1 thread, cold caches)...");
     let (serial_runs, serial_json, serial_s) = pass(&setup, 1, true);

@@ -24,7 +24,7 @@
 //! only when every axis is clean.
 
 use evalkit::morph::{distance_table, run_morph_model, sweep_json, MorphModelSpec, MorphRun};
-use evalkit::{par_map, set_thread_override, Governor};
+use evalkit::{par_map, set_thread_override, EvalSetup, Governor};
 use footballdb::morph::MorphModel;
 use footballdb::{generate, load, load_morphed, synthesize_models, DataModel};
 use nlq::gold::{build_benchmark, build_raw_corpus, PipelineConfig};
@@ -78,6 +78,7 @@ fn run_threaded(
 }
 
 fn main() {
+    let dialect = bench::dialect_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut seed = 7u64;
@@ -114,16 +115,9 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     let domain = generate(footballdb::DEFAULT_SEED);
-    let v1 = load(&domain, DataModel::V1);
+    let v1 = load(&domain, DataModel::V1).with_dialect(dialect);
     let cfg = if smoke {
-        PipelineConfig {
-            raw_questions: 700,
-            pool_size: 260,
-            selected_size: 120,
-            test_size: 40,
-            clusters: 13,
-            ..PipelineConfig::default()
-        }
+        EvalSetup::small_config()
     } else {
         PipelineConfig::default()
     };
@@ -170,7 +164,7 @@ fn main() {
     let mut thread_diffs = 0usize;
     let mut model_json = String::new();
     for (k, m) in models.iter().enumerate() {
-        let db = load_morphed(&domain, m);
+        let db = load_morphed(&domain, m).with_dialect(dialect);
         let mut rewrite = |sql: &str| m.rewrite(sql).ok();
         let report = run_morph_corpus(&v1, &db, &corpus, &mut rewrite);
         for d in &report.divergences {
@@ -253,7 +247,7 @@ fn main() {
             &governor,
         ));
         for m in &models {
-            let db = load_morphed(&domain, m);
+            let db = load_morphed(&domain, m).with_dialect(dialect);
             let cache = QueryCache::new();
             let items = rewrite_examples(&benchmark.test, m);
             let pool = rewrite_examples(&benchmark.train, m);

@@ -91,6 +91,7 @@ fn run_workload(
 }
 
 fn main() {
+    let dialect = bench::dialect_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut small = false;
     let mut seed = 7u64;
@@ -123,11 +124,7 @@ fn main() {
         if small { "small" } else { "paper scale" }
     );
     let t = Instant::now();
-    let setup = if small {
-        EvalSetup::small(seed)
-    } else {
-        EvalSetup::paper_scale(seed)
-    };
+    let setup = bench::eval_setup(small, seed, dialect);
     let setup_s = t.elapsed().as_secs_f64();
 
     // Baseline: serial, no memoization, sequential scans only.
@@ -217,7 +214,7 @@ fn main() {
         forensics.totals().wrong_result,
         forensics.totals().classified,
         forensics.totals().unclassified,
-        sqlengine::current_dialect(),
+        dialect,
         if small { "small" } else { "paper" },
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

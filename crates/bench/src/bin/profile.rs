@@ -61,6 +61,7 @@ fn workload(setup: &EvalSetup, seed: u64, smoke: bool) -> Vec<RunResult> {
 }
 
 fn main() {
+    let dialect = bench::dialect_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut small = false;
     let mut smoke = false;
@@ -87,11 +88,7 @@ fn main() {
         "profile: building setup ({}, seed {seed})...",
         if small { "small" } else { "paper scale" }
     );
-    let setup = if small {
-        EvalSetup::small(seed)
-    } else {
-        EvalSetup::paper_scale(seed)
-    };
+    let setup = bench::eval_setup(small, seed, dialect);
 
     // Pass 1: serial. Cold caches so the two passes see the same world.
     eprintln!("profile: serial pass (1 thread)...");

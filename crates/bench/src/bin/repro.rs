@@ -89,6 +89,7 @@ fn figure_runs(setup: &EvalSetup) -> Vec<RunResult> {
 }
 
 fn main() {
+    let dialect = bench::dialect_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut small = false;
     let mut seed = 7u64;
@@ -121,11 +122,7 @@ fn main() {
         "building evaluation setup ({}, seed {seed})...",
         if small { "small" } else { "paper scale" }
     );
-    let setup = if small {
-        EvalSetup::small(seed)
-    } else {
-        EvalSetup::paper_scale(seed)
-    };
+    let setup = bench::eval_setup(small, seed, dialect);
 
     let mut titer = targets.into_iter();
     while let Some(target) = titer.next() {

@@ -14,6 +14,7 @@
 //!     [--smoke] [--seed N] [--threads N] [--rates A,B,C] [--out PATH]
 //! ```
 
+use evalkit::EvalSetup;
 use nlq::gold::PipelineConfig;
 use serve::{ServeConfig, ServeReport};
 
@@ -23,6 +24,7 @@ fn usage() -> ! {
 }
 
 fn main() {
+    let dialect = bench::dialect_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut seed = 7u64;
@@ -60,14 +62,7 @@ fn main() {
     }
 
     let pipeline = if smoke {
-        PipelineConfig {
-            raw_questions: 700,
-            pool_size: 260,
-            selected_size: 120,
-            test_size: 40,
-            clusters: 13,
-            ..PipelineConfig::default()
-        }
+        EvalSetup::small_config()
     } else {
         PipelineConfig::default()
     };
@@ -82,6 +77,7 @@ fn main() {
             }
         }),
         duration_s: if smoke { 4.0 } else { 30.0 },
+        dialect,
         ..ServeConfig::default()
     };
 

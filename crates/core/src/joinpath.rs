@@ -10,7 +10,7 @@
 //! edge is ambiguous and the join-path algorithm fails.
 
 use sqlengine::Catalog;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// An edge in the join graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,12 +58,16 @@ impl std::fmt::Display for JoinPathError {
 }
 
 /// The join graph built from a catalog.
+///
+/// Edges live in ordered maps, so neighbors are visited in table-name
+/// order and shortest-path ties break the same way in every process,
+/// whatever order the catalog lists tables and foreign keys in.
 #[derive(Debug, Clone)]
 pub struct JoinGraph {
     /// Usable single-reference edges, keyed by unordered table pair.
-    edges: HashMap<(String, String), JoinEdge>,
+    edges: BTreeMap<(String, String), JoinEdge>,
     /// Table pairs excluded because of multiple references.
-    ambiguous: HashMap<(String, String), usize>,
+    ambiguous: BTreeMap<(String, String), usize>,
     tables: Vec<String>,
 }
 
@@ -79,7 +83,7 @@ impl JoinGraph {
     /// Builds the graph. Table pairs with multiple FK references become
     /// *ambiguous* (unusable), exactly as in the SemQL pipeline.
     pub fn from_catalog(catalog: &Catalog) -> JoinGraph {
-        let mut count: HashMap<(String, String), Vec<JoinEdge>> = HashMap::new();
+        let mut count: BTreeMap<(String, String), Vec<JoinEdge>> = BTreeMap::new();
         for t in &catalog.tables {
             for fk in &t.foreign_keys {
                 let e = JoinEdge {
@@ -94,8 +98,8 @@ impl JoinGraph {
                     .push(e);
             }
         }
-        let mut edges = HashMap::new();
-        let mut ambiguous = HashMap::new();
+        let mut edges = BTreeMap::new();
+        let mut ambiguous = BTreeMap::new();
         for (k, v) in count {
             if v.len() == 1 {
                 edges.insert(k, v.into_iter().next().unwrap());
@@ -114,7 +118,7 @@ impl JoinGraph {
         self.tables.iter().any(|x| x.eq_ignore_ascii_case(t))
     }
 
-    /// Neighbors reachable over usable edges.
+    /// Neighbors reachable over usable edges, in table-name order.
     fn neighbors<'a>(&'a self, t: &'a str) -> impl Iterator<Item = &'a str> + 'a {
         self.edges.keys().filter_map(move |(a, b)| {
             if a == t {
@@ -352,6 +356,51 @@ mod tests {
             .join_tree(&["match".into(), "national_team".into()])
             .unwrap_err();
         assert!(matches!(err, JoinPathError::AmbiguousEdge { .. }));
+    }
+
+    /// Shortest paths must not depend on hash seeds or on the order the
+    /// catalog lists tables and foreign keys in.
+    #[test]
+    fn paths_are_independent_of_catalog_order() {
+        for model in DataModel::ALL {
+            let catalog = model.catalog();
+            let n = catalog.tables.len();
+            let reordered = |order: &dyn Fn(usize) -> usize, reverse_fks: bool| {
+                let mut c = catalog.clone();
+                c.tables = (0..n).map(|i| catalog.tables[order(i)].clone()).collect();
+                if reverse_fks {
+                    for t in &mut c.tables {
+                        t.foreign_keys.reverse();
+                    }
+                }
+                JoinGraph::from_catalog(&c)
+            };
+            let graphs = [
+                JoinGraph::from_catalog(&catalog),
+                reordered(&|i| n - 1 - i, true),
+                reordered(&|i| (i + 1) % n, false),
+                reordered(&|i| (i + n / 2) % n, true),
+            ];
+            let paths = |g: &JoinGraph| -> Vec<_> {
+                let names = &catalog.tables;
+                names
+                    .iter()
+                    .flat_map(|a| names.iter().map(move |b| (a, b)))
+                    .map(|(a, b)| g.shortest_path(&a.name, &b.name))
+                    .collect()
+            };
+            let want = paths(&graphs[0]);
+            for g in &graphs[1..] {
+                assert_eq!(paths(g), want, "{model}");
+                assert_eq!(g.ambiguous_pairs(), graphs[0].ambiguous_pairs());
+            }
+        }
+        // The v2 bridge tie resolves to the first bridge by name.
+        let g = JoinGraph::from_catalog(&DataModel::V2.catalog());
+        assert_eq!(
+            g.shortest_path("match", "national_team").unwrap(),
+            ["match", "plays_as_away", "national_team"]
+        );
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! fine-tuned systems over train-set sizes (Table 5), LLMs over few-shot
 //! folds (Table 6), and the latency measurements (Table 7).
 //!
+//! A setup's three databases share one SQL dialect, chosen when it is
+//! built ([`EvalSetup::with_config`]), so profiling and scoring run on
+//! one backend.
+//!
 //! Grids are scheduled flat: each table's cells are *prepared* (pools,
 //! success draws, retrieval indexes) and then every `(cell, item)` pair
 //! joins one shared [`run_prepared`] fan-out, so a straggler cell can't
@@ -17,7 +21,7 @@ use crate::parallel::{par_map, par_map_catch};
 use footballdb::{generate, load, DataModel, Domain};
 use nlq::gold::{build_benchmark, PipelineConfig};
 use nlq::{Benchmark, GoldExample};
-use sqlengine::{current_dialect, CacheStats, Database, Dialect, ExecBudget, QueryCache};
+use sqlengine::{CacheStats, Database, Dialect, ExecBudget, QueryCache};
 use sqlkit::{Hardness, QueryStats};
 use textosql::{
     predict_governed, profile_items_with_db, success_probabilities, Budget, FaultKind, FaultPlan,
@@ -32,15 +36,6 @@ pub struct EvalSetup {
     pub graphs: Vec<(DataModel, JoinGraph)>,
     pub benchmark: Benchmark,
     pub seed: u64,
-    /// The SQL dialect active when this setup was built. Profiling
-    /// executes the gold queries, so the difficulty profiles (and every
-    /// accuracy number derived from them) are tied to one backend's
-    /// semantics. Scoring is pinnable to either backend: run the whole
-    /// experiment under `REPRO_DIALECT=sqlite` (or
-    /// [`sqlengine::set_dialect`]) and the setup records it here;
-    /// [`run_prepared`] refuses to score under a different dialect than
-    /// the one the setup was profiled under.
-    pub dialect: Dialect,
     /// Memoized test-set difficulty profiles per data model (profiling
     /// executes the gold queries, so it is computed once).
     profiles: Vec<(DataModel, Vec<ItemProfile>)>,
@@ -51,31 +46,38 @@ pub struct EvalSetup {
 }
 
 impl EvalSetup {
-    /// Full-size setup matching the paper (400 selected, 300/100 split).
+    /// Full-size PostgreSQL setup matching the paper (400 selected,
+    /// 300/100 split).
     pub fn paper_scale(seed: u64) -> EvalSetup {
-        EvalSetup::with_config(seed, &PipelineConfig::default())
+        EvalSetup::with_config(seed, &PipelineConfig::default(), Dialect::Postgres)
     }
 
-    /// A reduced setup for fast tests.
+    /// A reduced PostgreSQL setup for fast tests.
     pub fn small(seed: u64) -> EvalSetup {
-        EvalSetup::with_config(
-            seed,
-            &PipelineConfig {
-                raw_questions: 700,
-                pool_size: 260,
-                selected_size: 120,
-                test_size: 40,
-                clusters: 13,
-                ..PipelineConfig::default()
-            },
-        )
+        EvalSetup::with_config(seed, &EvalSetup::small_config(), Dialect::Postgres)
     }
 
-    pub fn with_config(seed: u64, cfg: &PipelineConfig) -> EvalSetup {
+    /// The reduced pipeline [`EvalSetup::small`] builds.
+    pub fn small_config() -> PipelineConfig {
+        PipelineConfig {
+            raw_questions: 700,
+            pool_size: 260,
+            selected_size: 120,
+            test_size: 40,
+            clusters: 13,
+            ..PipelineConfig::default()
+        }
+    }
+
+    /// Builds a setup whose three databases follow `dialect`. Profiling
+    /// and scoring both execute on those databases, so every accuracy
+    /// number the setup produces is one backend's.
+    pub fn with_config(seed: u64, cfg: &PipelineConfig, dialect: Dialect) -> EvalSetup {
         let domain = generate(footballdb::DEFAULT_SEED);
         // The three database loads are independent; fan them out.
-        let databases: Vec<(DataModel, Database)> =
-            par_map(&DataModel::ALL, |&m| (m, load(&domain, m)));
+        let databases: Vec<(DataModel, Database)> = par_map(&DataModel::ALL, |&m| {
+            (m, load(&domain, m).with_dialect(dialect))
+        });
         let graphs = DataModel::ALL
             .iter()
             .map(|m| (*m, JoinGraph::from_catalog(&m.catalog())))
@@ -87,7 +89,6 @@ impl EvalSetup {
             graphs,
             benchmark,
             seed,
-            dialect: current_dialect(),
             profiles: Vec::new(),
             caches: DataModel::ALL
                 .iter()
@@ -409,17 +410,6 @@ fn panicked_item(setup: &EvalSetup, model: DataModel, i: usize) -> ItemResult {
 /// classified [`FailureKind::Panic`] record — identically at any thread
 /// count — instead of aborting the sweep.
 pub fn run_prepared(setup: &EvalSetup, cells: &[PreparedConfig]) -> Vec<RunResult> {
-    // Scoring under a different dialect than the one the profiles were
-    // computed under would silently mix two backends' semantics in one
-    // accuracy number; fail loudly instead.
-    assert_eq!(
-        current_dialect(),
-        setup.dialect,
-        "EvalSetup was profiled under the {} dialect but the process is scoring under {}; \
-         pin the same dialect (REPRO_DIALECT or sqlengine::set_dialect) for both",
-        setup.dialect,
-        current_dialect(),
-    );
     // Per-cell prepare: the success draws (cheap, serial) and the
     // retrieval indexes (embedding the pools — parallel; the indexes
     // borrow the pools, which is why preparation is a distinct pass).

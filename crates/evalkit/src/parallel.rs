@@ -68,18 +68,29 @@ pub fn note_pool_width(threads: usize) {
 
 /// The worker count `par_map` would use right now.
 pub fn configured_threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
+    resolve_threads(
+        THREAD_OVERRIDE.load(Ordering::SeqCst),
+        || std::env::var("REPRO_THREADS").ok(),
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+    )
+}
+
+/// The pool width from its sources in priority order (see the module
+/// docs): a non-zero `forced` override, then a `REPRO_THREADS` value of
+/// at least 1, then `hardware`. A source is read only when every
+/// earlier one is absent.
+fn resolve_threads(
+    forced: usize,
+    env: impl FnOnce() -> Option<String>,
+    hardware: impl FnOnce() -> usize,
+) -> usize {
     if forced > 0 {
         return forced;
     }
-    if let Ok(var) = std::env::var("REPRO_THREADS") {
-        if let Ok(n) = var.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    env()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n: &usize| n >= 1)
+        .unwrap_or_else(hardware)
 }
 
 /// Maps `f` over `items` on a scoped worker pool, returning results in
@@ -251,9 +262,16 @@ mod tests {
 
     #[test]
     fn override_beats_env() {
-        set_thread_override(Some(3));
-        assert_eq!(configured_threads(), 3);
-        set_thread_override(None);
+        // Through the pure resolver: sibling tests set the process-wide
+        // override concurrently, so reading it back here would race.
+        let env = |v: &'static str| move || Some(v.to_string());
+        assert_eq!(resolve_threads(3, env("5"), || 7), 3);
+        assert_eq!(resolve_threads(0, env("5"), || 7), 5);
+        assert_eq!(resolve_threads(0, env(" 2 "), || 7), 2);
+        for unusable in ["0", "x", ""] {
+            assert_eq!(resolve_threads(0, env(unusable), || 7), 7, "{unusable:?}");
+        }
+        assert_eq!(resolve_threads(0, || None, || 7), 7);
         assert!(configured_threads() >= 1);
     }
 }

@@ -55,6 +55,8 @@ pub struct ServeConfig {
     pub hazard_fraction: f64,
     pub burst: BurstSpec,
     pub policy: AdmissionPolicy,
+    /// The dialect [`run`] loads its snapshots in.
+    pub dialect: sqlengine::Dialect,
 }
 
 impl Default for ServeConfig {
@@ -68,6 +70,7 @@ impl Default for ServeConfig {
             hazard_fraction: 0.02,
             burst: BurstSpec::default(),
             policy: AdmissionPolicy::default(),
+            dialect: sqlengine::Dialect::Postgres,
         }
     }
 }
@@ -84,7 +87,7 @@ pub struct RateOutcome {
 pub struct ServeReport {
     pub seed: u64,
     pub threads: usize,
-    /// The dialect the snapshots were built to serve — part of the
+    /// The dialect that answered: the snapshots' — part of the
     /// deterministic record, since result bits depend on it.
     pub dialect: sqlengine::Dialect,
     pub rates: Vec<RateOutcome>,
@@ -163,7 +166,7 @@ impl ServeReport {
 /// cache warmup), then simulate the queue and replay the admitted
 /// stream on the real pool at each rate.
 pub fn run(cfg: &ServeConfig, pipeline: &PipelineConfig) -> ServeReport {
-    let state = ServeState::build();
+    let state = ServeState::build_with_dialect(cfg.dialect);
     let benchmark = build_benchmark(&state.domain, cfg.seed, pipeline);
 
     let mut streams: Vec<(f64, Vec<Request>)> = cfg

@@ -5,11 +5,13 @@
 //! internally lock-striped) and one sharded [`QueryCache`] per model.
 //! Nothing here is copied per worker and nothing is guarded by a single
 //! global lock — the caches stripe internally, so the only shared
-//! mutable state contends at shard granularity.
+//! mutable state contends at shard granularity. Every snapshot is loaded
+//! in the state's dialect, so states in different dialects can serve
+//! side by side in one process.
 
 use evalkit::par_map;
 use footballdb::{generate, load, DataModel, Domain};
-use sqlengine::{current_dialect, CacheStats, Database, Dialect, QueryCache};
+use sqlengine::{CacheStats, Database, Dialect, QueryCache};
 use std::sync::Arc;
 
 /// The three data-model snapshots plus their per-model query caches,
@@ -18,17 +20,12 @@ use std::sync::Arc;
 /// byte-identical SQL text still resolve to distinct databases and
 /// distinct cache spaces.
 ///
-/// A state also records the [`Dialect`] it was built to serve. The
-/// snapshot data itself is dialect-independent, but results are not
-/// (`7 / 2` is `3` under PostgreSQL semantics and `3.5` under SQLite),
-/// so the dialect is part of the deployment's identity next to the
-/// catalog fingerprints. Cache entries key on the planner-config
-/// fingerprint — which folds in the active dialect — so even if the
-/// process dialect were flipped mid-run, a cache could never serve one
-/// dialect's rows to the other's queries.
+/// Every snapshot of a state carries the same [`Dialect`], the one the
+/// state serves: results depend on it (`7 / 2` is `3` under PostgreSQL
+/// semantics and `3.5` under SQLite), so it is part of the deployment's
+/// identity next to the catalog fingerprints.
 pub struct ServeState {
     pub domain: Domain,
-    dialect: Dialect,
     models: Vec<(DataModel, Arc<Database>, QueryCache)>,
     /// Morphed snapshots: (catalog fingerprint, name, db, cache).
     morphed: Vec<(u64, String, Arc<Database>, QueryCache)>,
@@ -36,35 +33,30 @@ pub struct ServeState {
 
 impl ServeState {
     /// Loads all three data-model instances (fanned out) with fresh,
-    /// empty caches. Content depends only on the deterministic domain
-    /// generator, so two states are interchangeable. The state serves
-    /// the dialect active at build time (`REPRO_DIALECT` or
-    /// [`sqlengine::set_dialect`]; PostgreSQL by default).
+    /// empty caches, serving PostgreSQL semantics. Content depends only
+    /// on the deterministic domain generator, so two states are
+    /// interchangeable.
     pub fn build() -> ServeState {
-        Self::build_with_dialect(current_dialect())
+        Self::build_with_dialect(Dialect::Postgres)
     }
 
-    /// Like [`ServeState::build`], but pins the dialect this state is
-    /// meant to serve regardless of the process default. The caller is
-    /// responsible for executing requests under the same dialect
-    /// (`set_dialect(Some(state.dialect()))`); this constructor does
-    /// not mutate the process-global switch.
+    /// Like [`ServeState::build`], but loads the snapshots in `dialect`.
     pub fn build_with_dialect(dialect: Dialect) -> ServeState {
         let domain = generate(footballdb::DEFAULT_SEED);
         let models = par_map(&DataModel::ALL, |&m| {
-            (m, Arc::new(load(&domain, m)), QueryCache::new())
+            let db = load(&domain, m).with_dialect(dialect);
+            (m, Arc::new(db), QueryCache::new())
         });
         ServeState {
             domain,
-            dialect,
             models,
             morphed: Vec::new(),
         }
     }
 
-    /// The dialect this state was built to serve.
+    /// The dialect this state serves: its snapshots'.
     pub fn dialect(&self) -> Dialect {
-        self.dialect
+        self.models[0].1.dialect()
     }
 
     pub fn db(&self, model: DataModel) -> &Arc<Database> {
@@ -80,12 +72,18 @@ impl ServeState {
     /// also keys the cache internally, so a second registration whose
     /// schema differs can never share entries with this one even when
     /// both accept the same SQL text. Re-registering an identical
-    /// catalog is rejected: the existing snapshot already serves it.
+    /// catalog is rejected: the existing snapshot already serves it. So
+    /// is a snapshot in another dialect than the state serves.
     pub fn register_morphed(&mut self, name: &str, db: Database) -> u64 {
         let fp = db.catalog_fingerprint();
         assert!(
             self.snapshot_by_fingerprint(fp).is_none(),
             "a snapshot with catalog fingerprint {fp:#x} is already registered"
+        );
+        assert_eq!(
+            db.dialect(),
+            self.dialect(),
+            "snapshot {name:?} is in another dialect than the state serves"
         );
         self.morphed
             .push((fp, name.to_string(), Arc::new(db), QueryCache::new()));
@@ -179,12 +177,39 @@ mod tests {
 
     #[test]
     fn state_records_the_dialect_it_serves() {
-        // `build()` captures the process dialect (PostgreSQL unless the
-        // environment overrides it); `build_with_dialect` pins one.
-        let state = ServeState::build_with_dialect(Dialect::Sqlite);
-        assert_eq!(state.dialect(), Dialect::Sqlite);
-        // Pinning a dialect never mutates the process-global switch.
-        assert_eq!(current_dialect(), Dialect::Postgres);
+        // Two states in one process answer in their own dialect, each
+        // through its own cache, from two threads at once.
+        let answer = |dialect| {
+            let state = ServeState::build_with_dialect(dialect);
+            assert_eq!(state.dialect(), dialect);
+            let db = state.db(DataModel::V1);
+            let cache = state.cache(DataModel::V1);
+            for _ in 0..2 {
+                cache.execute_cached(db, "SELECT 7 / 2").unwrap();
+            }
+            assert_eq!(cache.stats().hits, 1);
+            cache.execute_cached(db, "SELECT 7 / 2").unwrap().rows[0][0].clone()
+        };
+        let (pg, lite) = std::thread::scope(|s| {
+            let pg = s.spawn(|| answer(Dialect::Postgres));
+            let lite = s.spawn(|| answer(Dialect::Sqlite));
+            (pg.join().unwrap(), lite.join().unwrap())
+        });
+        assert_eq!(pg, sqlengine::Value::Int(3));
+        assert_eq!(lite, sqlengine::Value::Float(3.5));
+        assert_eq!(ServeState::build().dialect(), Dialect::Postgres);
+    }
+
+    #[test]
+    #[should_panic(expected = "another dialect")]
+    fn morphed_snapshot_in_another_dialect_is_rejected() {
+        let mut state = ServeState::build();
+        let v1 = load(&state.domain, DataModel::V1).with_dialect(Dialect::Sqlite);
+        let rename = MorphOp::RenameTable {
+            from: "match".to_string(),
+            to: "game".to_string(),
+        };
+        state.register_morphed("sqlite-game", migrate_database(&v1, &[rename]).unwrap());
     }
 
     #[test]

@@ -28,11 +28,14 @@
 //!
 //! The budget is carried in thread-local state installed by
 //! [`crate::execute_sql_with_budget`]; plain [`crate::execute_sql`]
-//! stays unbudgeted. Because a budget can only abort an execution —
-//! never change a successful result — `Ok` outcomes are identical under
-//! any budget, which is why [`crate::cache::QueryCache`] may share
-//! successful entries between budgeted and unbudgeted callers without
-//! folding the budget into the planner fingerprint.
+//! stays unbudgeted. A budget can only abort an execution, never change
+//! a successful result, but *whether* it aborts depends on the budget.
+//! Because charging is deterministic and monotone, an execution that
+//! spent `(steps, cells, rows)` completes under exactly the budgets
+//! whose three caps are at least those figures ([`FuelSpent::fits`]).
+//! [`crate::cache::QueryCache`] stores each entry's figures and serves a
+//! budgeted hit only when they fit the caller's caps, so a cached
+//! verdict always equals a fresh one.
 
 use crate::error::EngineError;
 use std::cell::RefCell;
@@ -95,6 +98,41 @@ impl ExecBudget {
         self.max_rows = n;
         self
     }
+}
+
+/// Fuel one execution spent, in the units [`ExecBudget`] caps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FuelSpent {
+    pub(crate) steps: u64,
+    pub(crate) cells: u64,
+    pub(crate) rows: u64,
+}
+
+impl FuelSpent {
+    /// True when an execution that spent `self` runs to completion
+    /// under `budget`. Exact: a cap trips only once its counter exceeds
+    /// it, and counters only grow.
+    pub(crate) fn fits(&self, budget: &ExecBudget) -> bool {
+        self.steps <= budget.max_steps
+            && self.cells <= budget.max_cells
+            && self.rows <= budget.max_rows
+    }
+}
+
+/// Runs `f` under `budget` and returns what it spent alongside its
+/// output, whether or not the budget tripped.
+pub(crate) fn metered<T>(budget: &ExecBudget, f: impl FnOnce() -> T) -> (T, FuelSpent) {
+    let _guard = FuelGuard::install(*budget);
+    let out = f();
+    let spent = FUEL.with(|cell| {
+        let st = cell.borrow().expect("installed by the guard");
+        FuelSpent {
+            steps: st.steps,
+            cells: st.cells,
+            rows: st.rows,
+        }
+    });
+    (out, spent)
 }
 
 /// Live fuel counters for the execution currently installed on this
@@ -248,6 +286,35 @@ mod tests {
                 spent: 4
             })
         );
+    }
+
+    #[test]
+    fn metered_spend_fits_exactly_the_budgets_that_complete() {
+        let run = || -> Result<(), EngineError> {
+            charge("join", 10, 3)?;
+            charge_rows("output", 4)
+        };
+        let (out, spent) = metered(&ExecBudget::UNLIMITED, run);
+        assert_eq!(out, Ok(()));
+        let want = FuelSpent {
+            steps: 10,
+            cells: 30,
+            rows: 4,
+        };
+        assert_eq!(spent, want);
+        let exact = ExecBudget::UNLIMITED
+            .with_max_steps(10)
+            .with_max_cells(30)
+            .with_max_rows(4);
+        for (budget, completes) in [
+            (exact, true),
+            (exact.with_max_steps(9), false),
+            (exact.with_max_cells(29), false),
+            (exact.with_max_rows(3), false),
+        ] {
+            assert_eq!(spent.fits(&budget), completes, "{budget:?}");
+            assert_eq!(metered(&budget, run).0.is_ok(), completes, "{budget:?}");
+        }
     }
 
     #[test]

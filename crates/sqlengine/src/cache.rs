@@ -13,15 +13,19 @@
 //! transparent: [`execute_sql`] is a pure function of `(db, sql)`
 //! *under a fixed planner configuration*, so a cached result is
 //! bit-identical to a fresh execution. Entries are additionally keyed
-//! by [`planner_config_fingerprint`] mixed with the database's
-//! [`Database::catalog_fingerprint`] — synthesized morph models may
-//! accept byte-identical SQL text, so the data model is part of the
-//! key: indexed and forced-seq-scan
-//! execution are bit-identical by construction (see
+//! by [`planner_config_fingerprint`], the database's
+//! [`Database::catalog_fingerprint`] and its [`Database::dialect`]:
+//! synthesized morph models may accept byte-identical SQL text, and a
+//! database and its SQLite twin answer `7 / 2` differently, so the data
+//! model and the dialect are part of the key. Indexed and
+//! forced-seq-scan execution are bit-identical by construction (see
 //! `exec::set_force_seqscan`), but the cache does not rely on that
 //! invariant — a result computed under one configuration is never
 //! served under another, so a mid-process toggle flip (or a future
 //! toggle without the bit-identity guarantee) cannot cause staleness.
+//! Each entry also records the fuel its fill spent, so a budgeted
+//! lookup is served only when a fresh execution under the caller's
+//! budget would have completed (see [`crate::budget`]).
 //! Hit/miss counters make the saved work observable in the benchmark
 //! harness.
 //!
@@ -37,7 +41,7 @@
 //! counts a build — so `builds == entries` holds shard by shard, which
 //! the serving benchmark audits as "zero shard-counter drift".
 
-use crate::budget::ExecBudget;
+use crate::budget::{metered, ExecBudget, FuelSpent};
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::exec::{execute_sql, execute_sql_with_budget, planner_config_fingerprint};
@@ -75,13 +79,15 @@ impl CacheStats {
     }
 }
 
-/// One memoized execution: the result, plus the trace spans recorded
-/// while computing it (when the fill happened under an active
-/// [`trace::TraceGuard`]). A later hit replays the spans, so a memoized
-/// run produces the same deterministic counter tree as a cold one.
+/// One memoized execution: the result, the fuel computing it spent,
+/// plus the trace spans recorded while computing it (when the fill
+/// happened under an active [`trace::TraceGuard`]). A later hit replays
+/// the spans, so a memoized run produces the same deterministic counter
+/// tree as a cold one.
 #[derive(Debug)]
 struct CacheEntry {
     result: Arc<ResultSet>,
+    spent: FuelSpent,
     trace: Option<Arc<Vec<TraceSpan>>>,
 }
 
@@ -128,10 +134,10 @@ fn shard_of(key: &str) -> usize {
 /// failure may be circumstantial rather than intrinsic to the query —
 /// in particular [`EngineError::BudgetExceeded`] depends on the
 /// caller's fuel budget, so a capped run must never poison the table
-/// for a later uncapped run. Successful results, by contrast, are
-/// budget-independent (a budget can only abort an execution, never
-/// change its output), which is why budgeted and unbudgeted callers
-/// may share entries.
+/// for a later uncapped run. A successful result is the same under
+/// every budget it completes under, so budgeted and unbudgeted callers
+/// share entries; a budgeted hit is served only when the entry's
+/// recorded spend fits the caller's caps.
 #[derive(Debug)]
 pub struct QueryCache {
     shards: [CacheShard; SHARDS],
@@ -183,69 +189,61 @@ impl QueryCache {
     /// Executes `sql` against `db`, serving repeats from the memo table.
     ///
     /// The key is the trimmed query text under the current planner-config
-    /// fingerprint: conservative (two spellings of one query occupy two
-    /// slots) but guaranteed never to conflate distinct queries or
-    /// distinct configurations.
+    /// fingerprint and `db`'s catalog and dialect: conservative (two
+    /// spellings of one query occupy two slots) but guaranteed never to
+    /// conflate distinct queries, configurations or databases.
     pub fn execute_cached(&self, db: &Database, sql: &str) -> Result<Arc<ResultSet>, EngineError> {
-        self.execute_inner(db, sql, execute_sql)
+        self.execute_budgeted(db, sql, &ExecBudget::UNLIMITED)
     }
 
-    /// Like [`QueryCache::execute_cached`] but executes misses under a
-    /// fuel budget. Cache hits are served as usual — a stored result was
-    /// fully materialized, so re-deriving it would spend fuel for no
-    /// benefit and a successful result is identical under every budget.
-    /// A `BudgetExceeded` miss is returned to the caller and (like every
-    /// error) never stored, so it cannot poison a later run with a
-    /// larger — or no — budget.
+    /// Like [`QueryCache::execute_cached`] but under a fuel budget. A
+    /// stored result is served only when the fuel its fill spent fits
+    /// every cap of `budget`, which is exactly when a fresh execution
+    /// would complete; otherwise the query executes under the budget
+    /// (a miss), so a `BudgetExceeded` error and its trip point are the
+    /// same as from an empty cache. Errors are never stored, so a
+    /// capped run cannot poison a later run with a larger — or no —
+    /// budget.
     pub fn execute_budgeted(
         &self,
         db: &Database,
         sql: &str,
         budget: &ExecBudget,
     ) -> Result<Arc<ResultSet>, EngineError> {
-        self.execute_inner(db, sql, |db, sql| execute_sql_with_budget(db, sql, budget))
-    }
-
-    fn execute_inner(
-        &self,
-        db: &Database,
-        sql: &str,
-        run: impl Fn(&Database, &str) -> Result<ResultSet, EngineError>,
-    ) -> Result<Arc<ResultSet>, EngineError> {
         if self.disabled.load(Ordering::Relaxed) {
             self.misses.fetch_add(1, Ordering::Relaxed);
             trace::cache_event(false);
-            return run(db, sql).map(Arc::new);
+            return execute_sql_with_budget(db, sql, budget).map(Arc::new);
         }
-        // Key memo entries by planner configuration *and* data model: two
-        // morphed models can accept byte-identical SQL with different
-        // answers, so the catalog fingerprint must split their entries.
-        // The planner fingerprint includes the active dialect, whose
-        // results legitimately differ (`7 / 2`!) — the integration suite
-        // pins that a dialect flip can never serve the other backend's
-        // rows.
+        // Key memo entries by planner configuration, data model and
+        // dialect: two morphed models can accept byte-identical SQL with
+        // different answers, and so can a database and its SQLite twin
+        // (`7 / 2`).
         let fp = planner_config_fingerprint()
+            ^ (db.dialect() as u64) << 1
             ^ db.catalog_fingerprint().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let key = sql.trim();
         let shard = &self.shards[shard_of(key)];
-        if let Some(entry) = shard
+        let hit = shard
             .map
             .read()
             .unwrap()
             .get(&fp)
             .and_then(|entries| entries.get(key))
-        {
+            .filter(|entry| entry.spent.fits(budget))
+            .map(|entry| (Arc::clone(&entry.result), entry.trace.clone()));
+        if let Some((result, spans)) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             trace::cache_event(true);
-            if let Some(spans) = &entry.trace {
+            if let Some(spans) = &spans {
                 trace::replay(spans);
             }
-            return Ok(Arc::clone(&entry.result));
+            return Ok(result);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         trace::cache_event(false);
-        let (rs, spans) = trace::capture(|| run(db, sql).map(Arc::new));
-        let rs = rs?;
+        let ((rs, spent), spans) = trace::capture(|| metered(budget, || execute_sql(db, sql)));
+        let rs = Arc::new(rs?);
         if rs.rows.len().saturating_mul(rs.columns.len().max(1)) > self.max_cells {
             self.oversize.fetch_add(1, Ordering::Relaxed);
             return Ok(rs);
@@ -268,6 +266,7 @@ impl QueryCache {
                 shard.builds.fetch_add(1, Ordering::Relaxed);
                 slot.insert(CacheEntry {
                     result: Arc::clone(&rs),
+                    spent,
                     trace: spans.map(Arc::new),
                 });
             }
@@ -461,6 +460,26 @@ mod tests {
             .unwrap();
         assert_eq!(*again, *rs);
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn budgeted_hit_is_served_only_when_the_fill_fits_the_budget() {
+        let db = db();
+        let sql = "SELECT COUNT(*) FROM t a, t b";
+        let tight = ExecBudget::UNLIMITED.with_max_steps(10);
+        let fresh = QueryCache::new()
+            .execute_budgeted(&db, sql, &tight)
+            .unwrap_err();
+        assert!(matches!(fresh, EngineError::BudgetExceeded { .. }));
+        for fill in [ExecBudget::UNLIMITED, ExecBudget::default()] {
+            let cache = QueryCache::new();
+            cache.execute_budgeted(&db, sql, &fill).unwrap();
+            assert_eq!(cache.execute_budgeted(&db, sql, &tight), Err(fresh.clone()));
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.entries), (0, 2, 1), "a miss, unstored");
+            cache.execute_budgeted(&db, sql, &fill).unwrap();
+            assert_eq!(cache.stats().hits, 1, "a budget the fill fits hits");
+        }
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //! Layering mirrors the single-dialect harness:
 //!
 //! 1. **Per-dialect self-consistency** is *not* re-implemented here —
-//!    the bench driver runs [`super::run_corpus`] (six planner configs +
-//!    reference interpreter) under each dialect, so an engine/reference
-//!    or indexed/seqscan split inside one dialect is caught with full
-//!    precision first.
+//!    the bench driver runs [`super::run_corpus`] (four planner configs
+//!    and the reference interpreter) on the corpus database in each
+//!    dialect, so an engine/reference or indexed/seqscan split inside
+//!    one dialect is caught with full precision first.
 //! 2. **Cross-dialect sweep** ([`run_dialect_corpus`]): each corpus
-//!    query runs once per dialect; bit-identical outcomes count as
-//!    agreement, divergences are classified, and unclassified ones are
-//!    minimized into [`DialectDivergence`] bug reports.
+//!    query runs once on the corpus database and once on its SQLite
+//!    twin (the same rows under the other dialect); bit-identical
+//!    outcomes count as agreement, divergences are classified, and
+//!    unclassified ones are minimized into [`DialectDivergence`] bug
+//!    reports.
 //! 3. **Known-difference oracle** ([`check_dialect_oracles`]): fixed
 //!    scenarios pin both the per-dialect expected results (engine on
 //!    both scan paths, plus the reference interpreter) *and* the
@@ -44,7 +46,7 @@ use super::{outcome_bits_eq, render, value_bits_eq};
 use crate::catalog::{Catalog, DataType, TableSchema};
 use crate::db::Database;
 use crate::error::EngineError;
-use crate::exec::{execute_sql, set_dialect, set_force_seqscan};
+use crate::exec::{execute_sql, set_force_seqscan};
 use crate::result::ResultSet;
 use crate::value::Value;
 use sqlkit::ast::{BinOp, Expr, Query, SelectItem};
@@ -158,14 +160,18 @@ impl DialectReport {
     }
 }
 
-/// Executes `sql` under `dialect` with panics contained. Returns `None`
-/// if the executor panicked. The dialect override is always restored to
-/// "follow the environment".
-fn run_under(db: &Database, sql: &str, dialect: Dialect) -> Option<Result<ResultSet, EngineError>> {
-    set_dialect(Some(dialect));
-    let out = catch_unwind(AssertUnwindSafe(|| execute_sql(db, sql))).ok();
-    set_dialect(None);
-    out
+/// `db` in each of [`Dialect::ALL`], in that order.
+fn dialect_twins(db: &Database) -> [Database; 2] {
+    Dialect::ALL.map(|d| db.clone().with_dialect(d))
+}
+
+/// Executes `sql` on each twin with panics contained. `None` if either
+/// execution panicked.
+fn run_twins(twins: &[Database; 2], sql: &str) -> Option<[Result<ResultSet, EngineError>; 2]> {
+    let [pg, lite] = twins
+        .each_ref()
+        .map(|db| catch_unwind(AssertUnwindSafe(|| execute_sql(db, sql))).ok());
+    Some([pg?, lite?])
 }
 
 // ---- classifier -----------------------------------------------------------
@@ -392,11 +398,8 @@ enum CaseOutcome {
     Bug(DialectDivergence),
 }
 
-fn check_dialect_case(db: &Database, sql: &str) -> CaseOutcome {
-    let (Some(pg), Some(lite)) = (
-        run_under(db, sql, Dialect::Postgres),
-        run_under(db, sql, Dialect::Sqlite),
-    ) else {
+fn check_dialect_case(twins: &[Database; 2], sql: &str) -> CaseOutcome {
+    let Some([pg, lite]) = run_twins(twins, sql) else {
         return CaseOutcome::Panicked;
     };
     if outcome_bits_eq(&pg, &lite) {
@@ -417,25 +420,19 @@ fn check_dialect_case(db: &Database, sql: &str) -> CaseOutcome {
     }
     // Unexplained: minimize while preserving "diverges unclassifiably".
     let minimized = super::minimize_sql(sql, &mut |candidate| {
-        match (
-            run_under(db, candidate, Dialect::Postgres),
-            run_under(db, candidate, Dialect::Sqlite),
-        ) {
-            (Some(p), Some(l)) => {
+        match run_twins(twins, candidate) {
+            Some([p, l]) => {
                 !outcome_bits_eq(&p, &l)
                     && sqlkit::parse_query(candidate)
                         .map_or(true, |q| classify_divergence(&q, &p, &l).is_none())
             }
             // A panicking candidate still reproduces a bug.
-            _ => true,
+            None => true,
         }
     });
-    let (min_pg, min_lite) = match (
-        run_under(db, &minimized, Dialect::Postgres),
-        run_under(db, &minimized, Dialect::Sqlite),
-    ) {
-        (Some(p), Some(l)) => (render(&p), render(&l)),
-        _ => (render(&pg), render(&lite)),
+    let (min_pg, min_lite) = match run_twins(twins, &minimized) {
+        Some([p, l]) => (render(&p), render(&l)),
+        None => (render(&pg), render(&lite)),
     };
     CaseOutcome::Bug(DialectDivergence {
         sql: sql.to_string(),
@@ -445,17 +442,19 @@ fn check_dialect_case(db: &Database, sql: &str) -> CaseOutcome {
     })
 }
 
-/// Runs a whole corpus across both dialects against one database.
+/// Runs a whole corpus across both dialects: on `db`'s rows in each
+/// dialect, whatever dialect `db` itself carries.
 ///
-/// Per-dialect self-consistency (six planner configs + reference) is a
-/// separate, prior check — run [`super::run_corpus`] under each dialect
-/// first, as the `conformance` bench driver does.
+/// Per-dialect self-consistency (four planner configs + reference) is a
+/// separate, prior check — run [`super::run_corpus`] on `db` in each
+/// dialect first, as the `conformance` bench driver does.
 pub fn run_dialect_corpus(db: &Database, corpus: &[String]) -> DialectReport {
+    let twins = dialect_twins(db);
     let mut report = DialectReport::default();
     for sql in corpus {
         report.queries += 1;
         report.executions += 2;
-        match check_dialect_case(db, sql) {
+        match check_dialect_case(&twins, sql) {
             CaseOutcome::Agreeing => report.agreeing += 1,
             CaseOutcome::Panicked => report.panics += 1,
             CaseOutcome::Legitimate(class) => {
@@ -714,16 +713,16 @@ fn outcome_matches(outcome: &Result<ResultSet, EngineError>, want: &Want) -> boo
 /// validates the classifier's verdict. Returns one failure per
 /// mismatch, reusing the oracle failure shape.
 pub fn check_dialect_oracles() -> Vec<super::oracle::OracleFailure> {
-    let db = dialect_db();
+    let twins = dialect_twins(&dialect_db());
     let mut failures = Vec::new();
     for sc in scenarios() {
         let mut engine_outcomes: Vec<Result<ResultSet, EngineError>> = Vec::new();
-        for dialect in Dialect::ALL {
+        for db in &twins {
+            let dialect = db.dialect();
             let want = match dialect {
                 Dialect::Postgres => &sc.postgres,
                 Dialect::Sqlite => &sc.sqlite,
             };
-            set_dialect(Some(dialect));
             type Exec = fn(&Database, &str) -> Result<ResultSet, EngineError>;
             let executors: [(&'static str, Exec, Option<bool>); 3] = [
                 ("engine", execute_sql, Some(false)),
@@ -734,7 +733,7 @@ pub fn check_dialect_oracles() -> Vec<super::oracle::OracleFailure> {
                 if let Some(force) = force {
                     set_force_seqscan(Some(force));
                 }
-                let outcome = run(&db, sc.sql);
+                let outcome = run(db, sc.sql);
                 set_force_seqscan(None);
                 if !outcome_matches(&outcome, want) {
                     failures.push(super::oracle::OracleFailure {
@@ -748,7 +747,6 @@ pub fn check_dialect_oracles() -> Vec<super::oracle::OracleFailure> {
                     engine_outcomes.push(outcome);
                 }
             }
-            set_dialect(None);
         }
         // The scenario must actually diverge, and the classifier must
         // attribute it to the declared class.
@@ -780,8 +778,8 @@ pub fn check_dialect_oracles() -> Vec<super::oracle::OracleFailure> {
 mod tests {
     use super::*;
 
-    // Dialect-toggling tests live in `tests/conformance.rs` under the
-    // process-global MODE_LOCK; here only the pure pieces are covered.
+    // Tests that flip the seqscan switch live in `tests/conformance.rs`
+    // under its MODE_LOCK; here only the pure pieces are covered.
 
     #[test]
     fn classes_have_stable_distinct_names() {

@@ -24,7 +24,6 @@
 use super::oracle::{and3, not3, or3, truth_of, Truth};
 use crate::db::Database;
 use crate::error::EngineError;
-use crate::exec::current_dialect;
 use crate::result::ResultSet;
 use crate::value::{like_match, value_key_eq, Value};
 use sqlkit::ast::{
@@ -32,6 +31,7 @@ use sqlkit::ast::{
     SelectItem, SetOp, TableRef, UnaryOp,
 };
 use sqlkit::printer::expr_to_sql;
+use sqlkit::Dialect;
 use std::cmp::Ordering;
 
 /// Parses and executes `sql` with the reference interpreter.
@@ -130,7 +130,7 @@ fn r_query(
             .iter()
             .map(|row| setop_order_key(&result.columns, row, &query.order_by))
             .collect::<Result<Vec<_>, _>>()?;
-        result.rows = stable_sort_rows(result.rows, keys, &query.order_by);
+        result.rows = stable_sort_rows(result.rows, keys, &query.order_by, db.dialect());
         result.ordered = true;
     }
     if let Some(n) = query.limit {
@@ -346,7 +346,7 @@ fn r_select(
                 )?);
             }
             let rows: Vec<Vec<Value>> = pairs.into_iter().map(|(_, o)| o).collect();
-            out.rows = stable_sort_rows(rows, keys, order_by);
+            out.rows = stable_sort_rows(rows, keys, order_by, db.dialect());
             out.ordered = true;
         }
     }
@@ -419,16 +419,16 @@ fn output_order_value(expr: &Expr, out_row: &[Value], out_columns: &[String]) ->
 }
 
 /// Stable sort of `rows` by precomputed `keys`, honoring per-key
-/// direction and the active dialect's default NULL placement
-/// (PostgreSQL: NULLS LAST ascending; SQLite: NULLS FIRST ascending).
+/// direction and `dialect`'s default NULL placement (PostgreSQL: NULLS
+/// LAST ascending; SQLite: NULLS FIRST ascending).
 fn stable_sort_rows(
     rows: Vec<Vec<Value>>,
     keys: Vec<Vec<Value>>,
     order_by: &[OrderItem],
+    dialect: Dialect,
 ) -> Vec<Vec<Value>> {
     let mut idx: Vec<usize> = (0..rows.len()).collect();
     idx.sort_by(|&a, &b| {
-        let dialect = current_dialect();
         for ((x, y), o) in keys[a].iter().zip(&keys[b]).zip(order_by) {
             let ord = x.sort_cmp(y, dialect);
             let ord = if o.desc { ord.reverse() } else { ord };
@@ -656,7 +656,7 @@ fn r_aggregate(
     } else {
         let keys: Vec<Vec<Value>> = outputs.iter().map(|(k, _)| k.clone()).collect();
         let rows: Vec<Vec<Value>> = outputs.into_iter().map(|(_, o)| o).collect();
-        out.rows = stable_sort_rows(rows, keys, order_by);
+        out.rows = stable_sort_rows(rows, keys, order_by, db.dialect());
         out.ordered = true;
     }
     Ok(())
@@ -681,7 +681,7 @@ fn r_eval_agg(
         Expr::Binary { left, op, right } => {
             let l = r_eval_agg(db, left, rel, group, outer)?;
             let r = r_eval_agg(db, right, rel, group, outer)?;
-            r_binary(&l, *op, &r)
+            r_binary(&l, *op, &r, db.dialect())
         }
         Expr::Unary { op, expr } => {
             let v = r_eval_agg(db, expr, rel, group, outer)?;
@@ -789,7 +789,7 @@ fn r_compute_aggregate(
                 best = Some(match best {
                     None => v,
                     Some(b) => {
-                        let take_new = match v.sql_cmp(&b, current_dialect())? {
+                        let take_new = match v.sql_cmp(&b, db.dialect())? {
                             Some(ord) => {
                                 (func == AggFunc::Min && ord == Ordering::Less)
                                     || (func == AggFunc::Max && ord == Ordering::Greater)
@@ -827,7 +827,7 @@ fn r_eval(db: &Database, expr: &Expr, scope: &Scope<'_>) -> Result<Value, Engine
             // those.
             let l = r_eval(db, left, scope)?;
             let r = r_eval(db, right, scope)?;
-            r_binary(&l, *op, &r)
+            r_binary(&l, *op, &r, db.dialect())
         }
         Expr::Agg { .. } => Err(EngineError::Eval(
             "aggregate outside aggregation context".into(),
@@ -849,7 +849,7 @@ fn r_eval(db: &Database, expr: &Expr, scope: &Scope<'_>) -> Result<Value, Engine
             for item in list {
                 items.push(r_eval(db, item, scope)?);
             }
-            in_membership(&v, &items, *negated)
+            in_membership(&v, &items, *negated, db.dialect())
         }
         Expr::InSubquery {
             expr,
@@ -863,7 +863,7 @@ fn r_eval(db: &Database, expr: &Expr, scope: &Scope<'_>) -> Result<Value, Engine
                 .iter()
                 .map(|row| row.first().cloned().unwrap_or(Value::Null))
                 .collect();
-            in_membership(&v, &items, *negated)
+            in_membership(&v, &items, *negated, db.dialect())
         }
         Expr::Exists { query, negated } => {
             let rs = r_query(db, query, Some(scope))?;
@@ -886,7 +886,7 @@ fn r_eval(db: &Database, expr: &Expr, scope: &Scope<'_>) -> Result<Value, Engine
             let v = r_eval(db, expr, scope)?;
             let lo = r_eval(db, low, scope)?;
             let hi = r_eval(db, high, scope)?;
-            let dialect = current_dialect();
+            let dialect = db.dialect();
             let ge = v.sql_cmp(&lo, dialect)?.map(|o| o != Ordering::Less);
             let le = v.sql_cmp(&hi, dialect)?.map(|o| o != Ordering::Greater);
             Ok(match (ge, le) {
@@ -904,13 +904,18 @@ fn r_eval(db: &Database, expr: &Expr, scope: &Scope<'_>) -> Result<Value, Engine
 /// SQL `[NOT] IN` membership per the three-valued rules: a NULL probe is
 /// UNKNOWN; a positive match decides; otherwise any NULL member makes
 /// the result UNKNOWN instead of FALSE/TRUE.
-fn in_membership(v: &Value, items: &[Value], negated: bool) -> Result<Value, EngineError> {
+fn in_membership(
+    v: &Value,
+    items: &[Value],
+    negated: bool,
+    dialect: Dialect,
+) -> Result<Value, EngineError> {
     if v.is_null() {
         return Ok(Value::Null);
     }
     let mut membership = Truth::False;
     for item in items {
-        match v.sql_eq(item, current_dialect())? {
+        match v.sql_eq(item, dialect)? {
             Some(true) => {
                 membership = Truth::True;
                 break;
@@ -949,9 +954,8 @@ fn r_unary(op: UnaryOp, v: &Value) -> Result<Value, EngineError> {
     }
 }
 
-fn r_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
+fn r_binary(l: &Value, op: BinOp, r: &Value, dialect: Dialect) -> Result<Value, EngineError> {
     use BinOp::*;
-    let dialect = current_dialect();
     match op {
         And => Ok(and3(truth_of(l), truth_of(r)).to_value()),
         Or => Ok(or3(truth_of(l), truth_of(r)).to_value()),
@@ -991,12 +995,12 @@ fn r_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
                     Sub => Value::Int(a.wrapping_sub(*b)),
                     Mul => Value::Int(a.wrapping_mul(*b)),
                     Div => match (dialect, *b) {
-                        (sqlkit::Dialect::Postgres, 0) => {
+                        (Dialect::Postgres, 0) => {
                             return Err(EngineError::Eval("division by zero".into()))
                         }
-                        (sqlkit::Dialect::Postgres, b) => Value::Int(a.wrapping_div(b)),
-                        (sqlkit::Dialect::Sqlite, 0) => Value::Null,
-                        (sqlkit::Dialect::Sqlite, b) => Value::Float(*a as f64 / b as f64),
+                        (Dialect::Postgres, b) => Value::Int(a.wrapping_div(b)),
+                        (Dialect::Sqlite, 0) => Value::Null,
+                        (Dialect::Sqlite, b) => Value::Float(*a as f64 / b as f64),
                     },
                     _ => unreachable!(),
                 });
@@ -1013,10 +1017,10 @@ fn r_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
                 Div => {
                     if b == 0.0 {
                         match dialect {
-                            sqlkit::Dialect::Postgres => {
+                            Dialect::Postgres => {
                                 return Err(EngineError::Eval("division by zero".into()))
                             }
-                            sqlkit::Dialect::Sqlite => Value::Null,
+                            Dialect::Sqlite => Value::Null,
                         }
                     } else {
                         Value::Float(a / b)

@@ -20,6 +20,7 @@
 use crate::catalog::{Catalog, DataType, TableSchema};
 use crate::error::EngineError;
 use crate::value::{IndexKey, Value};
+use sqlkit::Dialect;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -122,6 +123,9 @@ pub struct Database {
     /// [`crate::morph::catalog_fingerprint`]), computed eagerly so cache
     /// keying never pays a hash of the whole catalog per query.
     catalog_fp: u64,
+    /// The backend whose semantics every query against this database
+    /// follows (see DESIGN.md §14).
+    dialect: Dialect,
     data: Vec<TableData>,
     /// Lazily built per-`(table, column)` hash indexes, lock-striped by
     /// a hash of the key so concurrent access-path setup on different
@@ -132,12 +136,13 @@ pub struct Database {
 }
 
 impl Clone for Database {
-    /// Clones catalog and rows; the index cache starts empty (indexes
-    /// rebuild lazily) and counters reset.
+    /// Clones catalog, dialect and rows; the index cache starts empty
+    /// (indexes rebuild lazily) and counters reset.
     fn clone(&self) -> Database {
         Database {
             catalog: self.catalog.clone(),
             catalog_fp: self.catalog_fp,
+            dialect: self.dialect,
             data: self.data.clone(),
             indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             index_builds: AtomicU64::new(0),
@@ -147,8 +152,9 @@ impl Clone for Database {
 }
 
 impl Database {
-    /// Creates an empty database from a catalog. Panics on an invalid
-    /// catalog — schemas are authored in code and must be consistent.
+    /// Creates an empty PostgreSQL-dialect database from a catalog.
+    /// Panics on an invalid catalog — schemas are authored in code and
+    /// must be consistent.
     pub fn new(catalog: Catalog) -> Self {
         let errors = catalog.validate();
         assert!(errors.is_empty(), "invalid catalog: {errors:?}");
@@ -161,11 +167,23 @@ impl Database {
         Database {
             catalog,
             catalog_fp,
+            dialect: Dialect::Postgres,
             data,
             indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             index_builds: AtomicU64::new(0),
             probe_stripes: std::array::from_fn(|_| ProbeStripe::default()),
         }
+    }
+
+    /// The same database under `dialect`'s semantics.
+    pub fn with_dialect(mut self, dialect: Dialect) -> Database {
+        self.dialect = dialect;
+        self
+    }
+
+    /// The dialect every query against this database executes under.
+    pub fn dialect(&self) -> Dialect {
+        self.dialect
     }
 
     pub fn catalog(&self) -> &Catalog {
@@ -577,7 +595,8 @@ mod tests {
         d.insert("team", vec![Value::Int(1), Value::text("A")])
             .unwrap();
         d.index("team", "team_id").unwrap();
-        let c = d.clone();
+        let c = d.with_dialect(Dialect::Sqlite).clone();
+        assert_eq!(c.dialect(), Dialect::Sqlite);
         assert_eq!(c.cached_index_count(), 0);
         assert_eq!(c.index_stats().builds, 0);
         assert_eq!(c.row_count("team"), 1);

@@ -15,6 +15,11 @@
 //! results are bit-identical across thread counts and across the
 //! `REPRO_FORCE_SEQSCAN=1` reference mode (which disables index usage
 //! but not the planner's order decisions).
+//!
+//! Semantics that differ between backends — division, NULL ordering,
+//! comparisons across types, `LIKE` — follow the dialect of the database
+//! being queried ([`Database::dialect`]), so two databases in one
+//! process can answer the same query under different backends.
 
 use crate::budget::{charge, charge_rows, ExecBudget};
 use crate::db::Database;
@@ -104,14 +109,8 @@ pub fn set_force_seqscan(force: Option<bool>) {
 /// the modes are bit-identical by construction, the cache must not
 /// *rely* on that invariant. Any future planner toggle must be folded
 /// in here.
-///
-/// The dialect bit is the one toggle that is *not* observationally
-/// neutral — `7 / 2` really is `3` under Postgres and `3.5` under
-/// SQLite — so folding it in here is what keeps a cached Postgres
-/// result from ever answering a SQLite query (and splits the serve
-/// layer's sharded caches per dialect for free).
 pub fn planner_config_fingerprint() -> u64 {
-    force_seqscan() as u64 | ((current_dialect() == Dialect::Sqlite) as u64) << 1
+    force_seqscan() as u64
 }
 
 /// True when index access paths are disabled.
@@ -121,41 +120,6 @@ pub(crate) fn force_seqscan() -> bool {
         2 => true,
         _ => *FORCE_SEQSCAN_ENV.get_or_init(|| {
             std::env::var("REPRO_FORCE_SEQSCAN").is_ok_and(|v| !v.trim().is_empty() && v != "0")
-        }),
-    }
-}
-
-/// 0 = follow `REPRO_DIALECT`; 1 = Postgres; 2 = Sqlite.
-static DIALECT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static DIALECT_ENV: OnceLock<Dialect> = OnceLock::new();
-
-/// Programmatic override of the `REPRO_DIALECT` environment variable:
-/// pins the whole engine — evaluation, ordering, `LIKE`, arithmetic —
-/// to one backend's observable semantics. `None` restores environment
-/// resolution (default: [`Dialect::Postgres`], the semantics this
-/// engine has always had). Process wide, like the other mode switches;
-/// unlike them the dialect is *observable* in results, which is exactly
-/// why it is folded into [`planner_config_fingerprint`] and therefore
-/// into every query-cache key.
-pub fn set_dialect(dialect: Option<Dialect>) {
-    let v = match dialect {
-        None => 0,
-        Some(Dialect::Postgres) => 1,
-        Some(Dialect::Sqlite) => 2,
-    };
-    DIALECT_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// The active SQL dialect (see [`set_dialect`]).
-pub fn current_dialect() -> Dialect {
-    match DIALECT_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Dialect::Postgres,
-        2 => Dialect::Sqlite,
-        _ => *DIALECT_ENV.get_or_init(|| {
-            std::env::var("REPRO_DIALECT")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(Dialect::Postgres)
         }),
     }
 }
@@ -360,7 +324,7 @@ pub(crate) fn exec_query(
     if !query.order_by.is_empty() {
         let _sort = trace::span("sort");
         let keys = order_keys_by_output(&result, &query.order_by)?;
-        sort_by_keys(&mut result.rows, keys, &query.order_by);
+        sort_by_keys(&mut result.rows, keys, &query.order_by, db.dialect());
         result.ordered = true;
         trace::rows_out(result.rows.len() as u64);
     }
@@ -520,6 +484,7 @@ struct TopKEntry {
     idx: usize,
     row: Vec<Value>,
     desc: Arc<[bool]>,
+    dialect: Dialect,
 }
 
 impl PartialEq for TopKEntry {
@@ -538,9 +503,8 @@ impl PartialOrd for TopKEntry {
 
 impl Ord for TopKEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let dialect = current_dialect();
         for ((x, y), desc) in self.keys.iter().zip(&other.keys).zip(self.desc.iter()) {
-            let ord = x.sort_cmp(y, dialect);
+            let ord = x.sort_cmp(y, self.dialect);
             let ord = if *desc { ord.reverse() } else { ord };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -693,6 +657,7 @@ pub(crate) fn output_stage(
                 idx,
                 row: out_row,
                 desc: Arc::clone(&desc),
+                dialect: db.dialect(),
             };
             if heap.len() < k {
                 heap.push(entry);
@@ -759,7 +724,7 @@ pub(crate) fn output_stage(
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut idx: Vec<usize> = (0..pairs.len()).collect();
-        sort_indices(&mut idx, &keys, order_by);
+        sort_indices(&mut idx, &keys, order_by, db.dialect());
         let mut reordered = Vec::with_capacity(pairs.len());
         for i in idx {
             reordered.push(pairs[i].1.clone());
@@ -836,8 +801,7 @@ fn order_key_row(
     Ok(keys)
 }
 
-fn sort_indices(idx: &mut [usize], keys: &[Vec<Value>], order_by: &[OrderItem]) {
-    let dialect = current_dialect();
+fn sort_indices(idx: &mut [usize], keys: &[Vec<Value>], order_by: &[OrderItem], dialect: Dialect) {
     idx.sort_by(|&a, &b| {
         for (k, o) in keys[a].iter().zip(&keys[b]).zip(order_by) {
             let (x, y) = k;
@@ -851,9 +815,14 @@ fn sort_indices(idx: &mut [usize], keys: &[Vec<Value>], order_by: &[OrderItem]) 
     });
 }
 
-fn sort_by_keys(rows: &mut Vec<Vec<Value>>, keys: Vec<Vec<Value>>, order_by: &[OrderItem]) {
+fn sort_by_keys(
+    rows: &mut Vec<Vec<Value>>,
+    keys: Vec<Vec<Value>>,
+    order_by: &[OrderItem],
+    dialect: Dialect,
+) {
     let mut idx: Vec<usize> = (0..rows.len()).collect();
-    sort_indices(&mut idx, &keys, order_by);
+    sort_indices(&mut idx, &keys, order_by, dialect);
     let mut reordered = Vec::with_capacity(rows.len());
     for i in idx {
         reordered.push(rows[i].clone());
@@ -1073,7 +1042,7 @@ fn exec_aggregate(
     if !order_by.is_empty() {
         let keys: Vec<Vec<Value>> = group_outputs.iter().map(|(k, _)| k.clone()).collect();
         let mut idx: Vec<usize> = (0..group_outputs.len()).collect();
-        sort_indices(&mut idx, &keys, order_by);
+        sort_indices(&mut idx, &keys, order_by, db.dialect());
         out.rows = idx
             .into_iter()
             .map(|i| group_outputs[i].1.clone())
@@ -1126,7 +1095,7 @@ fn eval_agg(
         Expr::Binary { left, op, right } => {
             let l = eval_agg(db, left, rel, group, outer)?;
             let r = eval_agg(db, right, rel, group, outer)?;
-            apply_binary(&l, *op, &r)
+            apply_binary(&l, *op, &r, db.dialect())
         }
         Expr::Unary { op, expr } => {
             let v = eval_agg(db, expr, rel, group, outer)?;
@@ -1243,7 +1212,7 @@ fn compute_aggregate(
                 best = Some(match best {
                     None => v,
                     Some(b) => {
-                        let take_new = match v.sql_cmp(&b, current_dialect())? {
+                        let take_new = match v.sql_cmp(&b, db.dialect())? {
                             Some(ord) => {
                                 (func == AggFunc::Min && ord == std::cmp::Ordering::Less)
                                     || (func == AggFunc::Max && ord == std::cmp::Ordering::Greater)
@@ -1389,7 +1358,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             _ => {
                 let l = eval(db, left, env)?;
                 let r = eval(db, right, env)?;
-                apply_binary(&l, *op, &r)
+                apply_binary(&l, *op, &r, db.dialect())
             }
         },
         Expr::Agg { .. } => Err(EngineError::Eval(
@@ -1414,7 +1383,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             let mut saw_null = false;
             for item in list {
                 let w = eval(db, item, env)?;
-                match v.sql_eq(&w, current_dialect())? {
+                match v.sql_eq(&w, db.dialect())? {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
                     None => saw_null = true,
@@ -1439,7 +1408,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             let mut saw_null = false;
             for row in &rs.rows {
                 let w = row.first().cloned().unwrap_or(Value::Null);
-                match v.sql_eq(&w, current_dialect())? {
+                match v.sql_eq(&w, db.dialect())? {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
                     None => saw_null = true,
@@ -1472,7 +1441,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             let v = eval(db, expr, env)?;
             let lo = eval(db, low, env)?;
             let hi = eval(db, high, env)?;
-            let dialect = current_dialect();
+            let dialect = db.dialect();
             let ge = v
                 .sql_cmp(&lo, dialect)?
                 .map(|o| o != std::cmp::Ordering::Less);
@@ -1518,9 +1487,8 @@ fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value, EngineError> {
     }
 }
 
-fn apply_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
+fn apply_binary(l: &Value, op: BinOp, r: &Value, dialect: Dialect) -> Result<Value, EngineError> {
     use BinOp::*;
-    let dialect = current_dialect();
     match op {
         And | Or => {
             // Handled with short-circuiting in `eval`; direct calls (e.g.
@@ -1974,12 +1942,11 @@ mod tests {
 
     #[test]
     fn arithmetic_and_division() {
-        // Default dialect is Postgres: integer division truncates and a
-        // zero divisor is an error. (The engine used to return 3.5 and
-        // NULL here while claiming PostgreSQL semantics — the dialect
-        // sweep flushed that out; SQLite-mode behavior is pinned by the
-        // conformance dialect oracles and the integration tests, which
-        // serialize the process-global dialect switch.)
+        // A database is PostgreSQL unless built otherwise: integer
+        // division truncates and a zero divisor is an error. (The engine
+        // used to return 3.5 and NULL here while claiming PostgreSQL
+        // semantics — the dialect sweep flushed that out.) Its SQLite
+        // twin divides as SQLite does.
         let db = test_db();
         let rs = run(
             &db,
@@ -1994,6 +1961,9 @@ mod tests {
         assert_eq!(err.to_string(), "eval: division by zero");
         let err = execute_sql(&db, "SELECT 1.5 / 0").unwrap_err();
         assert_eq!(err.to_string(), "eval: division by zero");
+        let lite = db.with_dialect(Dialect::Sqlite);
+        assert_eq!(run(&lite, "SELECT 7 / 2").rows[0][0], Value::Float(3.5));
+        assert_eq!(run(&lite, "SELECT 1 / 0").rows[0][0], Value::Null);
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub use catalog::{Catalog, ColumnDef, DataType, ForeignKey, TableSchema};
 pub use db::{ColumnIndex, Database, IndexStats};
 pub use error::EngineError;
 pub use exec::{
-    current_dialect, execute, execute_sql, execute_sql_with_budget, execute_with_budget,
-    planner_config_fingerprint, set_dialect, set_force_seqscan,
+    execute, execute_sql, execute_sql_with_budget, execute_with_budget, planner_config_fingerprint,
+    set_force_seqscan,
 };
 pub use explain::{explain, explain_analyze, explain_analyze_sql, explain_sql};
 pub use morph::{catalog_fingerprint, migrate, migrate_database, schema_of};

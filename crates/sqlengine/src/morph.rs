@@ -399,7 +399,7 @@ pub fn migrate_database(db: &Database, ops: &[MorphOp]) -> Result<Database, Morp
         (catalog, rows) = migrate(&catalog, &rows, op)?;
     }
     let names: Vec<String> = catalog.tables.iter().map(|t| t.name.clone()).collect();
-    let mut out = Database::new(catalog);
+    let mut out = Database::new(catalog).with_dialect(db.dialect());
     for (name, table_rows) in names.iter().zip(rows) {
         out.insert_all(name, table_rows)
             .map_err(|e| MorphError::Unsupported(format!("migrated data rejected: {e}")))?;
@@ -503,7 +503,12 @@ mod tests {
             from: "team_id".into(),
             to: "tid".into(),
         };
-        let db2 = migrate_database(&db, &[op]).unwrap();
+        let db2 = migrate_database(&db.with_dialect(sqlkit::Dialect::Sqlite), &[op]).unwrap();
+        assert_eq!(
+            db2.dialect(),
+            sqlkit::Dialect::Sqlite,
+            "keeps the source dialect"
+        );
         let game = db2.catalog().table("game").unwrap();
         assert_eq!(game.foreign_keys[0].ref_columns, vec!["tid"]);
         assert_eq!(

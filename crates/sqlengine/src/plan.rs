@@ -647,15 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_seqscan_demotes_inl_to_hash() {
-        let db = db();
-        crate::exec::set_force_seqscan(Some(true));
-        let plan = plan_of(&db, "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id");
-        crate::exec::set_force_seqscan(None);
-        assert!(matches!(&plan.join_order[0].algo, JoinAlgo::Hash { .. }));
-    }
-
-    #[test]
     fn derived_left_layout_declines_inl() {
         let db = db();
         let plan = plan_of(

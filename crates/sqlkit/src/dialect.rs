@@ -4,8 +4,8 @@
 //! semantics the engine has always implemented) and SQLite. The enum
 //! lives here in `sqlkit` because both the front end (printer/parser
 //! modes) and the engine (comparison, arithmetic, ordering, `LIKE`)
-//! are parameterized by it; `sqlengine` re-exports it alongside its
-//! process-global dialect switch.
+//! are parameterized by it; `sqlengine` re-exports it, and each
+//! `sqlengine::Database` carries one.
 //!
 //! The full behavior matrix — which operations differ, in what way,
 //! and which conformance oracle pins each one — is documented in

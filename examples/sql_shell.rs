@@ -10,10 +10,11 @@
 //!
 //! Commands: `\model v1|v2|v3` switches the data model, `\schema [table]`
 //! prints schema information, `\tables` lists tables, `\quit` exits.
-//! Anything else is executed as SQL.
+//! Anything else is executed as SQL, in the dialect `REPRO_DIALECT`
+//! names (`postgres`, the default, or `sqlite`).
 
 use footballdb::{generate, load_all, DataModel};
-use sqlengine::{execute_sql, Database};
+use sqlengine::{execute_sql, Database, Dialect};
 use std::io::{BufRead, Write};
 
 fn find(dbs: &[(DataModel, Database); 3], m: DataModel) -> &Database {
@@ -50,12 +51,22 @@ fn print_schema(db: &Database, table: Option<&str>) {
 }
 
 fn main() {
+    let parsed: Result<Dialect, String> = match std::env::var("REPRO_DIALECT") {
+        Err(std::env::VarError::NotPresent) => Ok(Dialect::Postgres),
+        Ok(v) if v.trim().is_empty() => Ok(Dialect::Postgres),
+        Ok(v) => v.parse(),
+        Err(e) => Err(e.to_string()),
+    };
+    let dialect = parsed.unwrap_or_else(|e| {
+        eprintln!("REPRO_DIALECT: {e}\nusage: REPRO_DIALECT=postgres|sqlite sql_shell");
+        std::process::exit(2)
+    });
     eprintln!(
-        "generating FootballDB (seed {})...",
+        "generating FootballDB (seed {}, {dialect} dialect)...",
         footballdb::DEFAULT_SEED
     );
     let domain = generate(footballdb::DEFAULT_SEED);
-    let dbs = load_all(&domain);
+    let dbs = load_all(&domain).map(|(m, db)| (m, db.with_dialect(dialect)));
     let mut model = DataModel::V3;
 
     let stdin = std::io::stdin();

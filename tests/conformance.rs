@@ -15,21 +15,22 @@ use sqlengine::conformance::{
     minimize_sql, ref_execute_sql, run_corpus, run_dialect_corpus, CorpusConfig,
 };
 use sqlengine::{
-    execute_sql, planner_config_fingerprint, set_dialect, set_force_seqscan,
-    trace_execute_sql_with_budget, Catalog, DataType, Database, Dialect, EngineError, ExecBudget,
-    QueryCache, ResultSet, TableSchema, TraceSpan, Value,
+    execute_sql, planner_config_fingerprint, set_force_seqscan, trace_execute_sql_with_budget,
+    Catalog, DataType, Database, Dialect, EngineError, ExecBudget, QueryCache, ResultSet,
+    TableSchema, TraceSpan, Value,
 };
 use std::sync::Mutex;
 
 /// Serializes every test that toggles (or observes the effect of) the
-/// process-global forced-seqscan or dialect modes. A poisoned lock is
-/// fine to reuse — the state it guards is reset on each acquisition.
+/// process-global forced-seqscan mode. A poisoned lock is fine to
+/// reuse — the state it guards is reset on each acquisition. The
+/// dialect is a property of each `Database`, so dialect tests need no
+/// lock.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 fn mode_guard() -> std::sync::MutexGuard<'static, ()> {
     let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_force_seqscan(None);
-    set_dialect(None);
     guard
 }
 
@@ -319,12 +320,10 @@ fn dialect_oracles_hold_and_classify() {
 fn sqlite_dialect_is_self_consistent() {
     let _g = mode_guard();
     for seed in 40..42 {
-        let db = corpus_db(seed);
+        let db = corpus_db(seed).with_dialect(Dialect::Sqlite);
         let mut corpus = gen_corpus(&CorpusConfig { seed, queries: 120 });
         corpus.extend(gen_dialect_corpus(&CorpusConfig { seed, queries: 80 }));
-        set_dialect(Some(Dialect::Sqlite));
         let report = run_corpus(&db, &corpus);
-        set_dialect(None);
         assert!(
             report.is_clean(),
             "seed {seed}: {} divergence(s) under sqlite, first:\n{}",
@@ -362,7 +361,6 @@ fn postgres_dialect_is_self_consistent_on_stress_templates() {
 /// legitimate, classified differences.
 #[test]
 fn cross_dialect_sweep_classifies_every_divergence() {
-    let _g = mode_guard();
     for seed in 40..43 {
         let db = corpus_db(seed);
         let mut corpus = gen_corpus(&CorpusConfig { seed, queries: 150 });
@@ -395,9 +393,7 @@ fn cross_dialect_sweep_classifies_every_divergence() {
 /// truncates toward zero and division by zero is an evaluation error.
 #[test]
 fn postgres_integer_division_truncates_and_zero_errors() {
-    let _g = mode_guard();
     let db = null_db();
-    set_dialect(Some(Dialect::Postgres));
     let rs = execute_sql(&db, "SELECT 7 / 2").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Int(3)]]);
     let rs = execute_sql(&db, "SELECT (0 - 7) / 2").unwrap();
@@ -406,12 +402,11 @@ fn postgres_integer_division_truncates_and_zero_errors() {
     assert!(err.to_string().contains("division by zero"), "{err}");
     let err = execute_sql(&db, "SELECT 1.5 / 0").unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err}");
-    set_dialect(Some(Dialect::Sqlite));
-    let rs = execute_sql(&db, "SELECT 7 / 2").unwrap();
+    let lite = db.with_dialect(Dialect::Sqlite);
+    let rs = execute_sql(&lite, "SELECT 7 / 2").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Float(3.5)]]);
-    let rs = execute_sql(&db, "SELECT 1 / 0").unwrap();
+    let rs = execute_sql(&lite, "SELECT 1 / 0").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Null]]);
-    set_dialect(None);
 }
 
 /// Regression (latent engine bugs, found while building the dialect
@@ -491,7 +486,6 @@ fn huge_integers_do_not_alias_on_either_scan_path() {
 /// and garbage errors; under SQLite the pair is simply unequal.
 #[test]
 fn bool_text_comparison_is_dialect_governed() {
-    let _g = mode_guard();
     let mut db = Database::new(Catalog::new(vec![TableSchema::new("f")
         .column("id", DataType::Int)
         .column("flag", DataType::Bool)
@@ -499,7 +493,6 @@ fn bool_text_comparison_is_dialect_governed() {
     for (id, b) in [(1, Value::Bool(true)), (2, Value::Bool(false))] {
         db.insert("f", vec![Value::Int(id), b]).unwrap();
     }
-    set_dialect(Some(Dialect::Postgres));
     let rs = execute_sql(&db, "SELECT id FROM f WHERE flag = 'yes'").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Int(1)]]);
     let err = execute_sql(&db, "SELECT id FROM f WHERE flag = 'maybe'").unwrap_err();
@@ -508,33 +501,44 @@ fn bool_text_comparison_is_dialect_governed() {
             .contains("invalid input syntax for type boolean"),
         "{err}"
     );
-    set_dialect(Some(Dialect::Sqlite));
-    let rs = execute_sql(&db, "SELECT id FROM f WHERE flag = 'true'").unwrap();
+    let lite = db.with_dialect(Dialect::Sqlite);
+    let rs = execute_sql(&lite, "SELECT id FROM f WHERE flag = 'true'").unwrap();
     assert!(rs.rows.is_empty(), "sqlite never equates bool and text");
-    set_dialect(None);
 }
 
-/// The planner-config fingerprint separates dialects, so the query
-/// cache can never serve one dialect's result to the other.
+/// The query cache keys on each database's dialect, so one cache shared
+/// by a PostgreSQL database and its SQLite twin — one catalog, queried
+/// from two threads at once — never serves one dialect's result to the
+/// other.
 #[test]
 fn query_cache_does_not_serve_results_across_dialects() {
-    let _g = mode_guard();
-    let db = null_db();
+    let pg = null_db();
+    let lite = pg.clone().with_dialect(Dialect::Sqlite);
+    assert_eq!(pg.catalog_fingerprint(), lite.catalog_fingerprint());
     let cache = QueryCache::new();
     let sql = "SELECT 7 / 2";
-
-    set_dialect(Some(Dialect::Postgres));
-    let fp_pg = planner_config_fingerprint();
-    let pg = cache.execute_cached(&db, sql).unwrap();
-    set_dialect(Some(Dialect::Sqlite));
-    let fp_lite = planner_config_fingerprint();
-    let lite = cache.execute_cached(&db, sql).unwrap();
-    set_dialect(None);
-
-    assert_ne!(fp_pg, fp_lite, "fingerprint must separate dialects");
-    assert_eq!(cache.stats().hits, 0, "no cross-dialect cache hit");
-    assert_eq!(pg.rows, vec![vec![Value::Int(3)]]);
-    assert_eq!(lite.rows, vec![vec![Value::Float(3.5)]]);
+    let rounds = 50;
+    let answers = |db: &Database| -> Vec<Value> {
+        (0..rounds)
+            .map(|_| cache.execute_cached(db, sql).unwrap().rows[0][0].clone())
+            .collect()
+    };
+    let (from_pg, from_lite) = std::thread::scope(|s| {
+        let a = s.spawn(|| answers(&pg));
+        let b = s.spawn(|| answers(&lite));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert!(from_pg.iter().all(|v| *v == Value::Int(3)), "{from_pg:?}");
+    assert!(
+        from_lite.iter().all(|v| *v == Value::Float(3.5)),
+        "{from_lite:?}"
+    );
+    // The answers above prove no lookup hit the twin's entry. Other
+    // tests in this binary may flip the seqscan switch meanwhile, which
+    // keys extra entries, so only a floor holds for the entry count.
+    let s = cache.stats();
+    assert_eq!(s.hits + s.misses, 2 * rounds);
+    assert!(s.entries >= 2 && s.hits > 0, "{s:?}");
 }
 
 /// Runs `sql` under `budget` with tracing and asserts that the columnar

@@ -25,6 +25,7 @@ fn setup() -> &'static EvalSetup {
                 clusters: 18,
                 ..nlq::PipelineConfig::default()
             },
+            sqlengine::Dialect::Postgres,
         )
     })
 }

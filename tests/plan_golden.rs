@@ -82,6 +82,26 @@ fn golden_index_scan_access_path() {
         "select (1 output column(s))\n\
          \u{20} scan t [5 row(s)] filter: id = 3 via seq scan\n",
     );
+    // The same override demotes an index nested-loop join to a hash
+    // join, since a seq scan has no index to probe.
+    let join = "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id";
+    assert_plan(
+        &db,
+        join,
+        "select (1 output column(s))\n\
+         \u{20} scan t AS a [5 row(s)] via seq scan\n\
+         \u{20} index nested-loop join u AS b [5 row(s)] \
+         via index lookup(b.id) on a.id = b.id\n",
+    );
+    set_force_seqscan(Some(true));
+    let plan = explain_sql(&db, join).unwrap();
+    set_force_seqscan(None);
+    assert_eq!(
+        plan,
+        "select (1 output column(s))\n\
+         \u{20} scan t AS a [5 row(s)] via seq scan\n\
+         \u{20} hash join (build right) u AS b [5 row(s)] via seq scan on a.id = b.id\n",
+    );
 }
 
 #[test]

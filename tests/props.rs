@@ -457,23 +457,23 @@ fn conformance_corpus_has_no_divergences() {
 /// executors (the engine and the reference interpreter) under BOTH
 /// dialects. PostgreSQL: `/` on integers truncates and a zero divisor
 /// is an error (integer or float). SQLite: `/` on integers is
-/// real-valued and a zero divisor yields NULL. Takes [`MODE_LOCK`]
-/// because the dialect switch is process-global.
+/// real-valued and a zero divisor yields NULL. The dialect belongs to
+/// each database, so nothing process-wide changes.
 #[test]
 fn division_semantics_hold_in_both_dialects_and_executors() {
     use sqlengine::conformance::{dialect_db, ref_execute_sql};
-    use sqlengine::{set_dialect, Database, EngineError, ResultSet};
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let db = dialect_db();
+    use sqlengine::{Database, EngineError, ResultSet};
+    let pg = dialect_db();
+    let lite = dialect_db().with_dialect(Dialect::Sqlite);
     type Exec = fn(&Database, &str) -> Result<ResultSet, EngineError>;
     let executors: [(&str, Exec); 2] = [("engine", execute_sql), ("reference", ref_execute_sql)];
     // nums(n) holds 1, 2, 10.
     for (executor, exec) in executors {
-        let run = |sql: &str| exec(&db, sql).map(|rs| rs.rows).map_err(|e| e.to_string());
+        let run =
+            |db: &Database, sql: &str| exec(db, sql).map(|rs| rs.rows).map_err(|e| e.to_string());
 
-        set_dialect(Some(Dialect::Postgres));
         assert_eq!(
-            run("SELECT n / 4 FROM nums ORDER BY n"),
+            run(&pg, "SELECT n / 4 FROM nums ORDER BY n"),
             Ok(vec![
                 vec![Value::Int(0)],
                 vec![Value::Int(0)],
@@ -482,16 +482,15 @@ fn division_semantics_hold_in_both_dialects_and_executors() {
             "postgres truncating division ({executor})"
         );
         for sql in ["SELECT n / 0 FROM nums", "SELECT n / 0.0 FROM nums"] {
-            let err = run(sql).expect_err("postgres zero divisor must error");
+            let err = run(&pg, sql).expect_err("postgres zero divisor must error");
             assert!(
                 err.contains("division by zero"),
                 "unexpected message {err:?} for {sql} ({executor})"
             );
         }
 
-        set_dialect(Some(Dialect::Sqlite));
         assert_eq!(
-            run("SELECT n / 4 FROM nums ORDER BY n"),
+            run(&lite, "SELECT n / 4 FROM nums ORDER BY n"),
             Ok(vec![
                 vec![Value::Float(0.25)],
                 vec![Value::Float(0.5)],
@@ -501,12 +500,11 @@ fn division_semantics_hold_in_both_dialects_and_executors() {
         );
         for sql in ["SELECT n / 0 FROM nums", "SELECT n / 0.0 FROM nums"] {
             assert_eq!(
-                run(sql),
+                run(&lite, sql),
                 Ok(vec![vec![Value::Null]; 3]),
                 "sqlite zero divisor yields NULL ({executor})"
             );
         }
-        set_dialect(None);
     }
 }
 

@@ -49,6 +49,46 @@ fn budget_abort_never_enters_the_query_cache() {
     assert_eq!(cache.stats().hits, 0);
 }
 
+/// A budget verdict must not depend on what filled the cache before.
+/// The v1 `player × national_team` cross join trips a 1,000-step budget
+/// fresh, and still trips it after an unbudgeted fill or a fill under a
+/// larger budget, with the same stage and spend. Hit and miss counts are
+/// pinned by the cache's unit tests instead: another test in this binary
+/// flips the seqscan switch, which re-keys lookups while it is on.
+#[test]
+fn budgeted_cache_hits_respect_the_budget() {
+    let db = footballdb::load(
+        &footballdb::generate(footballdb::DEFAULT_SEED),
+        footballdb::DataModel::V1,
+    );
+    let sql = "SELECT COUNT(*) FROM player a, national_team b";
+    let tight = ExecBudget::default().with_max_steps(1_000);
+    let fresh = QueryCache::new().execute_budgeted(&db, sql, &tight);
+    assert!(
+        matches!(fresh, Err(EngineError::BudgetExceeded { .. })),
+        "{fresh:?}"
+    );
+    let roomy = ExecBudget::default();
+    for fill in [None, Some(roomy)] {
+        let cache = QueryCache::new();
+        let filled = match &fill {
+            None => cache.execute_cached(&db, sql),
+            Some(b) => cache.execute_budgeted(&db, sql, b),
+        };
+        assert!(filled.is_ok(), "{filled:?}");
+        assert_eq!(
+            cache.execute_budgeted(&db, sql, &tight),
+            fresh,
+            "after fill {fill:?}"
+        );
+        assert_eq!(cache.stats().entries, 1, "the error is not stored");
+        assert_eq!(
+            cache.execute_budgeted(&db, sql, &roomy).unwrap(),
+            filled.unwrap()
+        );
+    }
+}
+
 #[test]
 fn hazard_corpus_trips_identically_across_modes() {
     let db = corpus_db(40);

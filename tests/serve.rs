@@ -10,14 +10,15 @@
 //! 2. **Serve determinism** — two full serve runs with the same seed
 //!    (fresh snapshots each) must render byte-identical deterministic
 //!    sections, the property `BENCH_serve.json` asserts on every
-//!    generation.
+//!    generation. A PostgreSQL and a SQLite run share the process and
+//!    run at the same time, each in its own dialect.
 //! 3. **Watermark reporting** — the serve worker pool must raise the
 //!    shared `observed_threads()` watermark the benchmark records,
 //!    exactly like the `par_map` pools do.
 
 use serve::{AdmissionPolicy, BurstSpec, ServeConfig};
-use sqlengine::{Catalog, DataType, Database, QueryCache, TableSchema, Value};
-use std::sync::{Barrier, Mutex, OnceLock};
+use sqlengine::{Catalog, DataType, Database, Dialect, QueryCache, TableSchema, Value};
+use std::sync::{Barrier, Mutex};
 
 /// The watermark and thread-override are process-global; tests that
 /// read or reset them serialize here.
@@ -83,7 +84,7 @@ fn barrier_stress_keeps_per_shard_builds_equal_to_entries() {
     assert_eq!((sum_builds, sum_entries), (stats.builds, stats.entries));
 }
 
-fn small_serve_config() -> (ServeConfig, nlq::gold::PipelineConfig) {
+fn small_serve_config(dialect: Dialect) -> (ServeConfig, nlq::gold::PipelineConfig) {
     let cfg = ServeConfig {
         seed: 11,
         threads: 4,
@@ -93,42 +94,49 @@ fn small_serve_config() -> (ServeConfig, nlq::gold::PipelineConfig) {
         hazard_fraction: 0.05,
         burst: BurstSpec::default(),
         policy: AdmissionPolicy::default(),
+        dialect,
     };
-    let pipeline = nlq::gold::PipelineConfig {
-        raw_questions: 700,
-        pool_size: 260,
-        selected_size: 120,
-        test_size: 40,
-        clusters: 13,
-        ..nlq::gold::PipelineConfig::default()
-    };
-    (cfg, pipeline)
+    (cfg, evalkit::EvalSetup::small_config())
 }
 
 #[test]
 fn serve_runs_are_byte_identical_and_invariants_hold() {
-    static REPORTS: OnceLock<(String, String)> = OnceLock::new();
-    let (a, b) = REPORTS.get_or_init(|| {
-        let (cfg, pipeline) = small_serve_config();
-        let a = serve::run(&cfg, &pipeline);
-        let b = serve::run(&cfg, &pipeline);
-        (a.deterministic_json("  "), b.deterministic_json("  "))
-    });
-    assert_eq!(
-        a, b,
-        "two serve runs with one seed must render identical deterministic sections"
-    );
-    // The section carries the serving invariants; pin them here too so
-    // a regression fails with a named assertion, not a string diff.
-    assert!(a.contains("\"escaped_panics\": 0"), "{a}");
-    assert!(a.contains("\"shard_drift\": 0"), "{a}");
-    // The injected hazards must actually exercise admission control.
-    let shed: u64 = a
-        .lines()
-        .filter_map(|l| l.trim().strip_prefix("\"shed_runaway\": "))
-        .map(|v| v.trim_end_matches(',').parse::<u64>().unwrap())
-        .sum();
-    assert!(shed > 0, "workload hazards should trip the governor:\n{a}");
+    // Two rounds; in each, a PostgreSQL and a SQLite run at once.
+    let round = || {
+        std::thread::scope(|s| {
+            let runs = Dialect::ALL.map(|d| {
+                s.spawn(move || {
+                    let (cfg, pipeline) = small_serve_config(d);
+                    let report = serve::run(&cfg, &pipeline);
+                    (report.dialect, report.deterministic_json("  "))
+                })
+            });
+            runs.map(|h| h.join().unwrap())
+        })
+    };
+    let (first, second) = (round(), round());
+    for ((dialect, a), (again, b)) in first.iter().zip(&second) {
+        assert_eq!(dialect, again);
+        assert_eq!(
+            a, b,
+            "two {dialect} serve runs with one seed must render identical deterministic sections"
+        );
+        // The section carries the serving invariants; pin them here too
+        // so a regression fails with a named assertion, not a string
+        // diff.
+        assert!(a.contains(&format!("\"dialect\": \"{dialect}\"")), "{a}");
+        assert!(a.contains("\"escaped_panics\": 0"), "{a}");
+        assert!(a.contains("\"shard_drift\": 0"), "{a}");
+        // The injected hazards must actually exercise admission control.
+        let shed: u64 = a
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("\"shed_runaway\": "))
+            .map(|v| v.trim_end_matches(',').parse::<u64>().unwrap())
+            .sum();
+        assert!(shed > 0, "workload hazards should trip the governor:\n{a}");
+    }
+    let dialects: Vec<String> = first.iter().map(|(d, _)| d.to_string()).collect();
+    assert_eq!(dialects, ["postgres", "sqlite"]);
 }
 
 #[test]
