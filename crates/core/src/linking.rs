@@ -116,10 +116,53 @@ const ENTITY_COLUMNS: &[(&str, &str)] = &[
     ("world_cup", "host_country"),
 ];
 
+/// The adjacent byte pairs of a text, as a 64 Ki-bit set.
+struct PairSet([u64; 1024]);
+
+impl PairSet {
+    fn of(text: &str) -> PairSet {
+        let mut set = PairSet([0; 1024]);
+        for w in text.as_bytes().windows(2) {
+            let p = PairSet::index(w[0], w[1]);
+            set.0[p >> 6] |= 1 << (p & 63);
+        }
+        set
+    }
+
+    fn index(a: u8, b: u8) -> usize {
+        usize::from(a) << 8 | usize::from(b)
+    }
+
+    fn contains(&self, a: u8, b: u8) -> bool {
+        let p = PairSet::index(a, b);
+        self.0[p >> 6] & 1 << (p & 63) != 0
+    }
+}
+
+/// Whether the lowercased `name` (at least two bytes long) occurs in
+/// `q_lower`. An ASCII name is rejected by its first lowercased byte
+/// pair before any copy, and otherwise lowercased into `buf`; other
+/// names fall back to [`str::to_lowercase`].
+fn mentions(q_lower: &str, q_pairs: &PairSet, name: &str, buf: &mut String) -> bool {
+    if !name.is_ascii() {
+        return q_lower.contains(&name.to_lowercase());
+    }
+    let b = name.as_bytes();
+    if !q_pairs.contains(b[0].to_ascii_lowercase(), b[1].to_ascii_lowercase()) {
+        return false;
+    }
+    buf.clear();
+    buf.push_str(name);
+    buf.make_ascii_lowercase();
+    q_lower.contains(buf.as_str())
+}
+
 /// Finds database values mentioned in the question: multi-token entity
 /// names (longest match wins) and literal years.
 pub fn find_values(question: &str, db: &Database) -> Vec<ValueLink> {
     let q_lower = question.to_lowercase();
+    let q_pairs = PairSet::of(&q_lower);
+    let mut buf = String::new();
     let mut out: Vec<ValueLink> = Vec::new();
 
     for (table, column) in ENTITY_COLUMNS {
@@ -130,20 +173,22 @@ pub fn find_values(question: &str, db: &Database) -> Vec<ValueLink> {
             continue;
         };
         let Some(rows) = db.rows(table) else { continue };
+        // Each mentioned name is reported once, at its first row.
         let mut seen = std::collections::HashSet::new();
         for row in rows {
             if let Value::Text(name) = &row[ci] {
-                if name.len() < 3 || !seen.insert(name.clone()) {
+                if name.len() < 3
+                    || !mentions(&q_lower, &q_pairs, name, &mut buf)
+                    || !seen.insert(name.as_str())
+                {
                     continue;
                 }
-                if q_lower.contains(&name.to_lowercase()) {
-                    out.push(ValueLink {
-                        table: table.to_string(),
-                        column: column.to_string(),
-                        value: Value::text(name.clone()),
-                        span: name.split_whitespace().count(),
-                    });
-                }
+                out.push(ValueLink {
+                    table: table.to_string(),
+                    column: column.to_string(),
+                    value: Value::text(name.clone()),
+                    span: name.split_whitespace().count(),
+                });
             }
         }
     }
@@ -179,9 +224,102 @@ pub fn linking_tokens(question: &str, links: &[SchemaLink], values: &[ValueLink]
 mod tests {
     use super::*;
     use footballdb::{generate, load, DataModel};
+    use nlq::gold::{build_benchmark, PipelineConfig};
 
     fn v1_db() -> Database {
         load(&generate(7), DataModel::V1)
+    }
+
+    /// The straightforward value finder: every distinct name cloned into
+    /// a set and lowercased. [`find_values`] must match it exactly.
+    fn find_values_oracle(question: &str, db: &Database) -> Vec<ValueLink> {
+        let q_lower = question.to_lowercase();
+        let mut out: Vec<ValueLink> = Vec::new();
+        for (table, column) in ENTITY_COLUMNS {
+            let Some(schema) = db.schema(table) else {
+                continue;
+            };
+            let Some(ci) = schema.column_index(column) else {
+                continue;
+            };
+            let Some(rows) = db.rows(table) else { continue };
+            let mut seen = std::collections::HashSet::new();
+            for row in rows {
+                if let Value::Text(name) = &row[ci] {
+                    if name.len() < 3 || !seen.insert(name.clone()) {
+                        continue;
+                    }
+                    if q_lower.contains(&name.to_lowercase()) {
+                        out.push(ValueLink {
+                            table: table.to_string(),
+                            column: column.to_string(),
+                            value: Value::text(name.clone()),
+                            span: name.split_whitespace().count(),
+                        });
+                    }
+                }
+            }
+        }
+        for tok in tokenize(question) {
+            if tok.len() == 4 {
+                if let Ok(y) = tok.parse::<i64>() {
+                    if (1900..=2100).contains(&y) {
+                        out.push(ValueLink {
+                            table: "world_cup".into(),
+                            column: "year".into(),
+                            value: Value::Int(y),
+                            span: 1,
+                        });
+                    }
+                }
+            }
+        }
+        out.sort_by(|a, b| b.span.cmp(&a.span).then_with(|| a.table.cmp(&b.table)));
+        out
+    }
+
+    #[test]
+    fn find_values_matches_the_oracle_over_the_gold_pool() {
+        let d = generate(7);
+        let bench = build_benchmark(&d, 7, &PipelineConfig::default());
+        // Non-ASCII and mixed-case mentions exercise the fallback and the
+        // pair filter's lowercasing.
+        let extra = [
+            "Was MÜLLER at the Estádio do Maracanã?",
+            "GERMANY vs brazil",
+        ];
+        let questions: Vec<&str> = bench
+            .gold_pool
+            .iter()
+            .map(|g| g.question.as_str())
+            .chain(extra)
+            .collect();
+        let mut hits = 0;
+        for model in DataModel::ALL {
+            let db = load(&d, model);
+            for q in &questions {
+                let got = find_values(q, &db);
+                assert_eq!(got, find_values_oracle(q, &db), "{model}: {q}");
+                hits += got.len();
+            }
+        }
+        assert!(hits > questions.len(), "the corpus mentions values: {hits}");
+    }
+
+    #[test]
+    fn non_ascii_names_match_like_the_oracle() {
+        use sqlengine::{Catalog, DataType, TableSchema};
+        let mut db = Database::new(Catalog::new(vec![TableSchema::new("club")
+            .column("name", DataType::Text)
+            .pk(&["name"])]));
+        for name in ["Müller FC", "ÉTOILE", "Étoile", "Ajax", "AJAX"] {
+            db.insert("club", vec![Value::text(name)]).unwrap();
+        }
+        for q in ["Did MÜLLER FC beat étoile?", "ajax or AJAX?", "no clubs"] {
+            let got = find_values(q, &db);
+            assert_eq!(got, find_values_oracle(q, &db), "{q}");
+        }
+        assert_eq!(find_values("müller fc", &db).len(), 1);
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! wrong prediction* — a realistic corruption of the query (wrong value,
 //! missing filter, flipped operator, wrong column, hallucinated
 //! identifier) rather than a coin-flip blank, so error analyses see
-//! realistic failure artifacts.
+//! realistic failure artifacts. Each candidate corruption is checked
+//! against gold by executing both through the database's query memo
+//! ([`sqlengine::Database::query_cache`]), the one scoring reads too:
+//! gold runs once per database, not once per failed prediction, and the
+//! emitted corruption is already memoized when it is scored.
 
 use crate::capability::{Budget, SystemKind};
 use crate::cost;
@@ -295,10 +299,12 @@ fn produce_failure(
     };
     // A failed prediction must actually *be* a failure: corruptions that
     // happen to produce the gold results are retried (the capability
-    // model already decided this draw is wrong).
-    let gold_result = sqlengine::execute_sql(ctx.db, gold).ok();
+    // model already decided this draw is wrong). Unbudgeted, like a
+    // fresh execution; the memo returns exactly what one would.
+    let memo = ctx.db.query_cache();
+    let gold_result = memo.execute_cached(ctx.db, gold).ok();
     let is_really_wrong = |sql: &str| -> bool {
-        match (&gold_result, sqlengine::execute_sql(ctx.db, sql)) {
+        match (&gold_result, memo.execute_cached(ctx.db, sql)) {
             (Some(gold_rs), Ok(rs)) => !rs.matches(gold_rs),
             // Unexecutable output is wrong by definition.
             _ => true,

@@ -9,6 +9,12 @@
 //! built ([`EvalSetup::with_config`]), so profiling and scoring run on
 //! one backend.
 //!
+//! Each database carries its own query-result memo
+//! ([`sqlengine::Database::query_cache`]). Prediction verifies its
+//! corruptions through it and scoring reads it, so a gold query runs
+//! once per database however many cells and failed predictions ask for
+//! it. The setup's cache accessors all read those memos.
+//!
 //! Grids are scheduled flat: each table's cells are *prepared* (pools,
 //! success draws, retrieval indexes) and then every `(cell, item)` pair
 //! joins one shared [`run_prepared`] fan-out, so a straggler cell can't
@@ -39,10 +45,6 @@ pub struct EvalSetup {
     /// Memoized test-set difficulty profiles per data model (profiling
     /// executes the gold queries, so it is computed once).
     profiles: Vec<(DataModel, Vec<ItemProfile>)>,
-    /// Query-result memo tables, one per data model database. Gold SQL
-    /// is shared by every configuration of a model and repeated
-    /// predictions are common, so each distinct query executes once.
-    caches: Vec<(DataModel, QueryCache)>,
 }
 
 impl EvalSetup {
@@ -90,10 +92,6 @@ impl EvalSetup {
             benchmark,
             seed,
             profiles: Vec::new(),
-            caches: DataModel::ALL
-                .iter()
-                .map(|&m| (m, QueryCache::new()))
-                .collect(),
         };
         // Profiling executes every gold test query against each model's
         // database — the expensive part of setup, also independent.
@@ -119,29 +117,18 @@ impl EvalSetup {
         &self.profiles.iter().find(|(m, _)| *m == model).unwrap().1
     }
 
-    /// The query-result memo table for one data model's database.
+    /// The query-result memo of one data model's database.
     pub fn query_cache(&self, model: DataModel) -> &QueryCache {
-        &self.caches.iter().find(|(m, _)| *m == model).unwrap().1
+        self.db(model).query_cache()
     }
 
-    /// Aggregated hit/miss counters over all three model caches.
+    fn query_caches(&self) -> impl Iterator<Item = &QueryCache> {
+        self.databases.iter().map(|(_, db)| db.query_cache())
+    }
+
+    /// Aggregated hit/miss counters over all three model memos.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            oversize: 0,
-            builds: 0,
-        };
-        for (_, cache) in &self.caches {
-            let s = cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.oversize += s.oversize;
-            total.builds += s.builds;
-        }
-        total
+        self.query_caches().map(QueryCache::stats).sum()
     }
 
     /// Aggregated index build/probe counters over all three model
@@ -160,16 +147,13 @@ impl EvalSetup {
     /// Drops every memoized result and zeroes the counters (used by the
     /// benchmark harness to measure cold-cache baselines).
     pub fn clear_query_caches(&self) {
-        for (_, cache) in &self.caches {
-            cache.clear();
-        }
+        self.query_caches().for_each(QueryCache::clear);
     }
 
-    /// Enables or disables memoization on all three caches.
+    /// Enables or disables memoization on all three memos — for
+    /// prediction and scoring alike.
     pub fn set_query_caches_enabled(&self, enabled: bool) {
-        for (_, cache) in &self.caches {
-            cache.set_enabled(enabled);
-        }
+        self.query_caches().for_each(|c| c.set_enabled(enabled));
     }
 }
 
@@ -329,7 +313,6 @@ fn run_one_item(
 ) -> ItemResult {
     let (model, budget) = (ctx.model, ctx.budget);
     let profiles = setup.profiles(model);
-    let cache = setup.query_cache(model);
     let item = &setup.benchmark.test[i];
     let mut rng = state
         .root
@@ -346,11 +329,14 @@ fn run_one_item(
     );
     // A trace collector scoped to this item: spans from the gold and
     // predicted executions land here and nowhere else, regardless of
-    // which pool thread runs the closure.
+    // which pool thread runs the closure. Scoring reads the memo predict
+    // filled (untraced); the memo's trace rule re-executes an entry
+    // that has no counter tree to replay, so the item trace is the same
+    // as from a cold memo.
     let trace_guard = sqlengine::TraceGuard::install();
     let (outcome, mut failure) = execution_match_governed(
         ctx.db,
-        cache,
+        ctx.db.query_cache(),
         &governor.budget,
         item.sql(model),
         g.prediction.sql.as_deref(),

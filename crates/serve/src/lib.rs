@@ -4,8 +4,8 @@
 //! users; this crate reproduces that *serving* shape over the
 //! reproduction's engine and measures it:
 //!
-//! * [`snapshot`] — immutable `Arc`-shared data-model snapshots plus
-//!   one lock-striped [`sqlengine::QueryCache`] per model: the only
+//! * [`snapshot`] — immutable `Arc`-shared data-model snapshots, each
+//!   database with its lock-striped [`sqlengine::QueryCache`]: the only
 //!   shared mutable state contends at shard granularity;
 //! * [`workload`] — an open-loop traffic generator replaying the
 //!   interaction log's statistics (Zipf popularity, burst phases,

@@ -1,24 +1,24 @@
 //! Immutable shared state for the serving layer.
 //!
 //! A server holds one snapshot per data model: the loaded [`Database`]
-//! behind an `Arc` (workers share it read-only; its lazy index cache is
-//! internally lock-striped) and one sharded [`QueryCache`] per model.
+//! behind an `Arc`. Workers share it read-only; its lazy index cache and
+//! its sharded query-result memo ([`Database::query_cache`], the one
+//! prediction and execution both use) are internally lock-striped.
 //! Nothing here is copied per worker and nothing is guarded by a single
-//! global lock — the caches stripe internally, so the only shared
-//! mutable state contends at shard granularity. Every snapshot is loaded
-//! in the state's dialect, so states in different dialects can serve
-//! side by side in one process.
+//! global lock, so the only shared mutable state contends at shard
+//! granularity. Every snapshot is loaded in the state's dialect, so
+//! states in different dialects can serve side by side in one process.
 
 use evalkit::par_map;
 use footballdb::{generate, load, DataModel, Domain};
 use sqlengine::{CacheStats, Database, Dialect, QueryCache};
 use std::sync::Arc;
 
-/// The three data-model snapshots plus their per-model query caches,
-/// and any number of registered morphed-model snapshots. Every snapshot
-/// is addressable by its catalog fingerprint, so two models that accept
-/// byte-identical SQL text still resolve to distinct databases and
-/// distinct cache spaces.
+/// The three data-model snapshots and any number of registered
+/// morphed-model snapshots, each with the query memo its database
+/// carries. Every snapshot is addressable by its catalog fingerprint, so
+/// two models that accept byte-identical SQL text still resolve to
+/// distinct databases and distinct memos.
 ///
 /// Every snapshot of a state carries the same [`Dialect`], the one the
 /// state serves: results depend on it (`7 / 2` is `3` under PostgreSQL
@@ -26,14 +26,14 @@ use std::sync::Arc;
 /// identity next to the catalog fingerprints.
 pub struct ServeState {
     pub domain: Domain,
-    models: Vec<(DataModel, Arc<Database>, QueryCache)>,
-    /// Morphed snapshots: (catalog fingerprint, name, db, cache).
-    morphed: Vec<(u64, String, Arc<Database>, QueryCache)>,
+    models: Vec<(DataModel, Arc<Database>)>,
+    /// Morphed snapshots: (name, db).
+    morphed: Vec<(String, Arc<Database>)>,
 }
 
 impl ServeState {
     /// Loads all three data-model instances (fanned out) with fresh,
-    /// empty caches, serving PostgreSQL semantics. Content depends only
+    /// empty memos, serving PostgreSQL semantics. Content depends only
     /// on the deterministic domain generator, so two states are
     /// interchangeable.
     pub fn build() -> ServeState {
@@ -44,8 +44,7 @@ impl ServeState {
     pub fn build_with_dialect(dialect: Dialect) -> ServeState {
         let domain = generate(footballdb::DEFAULT_SEED);
         let models = par_map(&DataModel::ALL, |&m| {
-            let db = load(&domain, m).with_dialect(dialect);
-            (m, Arc::new(db), QueryCache::new())
+            (m, Arc::new(load(&domain, m).with_dialect(dialect)))
         });
         ServeState {
             domain,
@@ -60,18 +59,19 @@ impl ServeState {
     }
 
     pub fn db(&self, model: DataModel) -> &Arc<Database> {
-        &self.models.iter().find(|(m, _, _)| *m == model).unwrap().1
+        &self.models.iter().find(|(m, _)| *m == model).unwrap().1
     }
 
+    /// The query memo of one data model's snapshot.
     pub fn cache(&self, model: DataModel) -> &QueryCache {
-        &self.models.iter().find(|(m, _, _)| *m == model).unwrap().2
+        self.db(model).query_cache()
     }
 
     /// Registers a morphed data model and returns its catalog
-    /// fingerprint — the snapshot's address from then on. The fingerprint
-    /// also keys the cache internally, so a second registration whose
-    /// schema differs can never share entries with this one even when
-    /// both accept the same SQL text. Re-registering an identical
+    /// fingerprint — the snapshot's address from then on. Each snapshot
+    /// answers from its own database's memo, so a second registration
+    /// whose schema differs can never share entries with this one even
+    /// when both accept the same SQL text. Re-registering an identical
     /// catalog is rejected: the existing snapshot already serves it. So
     /// is a snapshot in another dialect than the state serves.
     pub fn register_morphed(&mut self, name: &str, db: Database) -> u64 {
@@ -85,65 +85,41 @@ impl ServeState {
             self.dialect(),
             "snapshot {name:?} is in another dialect than the state serves"
         );
-        self.morphed
-            .push((fp, name.to_string(), Arc::new(db), QueryCache::new()));
+        self.morphed.push((name.to_string(), Arc::new(db)));
         fp
+    }
+
+    fn databases(&self) -> impl Iterator<Item = &Arc<Database>> {
+        let morphed = self.morphed.iter().map(|(_, db)| db);
+        self.models.iter().map(|(_, db)| db).chain(morphed)
     }
 
     /// Resolves any snapshot — built-in or morphed — by catalog
     /// fingerprint.
     pub fn snapshot_by_fingerprint(&self, fp: u64) -> Option<(&Arc<Database>, &QueryCache)> {
-        self.models
-            .iter()
-            .find(|(_, db, _)| db.catalog_fingerprint() == fp)
-            .map(|(_, db, cache)| (db, cache))
-            .or_else(|| {
-                self.morphed
-                    .iter()
-                    .find(|(f, _, _, _)| *f == fp)
-                    .map(|(_, _, db, cache)| (db, cache))
-            })
+        self.databases()
+            .find(|db| db.catalog_fingerprint() == fp)
+            .map(|db| (db, db.query_cache()))
     }
 
     /// Names and fingerprints of all registered morphed snapshots.
     pub fn morphed_models(&self) -> impl Iterator<Item = (&str, u64)> {
         self.morphed
             .iter()
-            .map(|(fp, name, _, _)| (name.as_str(), *fp))
+            .map(|(name, db)| (name.as_str(), db.catalog_fingerprint()))
     }
 
-    /// Aggregated cache counters over all three model caches.
+    /// Aggregated memo counters over every snapshot, morphed ones
+    /// included.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            oversize: 0,
-            builds: 0,
-        };
-        let caches = self
-            .models
-            .iter()
-            .map(|(_, _, c)| c)
-            .chain(self.morphed.iter().map(|(_, _, _, c)| c));
-        for cache in caches {
-            let s = cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.oversize += s.oversize;
-            total.builds += s.builds;
-        }
-        total
+        self.databases().map(|db| db.query_cache().stats()).sum()
     }
 
-    /// Σ per-shard |builds − entries| over all caches: 0 whenever the
+    /// Σ per-shard |builds − entries| over all memos: 0 whenever the
     /// racing-miss single-build invariant held on every shard.
     pub fn shard_drift(&self) -> u64 {
-        self.models
-            .iter()
-            .map(|(_, _, c)| c.shard_drift())
-            .chain(self.morphed.iter().map(|(_, _, _, c)| c.shard_drift()))
+        self.databases()
+            .map(|db| db.query_cache().shard_drift())
             .sum()
     }
 

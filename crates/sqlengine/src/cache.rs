@@ -9,6 +9,14 @@
 //! later evaluation shares the materialized [`ResultSet`] behind an
 //! `Arc`.
 //!
+//! Every [`Database`] owns one memo ([`Database::query_cache`]), which
+//! is the one predict's failure checks and scoring both go through: a
+//! gold query the predictor verified a corruption against is served to
+//! the scorer from the same entry. An insert into the database drops
+//! every entry, so a memo never outlives the rows it was computed on.
+//! Free-standing caches (a fresh one per benchmark model, say) work the
+//! same way against any database.
+//!
 //! The cache is safe to share across threads and is semantically
 //! transparent: [`execute_sql`] is a pure function of `(db, sql)`
 //! *under a fixed planner configuration*, so a cached result is
@@ -28,6 +36,14 @@
 //! budget would have completed (see [`crate::budget`]).
 //! Hit/miss counters make the saved work observable in the benchmark
 //! harness.
+//!
+//! **Trace rule.** A hit replays the counter tree its fill recorded, so
+//! a traced lookup reports the same deterministic counters as a cold
+//! execution. A fill made with no trace collector installed recorded no
+//! tree, so while a collector is installed such an entry is not served:
+//! the lookup executes, counts a miss, and stores its tree into the
+//! existing entry (not a new build, so `builds == entries` still holds).
+//! Untraced fills never pay for span bookkeeping.
 //!
 //! **Sharding.** The memo table is lock-striped into [`SHARDS`]
 //! independent `RwLock` shards selected by a deterministic FNV hash of
@@ -53,7 +69,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Snapshot of a cache's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
@@ -76,6 +92,19 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+/// Field-wise totals over several caches.
+impl std::iter::Sum for CacheStats {
+    fn sum<I: Iterator<Item = CacheStats>>(iter: I) -> CacheStats {
+        iter.fold(CacheStats::default(), |a, b| CacheStats {
+            hits: a.hits + b.hits,
+            misses: a.misses + b.misses,
+            entries: a.entries + b.entries,
+            oversize: a.oversize + b.oversize,
+            builds: a.builds + b.builds,
+        })
     }
 }
 
@@ -203,7 +232,9 @@ impl QueryCache {
     /// (a miss), so a `BudgetExceeded` error and its trip point are the
     /// same as from an empty cache. Errors are never stored, so a
     /// capped run cannot poison a later run with a larger — or no —
-    /// budget.
+    /// budget. Under an installed trace collector a stored result is
+    /// also served only when its fill recorded a counter tree to replay
+    /// (the module docs' trace rule).
     pub fn execute_budgeted(
         &self,
         db: &Database,
@@ -224,13 +255,14 @@ impl QueryCache {
             ^ db.catalog_fingerprint().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let key = sql.trim();
         let shard = &self.shards[shard_of(key)];
+        let tracing = trace::is_active();
         let hit = shard
             .map
             .read()
             .unwrap()
             .get(&fp)
             .and_then(|entries| entries.get(key))
-            .filter(|entry| entry.spent.fits(budget))
+            .filter(|entry| entry.spent.fits(budget) && (!tracing || entry.trace.is_some()))
             .map(|entry| (Arc::clone(&entry.result), entry.trace.clone()));
         if let Some((result, spans)) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -252,7 +284,8 @@ impl QueryCache {
         // same pure result, so first-write-wins keeps determinism — and
         // only the thread winning this shard's insert counts a build,
         // which is what keeps each shard's `builds` equal to its stored
-        // entry count under races.
+        // entry count under races. A traced execution hands its counter
+        // tree to an entry an untraced fill left without one.
         match shard
             .map
             .write()
@@ -261,7 +294,12 @@ impl QueryCache {
             .or_default()
             .entry(key.to_string())
         {
-            Entry::Occupied(_) => {}
+            Entry::Occupied(mut slot) => {
+                let entry = slot.get_mut();
+                if entry.trace.is_none() {
+                    entry.trace = spans.map(Arc::new);
+                }
+            }
             Entry::Vacant(slot) => {
                 shard.builds.fetch_add(1, Ordering::Relaxed);
                 slot.insert(CacheEntry {
@@ -293,6 +331,25 @@ impl QueryCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.oversize.store(0, Ordering::Relaxed);
+    }
+
+    /// Drops every entry after a mutation of the database the memo
+    /// serves. Exclusive access needs no lock, and empty shards — all
+    /// of them while a database loads — are skipped, so this is cheap
+    /// on the per-row insert path. Hit/miss counters survive; each
+    /// shard's build counter resets with its entries, so `builds ==
+    /// entries` keeps holding.
+    pub(crate) fn invalidate(&mut self) {
+        for shard in &mut self.shards {
+            let map = shard
+                .map
+                .get_mut()
+                .expect("memo shard poisoned by a panicking fill");
+            if !map.is_empty() {
+                map.clear();
+                *shard.builds.get_mut() = 0;
+            }
+        }
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -623,6 +680,25 @@ mod tests {
         assert_eq!(cold.counters.cache_misses, 1);
         assert_eq!(warm.counters.cache_hits, 1);
         assert!(warm.render().contains("cache replay"), "{}", warm.render());
+
+        // A fill with no collector installed recorded no tree: the first
+        // traced lookup executes (a miss) and hands the entry its tree,
+        // without counting a second build; the next traced lookup replays it.
+        let cache = QueryCache::new();
+        cache.execute_cached(&db, sql).unwrap();
+        let traced_lookup = || {
+            let guard = trace::TraceGuard::install();
+            cache.execute_cached(&db, sql).unwrap();
+            guard.finish()
+        };
+        let first = traced_lookup();
+        assert_eq!(first.counter_tree(), cold.counter_tree());
+        assert_eq!(first.counters.cache_misses, 1);
+        let second = traced_lookup();
+        assert_eq!(second.counter_tree(), cold.counter_tree());
+        assert_eq!(second.counters.cache_hits, 1);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries, s.builds), (1, 2, 1, 1));
     }
 
     #[test]

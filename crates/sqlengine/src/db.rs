@@ -16,7 +16,16 @@
 //! pass), and a single shared `AtomicU64` pair would make every worker
 //! bounce one cache line. Each thread increments a slot chosen by a
 //! thread-local stripe id; reads sum the stripes, so totals are exact.
+//!
+//! Each database also owns its query-result memo
+//! ([`Database::query_cache`]): every caller that executes against the
+//! database — predict's failure checks, scoring, serving — shares it,
+//! so each distinct query runs once per database. Like the indexes it
+//! is derived state: `Clone` starts it empty and every insert drops it.
+//! Insert holds `&mut self`, so both invalidations reach the stripes
+//! through `RwLock::get_mut` (no lock taken) and skip empty ones.
 
+use crate::cache::QueryCache;
 use crate::catalog::{Catalog, DataType, TableSchema};
 use crate::error::EngineError;
 use crate::value::{IndexKey, Value};
@@ -133,11 +142,14 @@ pub struct Database {
     indexes: [IndexShard; INDEX_SHARDS],
     index_builds: AtomicU64,
     probe_stripes: [ProbeStripe; INDEX_SHARDS],
+    /// Query-result memo shared by every caller executing against this
+    /// database.
+    memo: QueryCache,
 }
 
 impl Clone for Database {
-    /// Clones catalog, dialect and rows; the index cache starts empty
-    /// (indexes rebuild lazily) and counters reset.
+    /// Clones catalog, dialect and rows; the index cache and the query
+    /// memo start empty (both refill lazily) and counters reset.
     fn clone(&self) -> Database {
         Database {
             catalog: self.catalog.clone(),
@@ -147,6 +159,7 @@ impl Clone for Database {
             indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             index_builds: AtomicU64::new(0),
             probe_stripes: std::array::from_fn(|_| ProbeStripe::default()),
+            memo: QueryCache::new(),
         }
     }
 }
@@ -172,6 +185,7 @@ impl Database {
             indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             index_builds: AtomicU64::new(0),
             probe_stripes: std::array::from_fn(|_| ProbeStripe::default()),
+            memo: QueryCache::new(),
         }
     }
 
@@ -188,6 +202,13 @@ impl Database {
 
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// This database's query-result memo. Route executions through it
+    /// (`db.query_cache().execute_cached(db, sql)`) to share results
+    /// with every other caller of this database.
+    pub fn query_cache(&self) -> &QueryCache {
+        &self.memo
     }
 
     /// Structural fingerprint of this database's data model. Distinct
@@ -285,9 +306,14 @@ impl Database {
     }
 
     /// Drops every cached index for one table (called on mutation).
-    fn invalidate_indexes(&self, table_idx: usize) {
-        for shard in &self.indexes {
-            shard.write().unwrap().retain(|(t, _), _| *t != table_idx);
+    fn invalidate_indexes(&mut self, table_idx: usize) {
+        for shard in &mut self.indexes {
+            let map = shard
+                .get_mut()
+                .expect("index shard poisoned by a panicking build");
+            if !map.is_empty() {
+                map.retain(|(t, _), _| *t != table_idx);
+            }
         }
     }
 
@@ -316,6 +342,7 @@ impl Database {
         }
         self.data[idx].rows.push(row);
         self.invalidate_indexes(idx);
+        self.memo.invalidate();
         Ok(())
     }
 
@@ -416,6 +443,14 @@ fn type_matches(value: &Value, ty: DataType) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
+
+    fn count_teams(d: &Database) -> Value {
+        let rs = d
+            .query_cache()
+            .execute_cached(d, "SELECT COUNT(*) FROM team");
+        rs.unwrap().rows[0][0].clone()
+    }
 
     fn db() -> Database {
         Database::new(Catalog::new(vec![
@@ -539,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn index_is_cached_and_invalidated_by_insert() {
+    fn index_and_memo_are_cached_and_invalidated_by_insert() {
         let mut d = db();
         d.insert("team", vec![Value::Int(1), Value::text("A")])
             .unwrap();
@@ -548,9 +583,13 @@ mod tests {
         d.index("team", "team_id").unwrap();
         assert_eq!(d.index_stats().builds, 1, "second access served from cache");
         assert_eq!(d.cached_index_count(), 1);
+        assert_eq!(count_teams(&d), Value::Int(1));
+        assert_eq!(count_teams(&d), Value::Int(1));
+        assert_eq!(d.query_cache().stats().hits, 1);
 
-        // Mutation drops the table's indexes; the next access rebuilds
-        // over the new rows while old Arcs stay valid but stale.
+        // Mutation drops the table's indexes and every memoized result;
+        // the next access rebuilds over the new rows while old Arcs stay
+        // valid but stale.
         d.insert("team", vec![Value::Int(2), Value::text("B")])
             .unwrap();
         assert_eq!(d.cached_index_count(), 0);
@@ -558,6 +597,10 @@ mod tests {
         assert_eq!(d.index_stats().builds, 2);
         assert_eq!(before.lookup(&Value::Int(2)), None);
         assert_eq!(after.lookup(&Value::Int(2)), Some(&[1u32][..]));
+        let s = d.query_cache().stats();
+        assert_eq!((s.entries, s.builds), (0, 0), "the insert dropped the memo");
+        assert_eq!(count_teams(&d), Value::Int(2), "the new row is counted");
+        assert_eq!(d.query_cache().shard_drift(), 0);
     }
 
     #[test]
@@ -590,15 +633,18 @@ mod tests {
     }
 
     #[test]
-    fn clone_starts_with_fresh_index_cache() {
+    fn clone_starts_with_fresh_index_cache_and_memo() {
         let mut d = db();
         d.insert("team", vec![Value::Int(1), Value::text("A")])
             .unwrap();
         d.index("team", "team_id").unwrap();
+        count_teams(&d);
+        assert_eq!(d.query_cache().stats().entries, 1);
         let c = d.with_dialect(Dialect::Sqlite).clone();
         assert_eq!(c.dialect(), Dialect::Sqlite);
         assert_eq!(c.cached_index_count(), 0);
         assert_eq!(c.index_stats().builds, 0);
+        assert_eq!(c.query_cache().stats(), CacheStats::default());
         assert_eq!(c.row_count("team"), 1);
     }
 

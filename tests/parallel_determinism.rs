@@ -3,12 +3,14 @@
 //! The parallel scheduler and the query-result cache are required to be
 //! semantically invisible: any thread count must reproduce the serial
 //! reference output bit-for-bit, and a memoized execution must score
-//! exactly like a fresh one. These tests pin both properties at the
-//! experiment-grid level.
+//! (and verify a prediction) exactly like a fresh one. These tests pin
+//! both properties at the experiment-grid level.
 
+use evalkit::morph::canonical_budget;
 use evalkit::{run_config, run_finetuned_grid, set_thread_override, EvalSetup, RunResult};
 use footballdb::DataModel;
-use textosql::{Budget, SystemKind};
+use textosql::{predict, Budget, RetrievalIndex, SystemContext, SystemKind};
+use xrng::Rng;
 
 fn assert_runs_identical(a: &[RunResult], b: &[RunResult]) {
     assert_eq!(a.len(), b.len());
@@ -76,4 +78,59 @@ fn cached_and_uncached_runs_score_identically() {
     );
     let stats = setup.cache_stats();
     assert!(stats.hits > 0, "memoization never engaged: {stats:?}");
+}
+
+#[test]
+fn failed_predictions_share_the_database_memo() {
+    let setup = EvalSetup::small(53);
+    let index = RetrievalIndex::build(&setup.benchmark.train);
+    let ctx = |model, system| SystemContext {
+        model,
+        db: setup.db(model),
+        graph: setup.graph(model),
+        index: Some(&index),
+        budget: canonical_budget(system),
+    };
+    // Every system on every model, each draw forced to fail (p = 0), so
+    // every prediction that emits SQL verified a corruption against gold.
+    let predict_item = |model, system, i: usize| {
+        let mut rng = Rng::new(53).fork(&format!("{system}/{model}/{i}"));
+        let item = &setup.benchmark.test[i];
+        predict(system, item, &ctx(model, system), 0.0, &mut rng).sql
+    };
+    let predict_all = || {
+        let mut out = Vec::new();
+        for model in DataModel::ALL {
+            for system in SystemKind::ALL {
+                for i in 0..setup.benchmark.test.len() {
+                    out.push(predict_item(model, system, i));
+                }
+            }
+        }
+        out
+    };
+
+    setup.set_query_caches_enabled(false);
+    let fresh = predict_all();
+    assert_eq!(setup.cache_stats().hits, 0);
+    setup.set_query_caches_enabled(true);
+    setup.clear_query_caches();
+    let memoized = predict_all();
+    assert_eq!(fresh, memoized, "the memo changed an emitted prediction");
+    assert!(fresh.iter().filter(|sql| sql.is_some()).count() > 100);
+
+    // Predicting a failed item again is served gold from the memo the
+    // first prediction filled (candidates that failed to execute are
+    // never stored, so those run again).
+    let (model, system) = (DataModel::V2, SystemKind::Gpt35);
+    let i = (0..setup.benchmark.test.len())
+        .find(|&i| predict_item(model, system, i).is_some())
+        .expect("some failed prediction emits SQL");
+    let before = setup.query_cache(model).stats();
+    assert!(predict_item(model, system, i).is_some());
+    let after = setup.query_cache(model).stats();
+    assert!(
+        after.hits > before.hits,
+        "gold was not served from the memo"
+    );
 }

@@ -107,14 +107,22 @@ fn per_item_counters_are_identical_cold_and_cached() {
         )
     };
 
+    // The reference: no memo at all, so every item trace comes from
+    // fresh executions.
+    setup.set_query_caches_enabled(false);
+    let reference = run("trace-cache");
+
     setup.set_query_caches_enabled(true);
     setup.clear_query_caches();
+    // Predict fills gold entries untraced before scoring traces them;
+    // the memo's trace rule keeps those items' counters complete.
     let cold = run("trace-cache");
     // Same config again on warm caches: hits replay the fill-time
     // counter tree, so the deterministic projection must not move.
     let warm = run("trace-cache");
 
-    assert_det_traces_identical(&cold, &warm, "cold vs cached");
+    assert_det_traces_identical(&reference, &cold, "memo off vs cold memo");
+    assert_det_traces_identical(&reference, &warm, "memo off vs warm memo");
     let warm_hits: u64 = warm.items.iter().map(|i| i.trace.cache_hits).sum();
     assert!(warm_hits > 0, "memoization never engaged");
 }
