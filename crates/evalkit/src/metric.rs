@@ -108,7 +108,8 @@ pub fn classify_engine_error(e: &EngineError) -> FailureKind {
         EngineError::Parse(_) => FailureKind::ParseError,
         EngineError::UnknownTable(_)
         | EngineError::UnknownColumn(_)
-        | EngineError::AmbiguousColumn(_) => FailureKind::UnknownIdentifier,
+        | EngineError::AmbiguousColumn(_)
+        | EngineError::DuplicateBinding(_) => FailureKind::UnknownIdentifier,
         EngineError::BudgetExceeded { .. } => FailureKind::BudgetExceeded,
         _ => FailureKind::ExecError,
     }

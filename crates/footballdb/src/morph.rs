@@ -21,7 +21,8 @@ use sqlengine::catalog::Catalog;
 use sqlengine::morph::{migrate, migrate_database, schema_of};
 use sqlengine::value::Value;
 use sqlengine::Database;
-use sqlkit::morph::{chain_distance, rewrite_sql, MorphError, MorphOp, MorphSchema};
+use sqlkit::morph::{chain_distance, MorphChain, MorphError, MorphOp, MorphSchema};
+use std::sync::OnceLock;
 use xrng::Rng;
 
 use crate::load;
@@ -29,6 +30,7 @@ use crate::model::Domain;
 use crate::schema::DataModel;
 
 /// One synthesized data model: a named, validated op chain from v1.
+/// Only [`synthesize_models`] builds one.
 #[derive(Debug, Clone)]
 pub struct MorphModel {
     /// Stable model id, `m01`, `m02`, ...
@@ -37,12 +39,16 @@ pub struct MorphModel {
     pub ops: Vec<MorphOp>,
     /// Edit distance from v1 (sum of op costs).
     pub distance: usize,
+    /// `ops` from the v1 shape, with its intermediate schemas computed
+    /// once for every rewrite.
+    chain: MorphChain,
 }
 
 impl MorphModel {
-    /// Rewrite v1 SQL onto this model.
+    /// Rewrite v1 SQL onto this model: the same result as
+    /// `sqlkit::morph::rewrite_sql(&v1_shape(), &self.ops, sql)`.
     pub fn rewrite(&self, sql: &str) -> Result<String, MorphError> {
-        rewrite_sql(&v1_shape(), &self.ops, sql)
+        self.chain.rewrite_sql(sql)
     }
 
     /// One-line chain description for reports.
@@ -55,9 +61,11 @@ impl MorphModel {
     }
 }
 
-/// The v1 morph-layer shape.
+/// The v1 morph-layer shape (built once per process).
 pub fn v1_shape() -> MorphSchema {
-    schema_of(&DataModel::V1.catalog())
+    static V1: OnceLock<MorphSchema> = OnceLock::new();
+    V1.get_or_init(|| schema_of(&DataModel::V1.catalog()))
+        .clone()
 }
 
 /// Materialize a morphed model's database from the domain (v1 data
@@ -154,11 +162,10 @@ impl Synth<'_> {
         let Ok((next_catalog, _)) = migrate(&self.catalog, &empty, &op) else {
             return false;
         };
-        let shape = schema_of(&self.catalog);
-        let step = [op.clone()];
+        let step = MorphChain::new(&schema_of(&self.catalog), std::slice::from_ref(&op));
         let mut rewritten = Vec::with_capacity(self.corpus.len());
         for sql in &self.corpus {
-            match rewrite_sql(&shape, &step, sql) {
+            match step.rewrite_sql(sql) {
                 Ok(s) => rewritten.push(s),
                 Err(_) => return false,
             }
@@ -293,6 +300,7 @@ pub fn synthesize_models(seed: u64, n: usize, corpus: &[String]) -> Vec<MorphMod
             MorphModel {
                 name: format!("m{:02}", i + 1),
                 distance: chain_distance(&s.ops),
+                chain: MorphChain::new(&v1_shape(), &s.ops),
                 ops: s.ops,
             }
         })

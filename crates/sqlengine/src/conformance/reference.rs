@@ -257,6 +257,7 @@ fn r_select(
     limit: Option<u64>,
     outer: Option<&Scope<'_>>,
 ) -> Result<ResultSet, EngineError> {
+    crate::exec::check_bindings(s)?;
     // FROM: cross products in written order, then joins in written order.
     let mut rel: Option<Rel> = None;
     for item in &s.from {

@@ -31,6 +31,7 @@ use crate::error::EngineError;
 use crate::value::{IndexKey, Value};
 use sqlkit::Dialect;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -40,6 +41,58 @@ pub struct TableData {
     pub rows: Vec<Vec<Value>>,
 }
 
+/// A fast, deterministic hasher for the column indexes: their maps are
+/// probed and never iterated, and their keys are the stored values of
+/// the database, not input a query can choose, so SipHash's flood
+/// resistance buys nothing there and costs most of a probe.
+///
+/// Each word is folded in with a multiply-rotate step, and `finish`
+/// applies the splitmix64 finalizer. The finalizer is not optional:
+/// integer keys are stored as `f64` bit patterns ([`IndexKey::Num`]),
+/// whose low bits are zero for small integers, and a multiply only
+/// carries differences upward. Without the avalanche every such key
+/// lands in the same low-bit bucket.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::K);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// A `HashMap` keyed through [`KeyHasher`]. Only for maps whose
+/// iteration order is never observed.
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
 /// A hash index over one column: non-NULL key value → ascending row ids.
 ///
 /// NULL cells are skipped at build time, which encodes the SQL rule that
@@ -47,12 +100,12 @@ pub struct TableData {
 /// to an empty result before reaching the map.
 #[derive(Debug, Default)]
 pub struct ColumnIndex {
-    map: HashMap<IndexKey, Vec<u32>>,
+    map: KeyMap<IndexKey, Vec<u32>>,
 }
 
 impl ColumnIndex {
     fn build(rows: &[Vec<Value>], col: usize) -> ColumnIndex {
-        let mut map: HashMap<IndexKey, Vec<u32>> = HashMap::new();
+        let mut map: KeyMap<IndexKey, Vec<u32>> = KeyMap::default();
         for (i, row) in rows.iter().enumerate() {
             if let Some(key) = IndexKey::of(&row[col]) {
                 map.entry(key).or_default().push(i as u32);
@@ -444,6 +497,7 @@ fn type_matches(value: &Value, ty: DataType) -> bool {
 mod tests {
     use super::*;
     use crate::cache::CacheStats;
+    use std::hash::Hash;
 
     fn count_teams(d: &Database) -> Value {
         let rs = d
@@ -601,6 +655,27 @@ mod tests {
         assert_eq!((s.entries, s.builds), (0, 0), "the insert dropped the memo");
         assert_eq!(count_teams(&d), Value::Int(2), "the new row is counted");
         assert_eq!(d.query_cache().shard_drift(), 0);
+    }
+
+    /// Small integers key as `f64` bit patterns whose low bits are all
+    /// zero. The low 16 bits of their hashes (the bucket bits of a
+    /// table that size) must still spread; the pre-finalizer state,
+    /// which is what a bare multiply-rotate hasher returns, does not.
+    #[test]
+    fn key_hasher_spreads_integer_keys_over_low_bits() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let mut finished = HashSet::new();
+        let mut bare = HashSet::new();
+        for i in 0..65_536 {
+            let key = IndexKey::of(&Value::Int(i)).unwrap();
+            finished.insert(build.hash_one(&key) & 0xffff);
+            let mut h = KeyHasher::default();
+            key.hash(&mut h);
+            bare.insert(h.0 & 0xffff);
+        }
+        assert!(finished.len() >= 32_768, "{} distinct", finished.len());
+        assert!(bare.len() < 32_768, "{} distinct", bare.len());
     }
 
     #[test]

@@ -17,6 +17,8 @@ pub enum EngineError {
     UnknownTable(String),
     UnknownColumn(String),
     AmbiguousColumn(String),
+    /// One FROM scope binds the same table name or alias twice.
+    DuplicateBinding(String),
     Arity {
         table: String,
         expected: usize,
@@ -59,6 +61,9 @@ impl fmt::Display for EngineError {
             EngineError::UnknownTable(t) => write!(f, "resolve: unknown table {t:?}"),
             EngineError::UnknownColumn(c) => write!(f, "resolve: unknown column {c:?}"),
             EngineError::AmbiguousColumn(c) => write!(f, "resolve: ambiguous column {c:?}"),
+            EngineError::DuplicateBinding(b) => {
+                write!(f, "resolve: table name {b:?} specified more than once")
+            }
             EngineError::Arity {
                 table,
                 expected,

@@ -31,6 +31,7 @@ use crate::vexec::VRel;
 use sqlkit::ast::*;
 use sqlkit::printer::expr_to_sql;
 use sqlkit::Dialect;
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::hash::Hasher;
@@ -256,15 +257,21 @@ pub(crate) enum Slot {
 /// per-row `eval` then reads row positions directly instead of
 /// re-scanning the binding list by name for every row × column.
 ///
-/// Entries are keyed by the *address* of each `ColumnRef` node, so the
-/// expressions handed to [`ColumnPlan::compile`] must stay alive (and
-/// unmoved) for as long as the plan is consulted. [`Expr::visit`] does
-/// not descend into subqueries, so a correlated subquery's references
-/// are never keyed here — they take the fallback scan against their own
-/// (different) scope.
+/// String literals are converted to their [`Value`] here too, once, so a
+/// per-row comparison against `'Germany'` borrows the plan's copy
+/// instead of allocating a `String` per row.
+///
+/// Entries are keyed by the *address* of each `ColumnRef` (or `Lit`)
+/// node and kept sorted by it, so a lookup is a binary search, not a
+/// hash. The expressions handed to [`ColumnPlan::compile`] must
+/// therefore stay alive (and unmoved) for as long as the plan is
+/// consulted. [`Expr::visit`] does not descend into subqueries, so a
+/// correlated subquery's references are never keyed here — they take
+/// the fallback scan against their own (different) scope.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnPlan {
-    slots: HashMap<usize, Slot>,
+    slots: Vec<(usize, Slot)>,
+    literals: Vec<(usize, Value)>,
 }
 
 impl ColumnPlan {
@@ -272,24 +279,49 @@ impl ColumnPlan {
     where
         I: IntoIterator<Item = &'e Expr>,
     {
-        let mut slots = HashMap::new();
+        let mut slots = Vec::new();
+        let mut literals = Vec::new();
         for e in exprs {
-            e.visit(&mut |x| {
-                if let Expr::Column(c) = x {
+            e.visit(&mut |x| match x {
+                Expr::Column(c) => {
                     let slot = match resolve_column(cols, c) {
                         Ok(Some(i)) => Slot::Local(i),
                         Ok(None) => Slot::Deferred,
                         Err(_) => Slot::Ambiguous,
                     };
-                    slots.insert(c as *const ColumnRef as usize, slot);
+                    slots.push((c as *const ColumnRef as usize, slot));
                 }
+                Expr::Literal(l @ Lit::Str(_)) => {
+                    literals.push((l as *const Lit as usize, lit_value(l)));
+                }
+                _ => {}
             });
         }
-        ColumnPlan { slots }
+        // One node has one address and one resolution, so a node handed
+        // in twice dedups to the same entry.
+        slots.sort_unstable_by_key(|&(addr, _)| addr);
+        slots.dedup_by_key(|&mut (addr, _)| addr);
+        literals.sort_unstable_by_key(|&(addr, _)| addr);
+        literals.dedup_by_key(|&mut (addr, _)| addr);
+        ColumnPlan { slots, literals }
     }
 
     pub(crate) fn get(&self, c: &ColumnRef) -> Option<Slot> {
-        self.slots.get(&(c as *const ColumnRef as usize)).copied()
+        let addr = c as *const ColumnRef as usize;
+        self.slots
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .ok()
+            .map(|i| self.slots[i].1)
+    }
+
+    /// The pre-converted value of a string literal compiled into this
+    /// plan.
+    fn literal(&self, l: &Lit) -> Option<&Value> {
+        let addr = l as *const Lit as usize;
+        self.literals
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .ok()
+            .map(|i| &self.literals[i].1)
     }
 }
 
@@ -523,6 +555,7 @@ fn exec_select(
     limit: Option<u64>,
     outer: Option<&Env<'_>>,
 ) -> Result<ResultSet, EngineError> {
+    check_bindings(s)?;
     // 0. Plan: fold uncorrelated subqueries to literals (so they run
     // once, not per row), then derive the physical plan — predicate
     // pushdown, access paths, join order, join algorithms — as a pure
@@ -538,6 +571,20 @@ fn exec_select(
     // 1.-4. FROM, joins, the residual WHERE and the output run on the
     // columnar executor.
     crate::vexec::exec_select_vec(db, s, order_by, limit, &plan, outer)
+}
+
+/// Rejects a FROM scope that binds one name twice, as PostgreSQL does
+/// ("table name … specified more than once"): a reference to the name
+/// could mean either table. Bindings compare case-insensitively, like
+/// every other name. A subquery may reuse an enclosing scope's binding.
+pub(crate) fn check_bindings(s: &Select) -> Result<(), EngineError> {
+    let bindings: Vec<&str> = s.table_refs().map(TableRef::binding).collect();
+    for (i, b) in bindings.iter().enumerate() {
+        if bindings[..i].iter().any(|a| a.eq_ignore_ascii_case(b)) {
+            return Err(EngineError::DuplicateBinding(b.to_string()));
+        }
+    }
+    Ok(())
 }
 
 /// Whether the output stage groups: GROUP BY, or an aggregate anywhere
@@ -1327,16 +1374,16 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
         Expr::Column(c) => env.lookup(c).cloned(),
         Expr::Literal(l) => Ok(lit_value(l)),
         Expr::Unary { op, expr } => {
-            let v = eval(db, expr, env)?;
+            let v = operand(db, expr, env)?;
             apply_unary(*op, &v)
         }
         Expr::Binary { left, op, right } => match op {
             BinOp::And => {
-                let l = eval(db, left, env)?;
-                if matches!(l, Value::Bool(false)) {
+                let l = operand(db, left, env)?;
+                if matches!(*l, Value::Bool(false)) {
                     return Ok(Value::Bool(false));
                 }
-                let r = eval(db, right, env)?;
+                let r = operand(db, right, env)?;
                 Ok(match (truth(&l), truth(&r)) {
                     (Some(false), _) | (_, Some(false)) => Value::Bool(false),
                     (Some(true), Some(true)) => Value::Bool(true),
@@ -1344,11 +1391,11 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
                 })
             }
             BinOp::Or => {
-                let l = eval(db, left, env)?;
-                if matches!(l, Value::Bool(true)) {
+                let l = operand(db, left, env)?;
+                if matches!(*l, Value::Bool(true)) {
                     return Ok(Value::Bool(true));
                 }
-                let r = eval(db, right, env)?;
+                let r = operand(db, right, env)?;
                 Ok(match (truth(&l), truth(&r)) {
                     (Some(true), _) | (_, Some(true)) => Value::Bool(true),
                     (Some(false), Some(false)) => Value::Bool(false),
@@ -1356,8 +1403,8 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
                 })
             }
             _ => {
-                let l = eval(db, left, env)?;
-                let r = eval(db, right, env)?;
+                let l = operand(db, left, env)?;
+                let r = operand(db, right, env)?;
                 apply_binary(&l, *op, &r, db.dialect())
             }
         },
@@ -1376,13 +1423,13 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             list,
             negated,
         } => {
-            let v = eval(db, expr, env)?;
+            let v = operand(db, expr, env)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let w = eval(db, item, env)?;
+                let w = operand(db, item, env)?;
                 match v.sql_eq(&w, db.dialect())? {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
@@ -1400,15 +1447,15 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             query,
             negated,
         } => {
-            let v = eval(db, expr, env)?;
+            let v = operand(db, expr, env)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let rs = exec_query(db, query, Some(env))?;
             let mut saw_null = false;
             for row in &rs.rows {
-                let w = row.first().cloned().unwrap_or(Value::Null);
-                match v.sql_eq(&w, db.dialect())? {
+                let w = row.first().unwrap_or(&Value::Null);
+                match v.sql_eq(w, db.dialect())? {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
                     None => saw_null = true,
@@ -1438,9 +1485,9 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             high,
             negated,
         } => {
-            let v = eval(db, expr, env)?;
-            let lo = eval(db, low, env)?;
-            let hi = eval(db, high, env)?;
+            let v = operand(db, expr, env)?;
+            let lo = operand(db, low, env)?;
+            let hi = operand(db, high, env)?;
             let dialect = db.dialect();
             let ge = v
                 .sql_cmp(&lo, dialect)?
@@ -1454,9 +1501,29 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             })
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval(db, expr, env)?;
+            let v = operand(db, expr, env)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
+    }
+}
+
+/// Evaluates an operand that is only read, never kept: a column
+/// borrows its cell and a string literal the plan's pre-converted value
+/// ([`ColumnPlan`]), so comparing a text column with a text literal
+/// copies neither. Anything else evaluates to an owned value. The
+/// operator sees the same value either way.
+fn operand<'v>(
+    db: &Database,
+    expr: &Expr,
+    env: &'v Env<'_>,
+) -> Result<Cow<'v, Value>, EngineError> {
+    match expr {
+        Expr::Column(c) => env.lookup(c).map(Cow::Borrowed),
+        Expr::Literal(l @ Lit::Str(_)) => Ok(match env.plan.and_then(|p| p.literal(l)) {
+            Some(v) => Cow::Borrowed(v),
+            None => Cow::Owned(lit_value(l)),
+        }),
+        _ => eval(db, expr, env).map(Cow::Owned),
     }
 }
 

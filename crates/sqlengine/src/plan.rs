@@ -13,6 +13,7 @@
 //! builds) the index at run time, so EXPLAIN leaves `index_builds`
 //! untouched.
 
+use crate::catalog::DataType;
 use crate::db::Database;
 use crate::exec::{force_seqscan, lit_value};
 use crate::value::Value;
@@ -96,7 +97,7 @@ pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> Se
     // output columns are not statically known, so layout-dependent
     // decisions (index nested-loop) are conservatively declined — the
     // hash join is result- and fuel-identical.
-    let mut layout: Vec<(String, String)> = Vec::new();
+    let mut layout: Vec<(String, String, DataType)> = Vec::new();
     let mut opaque = false;
     for t in &s.from {
         extend_layout(db, t, &mut layout, &mut opaque);
@@ -114,8 +115,10 @@ pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> Se
         let inl = if force_seqscan() {
             None
         } else {
-            inl_key(db, j).and_then(|(left_col, right_col)| {
-                find_col_static(&layout, opaque, &left_col).map(|lpos| (right_col, lpos))
+            inl_key(db, j).and_then(|(left_col, right_col, right_ty)| {
+                find_col_static(&layout, opaque, &left_col)
+                    .filter(|&lpos| same_key_class(layout[lpos].2, right_ty))
+                    .map(|lpos| (right_col, lpos))
             })
         };
         let algo = match inl {
@@ -195,12 +198,13 @@ fn plan_scan(db: &Database, t: &TableRef, pushed: &[(String, Expr)]) -> ScanPlan
     }
 }
 
-/// Appends a source's statically known columns to the layout; derived
-/// tables poison it (their output columns are only known at run time).
+/// Appends a source's statically known columns (with their declared
+/// types) to the layout; derived tables poison it (their output columns
+/// are only known at run time).
 fn extend_layout(
     db: &Database,
     t: &TableRef,
-    layout: &mut Vec<(String, String)>,
+    layout: &mut Vec<(String, String, DataType)>,
     opaque: &mut bool,
 ) {
     match t {
@@ -211,7 +215,7 @@ fn extend_layout(
                     schema
                         .columns
                         .iter()
-                        .map(|c| (binding.to_string(), c.name.clone())),
+                        .map(|c| (binding.to_string(), c.name.clone(), c.ty)),
                 );
             }
             None => *opaque = true,
@@ -224,19 +228,23 @@ fn extend_layout(
 /// `None` whenever the layout is opaque, since a derived table could
 /// hold the named column (qualified by its binding) or make an
 /// unqualified name ambiguous.
-fn find_col_static(layout: &[(String, String)], opaque: bool, c: &ColumnRef) -> Option<usize> {
+fn find_col_static(
+    layout: &[(String, String, DataType)],
+    opaque: bool,
+    c: &ColumnRef,
+) -> Option<usize> {
     if opaque {
         return None;
     }
     match &c.table {
         Some(t) => layout
             .iter()
-            .position(|(b, n)| b.eq_ignore_ascii_case(t) && n.eq_ignore_ascii_case(&c.column)),
+            .position(|(b, n, _)| b.eq_ignore_ascii_case(t) && n.eq_ignore_ascii_case(&c.column)),
         None => {
             let matches: Vec<usize> = layout
                 .iter()
                 .enumerate()
-                .filter(|(_, (_, n))| n.eq_ignore_ascii_case(&c.column))
+                .filter(|(_, (_, n, _))| n.eq_ignore_ascii_case(&c.column))
                 .map(|(i, _)| i)
                 .collect();
             if matches.len() == 1 {
@@ -280,6 +288,19 @@ fn probe_type_compatible(ty: crate::catalog::DataType, key: &Value) -> bool {
         Value::Text(_) => matches!(ty, T::Text | T::Date),
         Value::Bool(_) => matches!(ty, T::Bool),
     }
+}
+
+/// True when two declared column types store their values in one
+/// index-key class (numbers, or text), so index-key equality on the
+/// pair agrees with `=`. A boolean column may also hold text (see
+/// `db::type_matches`), so it never qualifies. A pair that fails keeps
+/// to the hash path, which checks the stored values' classes.
+fn same_key_class(a: DataType, b: DataType) -> bool {
+    use DataType as T;
+    matches!(
+        (a, b),
+        (T::Int | T::Float, T::Int | T::Float) | (T::Text | T::Date, T::Text | T::Date)
+    )
 }
 
 /// Picks the index driver for a filtered scan: the first pushed conjunct
@@ -347,9 +368,9 @@ pub(crate) fn scan_index_choice(
 /// `outer.col = inner.col`, where the inner side is qualified with the
 /// join's binding and names a real column, and the outer side is
 /// qualified with a different binding. Returns the outer column
-/// reference and the inner column's name. Pure function of catalog and
-/// query (shared with EXPLAIN).
-pub(crate) fn inl_key(db: &Database, join: &Join) -> Option<(ColumnRef, String)> {
+/// reference and the inner column's name and declared type. Pure
+/// function of catalog and query (shared with EXPLAIN).
+pub(crate) fn inl_key(db: &Database, join: &Join) -> Option<(ColumnRef, String, DataType)> {
     if join.kind != JoinKind::Inner {
         return None;
     }
@@ -378,11 +399,10 @@ pub(crate) fn inl_key(db: &Database, join: &Join) -> Option<(ColumnRef, String)>
             let (Some(at), Some(bt)) = (&ca.table, &cb.table) else {
                 continue;
             };
-            if bt.eq_ignore_ascii_case(binding)
-                && !at.eq_ignore_ascii_case(binding)
-                && schema.column_index(&cb.column).is_some()
-            {
-                return Some((ca.clone(), cb.column.clone()));
+            if bt.eq_ignore_ascii_case(binding) && !at.eq_ignore_ascii_case(binding) {
+                if let Some(ci) = schema.column_index(&cb.column) {
+                    return Some((ca.clone(), cb.column.clone(), schema.columns[ci].ty));
+                }
             }
         }
     }

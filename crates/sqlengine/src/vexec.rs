@@ -39,7 +39,7 @@ use crate::db::Database;
 use crate::error::EngineError;
 use crate::exec::{
     dedup_by_key, eval, exec_query, expand_projections, find_col, output_stage, row_key,
-    uses_aggregates, ColumnPlan, Env, Relation, Row,
+    uses_aggregates, ColumnPlan, Env, Relation, Row, Slot,
 };
 use crate::plan::{contains_subquery, Access, JoinAlgo, JoinStep, SelectPlan};
 use crate::result::ResultSet;
@@ -576,6 +576,15 @@ fn vexec_join<'a>(
 /// (plus any pushed right-side predicates) is re-evaluated per
 /// candidate, so the output and the per-emitted-row fuel are identical
 /// to the hash-join path.
+///
+/// A right row's pushed predicates give the same verdict for every left
+/// row that probes it whenever they read only the right table and the
+/// outer scope, so that verdict is memoized per right row id for this
+/// one execution: evaluated at the row's first encounter, in the same
+/// order as before (so the first error is the same error), and reused
+/// after. The ON clause is still evaluated for every passing candidate,
+/// key conjunct included, because index-key equality is not `=` for
+/// NaN. `eval` charges no fuel, so the charges are unchanged.
 fn vinl_join<'a>(
     db: &'a Database,
     left: VRel<'a>,
@@ -609,8 +618,31 @@ fn vinl_join<'a>(
         .map(|(_, e)| e)
         .collect();
     let on = join.on.as_ref().expect("checked by the planner");
-    let checks: Vec<&Expr> = mine.iter().copied().chain([on]).collect();
-    let cplan = ColumnPlan::compile(checks.iter().copied(), &cols);
+    let cplan = ColumnPlan::compile(mine.iter().copied().chain([on]), &cols);
+    // The memo's guard: every column the pushed predicates read resolves
+    // into the probed table's block or to the outer scope, never to the
+    // left rows.
+    let left_width = left.width();
+    let right_only = mine.iter().all(|e| {
+        let mut ok = true;
+        e.visit(&mut |x| {
+            if let Expr::Column(c) = x {
+                ok &= match cplan.get(c) {
+                    Some(Slot::Local(i)) => i >= left_width,
+                    Some(Slot::Deferred) => true,
+                    Some(Slot::Ambiguous) | None => false,
+                };
+            }
+        });
+        ok
+    });
+    // Per right row, once evaluated: do its pushed predicates pass?
+    // Empty when the memo is off.
+    let mut verdicts: Vec<Option<bool>> = if right_only && !mine.is_empty() {
+        vec![None; right_rows.len()]
+    } else {
+        Vec::new()
+    };
 
     let width = cols.len() as u64;
     let mut lpicks: Vec<u32> = Vec::new();
@@ -629,17 +661,31 @@ fn vinl_join<'a>(
                 }
                 None => continue,
             };
-            'cand: for &ri in candidates {
+            for &ri in candidates {
                 let env = Env {
                     cols: &cols,
                     row: Row::Base(&left, lrow, right_rows, ri as usize),
                     parent: outer,
                     plan: Some(&cplan),
                 };
-                for e in &checks {
-                    if !eval(db, e, &env)?.is_true() {
-                        continue 'cand;
+                let pass = match verdicts.get(ri as usize).copied().flatten() {
+                    Some(pass) => pass,
+                    None => {
+                        let mut pass = true;
+                        for e in &mine {
+                            if !eval(db, e, &env)?.is_true() {
+                                pass = false;
+                                break;
+                            }
+                        }
+                        if let Some(v) = verdicts.get_mut(ri as usize) {
+                            *v = Some(pass);
+                        }
+                        pass
                     }
+                };
+                if !pass || !eval(db, on, &env)?.is_true() {
+                    continue;
                 }
                 charge("join", 1, width)?;
                 lpicks.push(lrow as u32);
@@ -651,7 +697,6 @@ fn vinl_join<'a>(
     db.note_index_probes(probes, hits);
     scanned?;
 
-    let left_width = left.width();
     let mut slots: Vec<VSlot<'a>> = Vec::with_capacity(left.slots.len() + 1);
     for s in left.slots {
         slots.push(VSlot {
@@ -719,6 +764,19 @@ fn vjoin_relations<'a>(
             }
             residual.push(conj);
         }
+    }
+    // Hash keys match by storage class, but `=` coerces across classes
+    // (numeric text equals its number, or is an error under
+    // PostgreSQL). When a key pair's non-NULL values span more than one
+    // class, counted over both sides, the whole ON clause runs per pair
+    // in the nested loop, exactly as written.
+    if left_keys
+        .iter()
+        .zip(&right_keys)
+        .any(|(&i, &j)| (key_classes(&left, i) | key_classes(&right, j)).count_ones() > 1)
+    {
+        left_keys.clear();
+        right_keys.clear();
     }
 
     let mut lpicks: Vec<u32> = Vec::new();
@@ -860,6 +918,24 @@ fn vjoin_relations<'a>(
     }
 
     Ok(join_output(left, right, cols, &lpicks, &rpicks))
+}
+
+/// The index-key classes of one column's non-NULL values, as a bit set:
+/// numbers, text, booleans. Stops early once two classes are seen.
+fn key_classes(rel: &VRel<'_>, col: usize) -> u8 {
+    let mut seen = 0u8;
+    for row in 0..rel.len {
+        seen |= match rel.value(row, col) {
+            Value::Null => 0,
+            Value::Int(_) | Value::Float(_) => 1,
+            Value::Text(_) => 2,
+            Value::Bool(_) => 4,
+        };
+        if seen.count_ones() > 1 {
+            break;
+        }
+    }
+    seen
 }
 
 /// After greedy join reordering the column layout follows the execution

@@ -68,7 +68,7 @@ pub use hardness::{classify, classify_sql, mean_hardness, Hardness};
 pub use lexer::{token_count, tokenize, tokenize_dialect, Token};
 pub use morph::{
     apply_chain, apply_to_schema, chain_distance, dissolving_transform, rewrite_query, rewrite_sql,
-    MorphError, MorphOp, MorphSchema, MorphTable,
+    MorphChain, MorphError, MorphOp, MorphSchema, MorphTable,
 };
 pub use parser::{parse_query, parse_query_dialect};
 pub use printer::{expr_to_sql, normalize, to_sql, to_sql_for};

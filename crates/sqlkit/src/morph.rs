@@ -730,13 +730,56 @@ pub fn rewrite_query(schema: &MorphSchema, op: &MorphOp, q: &Query) -> Result<Qu
 /// Parse, rewrite through a whole op chain (evolving the schema at each
 /// step), and print the target-model SQL.
 pub fn rewrite_sql(schema: &MorphSchema, ops: &[MorphOp], sql: &str) -> Result<String, MorphError> {
-    let mut q = parse_query(sql).map_err(|e| MorphError::Parse(e.to_string()))?;
-    let mut s = schema.clone();
-    for op in ops {
-        q = rewrite_query(&s, op, &q)?;
-        s = apply_to_schema(&s, op)?;
+    MorphChain::new(schema, ops).rewrite_sql(sql)
+}
+
+/// An op chain with its intermediate schemas computed once, for
+/// rewriting many queries through the same chain: each rewrite then
+/// pays only the per-query work, not one [`apply_to_schema`] per op.
+#[derive(Debug, Clone)]
+pub struct MorphChain {
+    ops: Vec<MorphOp>,
+    /// `schemas[i]` is the schema op `i` applies to. It holds one entry
+    /// more than `ops` when every op applies, and stops at the first op
+    /// that does not.
+    schemas: Vec<MorphSchema>,
+    /// Why that op does not apply.
+    broken: Option<MorphError>,
+}
+
+impl MorphChain {
+    pub fn new(schema: &MorphSchema, ops: &[MorphOp]) -> MorphChain {
+        let mut schemas = vec![schema.clone()];
+        let mut broken = None;
+        for op in ops {
+            match apply_to_schema(schemas.last().expect("starts non-empty"), op) {
+                Ok(next) => schemas.push(next),
+                Err(e) => {
+                    broken = Some(e);
+                    break;
+                }
+            }
+        }
+        MorphChain {
+            ops: ops.to_vec(),
+            schemas,
+            broken,
+        }
     }
-    Ok(to_sql(&q))
+
+    /// [`rewrite_sql`] through this chain: the same result, or the same
+    /// error, for every input. A rewrite error at an op comes before
+    /// that op's schema error, as when the schemas evolve per query.
+    pub fn rewrite_sql(&self, sql: &str) -> Result<String, MorphError> {
+        let mut q = parse_query(sql).map_err(|e| MorphError::Parse(e.to_string()))?;
+        for (op, schema) in self.ops.iter().zip(&self.schemas) {
+            q = rewrite_query(schema, op, &q)?;
+        }
+        match &self.broken {
+            Some(e) => Err(e.clone()),
+            None => Ok(to_sql(&q)),
+        }
+    }
 }
 
 // ---- rename table ----------------------------------------------------------

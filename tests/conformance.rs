@@ -15,10 +15,11 @@ use sqlengine::conformance::{
     minimize_sql, ref_execute_sql, run_corpus, run_dialect_corpus, CorpusConfig,
 };
 use sqlengine::{
-    execute_sql, planner_config_fingerprint, set_force_seqscan, trace_execute_sql_with_budget,
-    Catalog, DataType, Database, Dialect, EngineError, ExecBudget, QueryCache, ResultSet,
-    TableSchema, TraceSpan, Value,
+    execute_sql, migrate_database, planner_config_fingerprint, set_force_seqscan,
+    trace_execute_sql, trace_execute_sql_with_budget, Catalog, DataType, Database, Dialect,
+    EngineError, ExecBudget, QueryCache, ResultSet, TableSchema, TraceSpan, Value,
 };
+use sqlkit::morph::{rewrite_sql, MorphOp};
 use std::sync::Mutex;
 
 /// Serializes every test that toggles (or observes the effect of) the
@@ -711,5 +712,302 @@ fn column_pruned_materialization_is_invisible() {
         );
         let (_, (_, charged_in_sort)) = fuel(&tripped, "sort");
         assert!(charged_in_sort > 0, "{sql}: tripped outside sort");
+    }
+}
+
+/// Runs `sql` indexed and under forced seqscan with tracing; asserts
+/// that the four engine configurations and the reference interpreter
+/// agree (`check_case`), that both access paths return the same outcome
+/// and logical digest, and returns the indexed outcome with its counter
+/// tree.
+fn traced_agreement(db: &Database, sql: &str) -> (Result<ResultSet, EngineError>, String) {
+    assert!(
+        check_case(db, &QueryCache::new(), sql).is_none(),
+        "diverged ({}): {sql}",
+        db.dialect()
+    );
+    let mut runs = Vec::new();
+    for force in [false, true] {
+        set_force_seqscan(Some(force));
+        runs.push(trace_execute_sql(db, sql));
+        set_force_seqscan(None);
+    }
+    let (seq, seq_span) = runs.pop().unwrap();
+    let (indexed, span) = runs.pop().unwrap();
+    assert_eq!(indexed, seq, "{sql}");
+    assert_eq!(span.logical_digest(), seq_span.logical_digest(), "{sql}");
+    (indexed, span.counter_tree())
+}
+
+/// Index-nested-loop joins memoize each probed row's pushed-predicate
+/// verdict. Many-to-one joins probe the same `national_team` row once
+/// per squad member; a chain of 1:1 split joins (the shape synthesized
+/// normalizing models produce) probes through several extension
+/// tables. Results, the first error, the logical digest and the full
+/// counter tree (fuel and rows per span) must be what per-probe
+/// evaluation gave; the pinned counter trees were recorded before the
+/// memo existed.
+#[test]
+fn inl_predicate_memo_is_invisible() {
+    let _g = mode_guard();
+    let v1 = footballdb::load(
+        &footballdb::generate(footballdb::DEFAULT_SEED),
+        DataModel::V1,
+    );
+    let germany =
+        "SELECT count(DISTINCT T1.world_cup_id) FROM squad AS T1 JOIN national_team AS T2 \
+                   ON T1.team_id = T2.team_id WHERE T2.teamname = 'Germany'";
+    let ops = [
+        MorphOp::SplitTable {
+            table: "national_team".into(),
+            ext: "national_team_info".into(),
+            moved: vec!["teamname".into(), "confederation".into()],
+        },
+        MorphOp::SplitTable {
+            table: "national_team_info".into(),
+            ext: "national_team_names".into(),
+            moved: vec!["teamname".into()],
+        },
+    ];
+    let split = migrate_database(&v1, &ops).unwrap();
+    let split_germany = rewrite_sql(&footballdb::v1_shape(), &ops, germany).unwrap();
+    let uefa = "SELECT T2.teamname, count(*) FROM squad AS T1 JOIN national_team AS T2 \
+                ON T1.team_id = T2.team_id WHERE T2.confederation = 'UEFA' \
+                AND T2.fifa_ranking < 20 GROUP BY T2.teamname ORDER BY 2 DESC, 1 LIMIT 3";
+    let split_uefa = rewrite_sql(&footballdb::v1_shape(), &ops, uefa).unwrap();
+    for (db, sql, want) in [
+        (&v1, germany, PINNED_GERMANY),
+        (&split, split_germany.as_str(), PINNED_SPLIT_GERMANY),
+        (&v1, uefa, PINNED_UEFA),
+        (&split, split_uefa.as_str(), PINNED_SPLIT_UEFA),
+    ] {
+        let (out, tree) = traced_agreement(db, sql);
+        let got = format!("{}\n{tree}", render_outcome(&out));
+        assert_eq!(got, want, "{sql}");
+    }
+
+    // A pushed predicate that errors under PostgreSQL. The index path
+    // evaluates it in probe order, so the error names the team of the
+    // first squad row; memoized, it is still that first error. (The
+    // seqscan path meets another team first, so only "an error" is
+    // common to every path.)
+    let bad = "SELECT T1.squad_id FROM squad AS T1 JOIN national_team AS T2 \
+               ON T1.team_id = T2.team_id WHERE T2.teamname = 7";
+    set_force_seqscan(Some(false));
+    let (out, span) = trace_execute_sql(&v1, bad);
+    set_force_seqscan(None);
+    let got = format!("{}\n{}", render_outcome(&out), span.counter_tree());
+    assert_eq!(got, PINNED_BAD, "{bad}");
+    assert!(ref_execute_sql(&v1, bad).is_err());
+    // Under SQLite the comparison is simply false.
+    let lite = v1.clone().with_dialect(Dialect::Sqlite);
+    let (out, _) = traced_agreement(&lite, bad);
+    assert_eq!(out.unwrap().rows.len(), 0);
+}
+
+// Outcomes and counter trees recorded before the INL memo and the
+// plan-resolved literals existed.
+const PINNED_GERMANY: &str = r#"[[Int(7)]]
+root rows=0 steps=0 cells=0
+  parse rows=0 steps=0 cells=0
+  query rows=1 steps=0 cells=0
+    plan rows=0 steps=0 cells=0
+    scan T1 rows=11247 steps=0 cells=0
+    join T2 rows=161 steps=161 cells=2093
+    aggregate rows=1 steps=161 cells=2093
+"#;
+const PINNED_SPLIT_GERMANY: &str = r#"[[Int(7)]]
+root rows=0 steps=0 cells=0
+  parse rows=0 steps=0 cells=0
+  query rows=1 steps=0 cells=0
+    plan rows=0 steps=0 cells=0
+    scan T1 rows=11247 steps=0 cells=0
+    join T2 rows=11247 steps=11247 cells=123717
+    join T2_national_team_info rows=11247 steps=11247 cells=146211
+    join T2_national_team_info_national_team_names rows=161 steps=161 cells=2415
+    aggregate rows=1 steps=161 cells=2415
+"#;
+const PINNED_UEFA: &str = r#"[[Text("France"), Int(276)], [Text("Italy"), Int(276)], [Text("Turkey"), Int(230)]]
+root rows=0 steps=0 cells=0
+  parse rows=0 steps=0 cells=0
+  query rows=3 steps=0 cells=0
+    plan rows=0 steps=0 cells=0
+    scan T1 rows=11247 steps=0 cells=0
+    join T2 rows=2047 steps=2047 cells=26611
+    aggregate rows=10 steps=2047 cells=26611
+"#;
+const PINNED_SPLIT_UEFA: &str = r#"[[Text("France"), Int(276)], [Text("Italy"), Int(276)], [Text("Turkey"), Int(230)]]
+root rows=0 steps=0 cells=0
+  parse rows=0 steps=0 cells=0
+  query rows=3 steps=0 cells=0
+    plan rows=0 steps=0 cells=0
+    scan T1 rows=11247 steps=0 cells=0
+    join T2 rows=4186 steps=4186 cells=46046
+    join T2_national_team_info rows=2047 steps=2047 cells=26611
+    join T2_national_team_info_national_team_names rows=2047 steps=2047 cells=30705
+    aggregate rows=10 steps=2047 cells=30705
+"#;
+const PINNED_BAD: &str = r#"error: eval: invalid input syntax for type numeric: "Uruguay"
+root rows=0 steps=0 cells=0
+  parse rows=0 steps=0 cells=0
+  query rows=0 steps=0 cells=0
+    plan rows=0 steps=0 cells=0
+    scan T1 rows=11247 steps=0 cells=0
+    join T2 rows=0 steps=0 cells=0
+"#;
+const PINNED_LITERALS: &str = r#"[[Int(1202)]]
+[[Int(42)]]
+[[Int(1769)]]
+[[Int(4)]]"#;
+
+fn render_outcome(out: &Result<ResultSet, EngineError>) -> String {
+    match out {
+        Ok(rs) => format!("{:?}", rs.rows),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// String literals are converted once per compiled column plan and
+/// borrowed per row. A text-literal comparison in a pushed scan filter,
+/// an ON clause, a residual WHERE and a correlated subquery answers as
+/// it did when each row converted its own copy (pinned), and as the
+/// reference does.
+#[test]
+fn plan_resolved_text_literals_answer_as_before() {
+    let _g = mode_guard();
+    let v1 = footballdb::load(
+        &footballdb::generate(footballdb::DEFAULT_SEED),
+        DataModel::V1,
+    );
+    let mut got = Vec::new();
+    for sql in [
+        "SELECT count(*) FROM player WHERE position = 'Goalkeeper' AND nickname <> 'x'",
+        "SELECT count(*) FROM club AS c JOIN league AS l ON c.league_id = l.league_id \
+         AND l.country = 'England'",
+        "SELECT count(*) FROM club AS c JOIN league AS l ON c.league_id = l.league_id \
+         WHERE c.country = 'Spain' OR l.name BETWEEN 'A' AND 'M'",
+        "SELECT count(*) FROM national_team AS nt WHERE EXISTS (SELECT 1 FROM coach AS co \
+         WHERE co.team_id = nt.team_id AND co.name > 'M') AND nt.teamname IN ('Brazil', 'Spain', 'Germany', 'Japan')",
+    ] {
+        let (out, _) = traced_agreement(&v1, sql);
+        got.push(render_outcome(&out));
+    }
+    assert_eq!(got.join("\n"), PINNED_LITERALS);
+}
+
+/// Regression (equi-join keys of different storage classes): hash and
+/// index-nested-loop joins matched keys by storage class, while `=`
+/// coerces numeric text. `t.id = u.code` with codes '1', '2' and 'x'
+/// returned no rows in every mode, and the LEFT JOIN form NULL-extended
+/// every row; the comma-join form with the same predicate in WHERE
+/// already agreed with the reference. A key pair whose values span
+/// several classes now runs per pair, in both dialects and all four
+/// configurations.
+#[test]
+fn equi_join_keys_of_different_storage_classes_compare_like_eq() {
+    let _g = mode_guard();
+    let mut pg = Database::new(Catalog::new(vec![
+        TableSchema::new("t")
+            .column("id", DataType::Int)
+            .pk(&["id"]),
+        TableSchema::new("u")
+            .column("code", DataType::Text)
+            .column("y", DataType::Int),
+    ]));
+    for id in [1, 2] {
+        pg.insert("t", vec![Value::Int(id)]).unwrap();
+    }
+    for (code, y) in [("1", 100), ("2", 200), ("x", 300)] {
+        pg.insert("u", vec![Value::text(code), Value::Int(y)])
+            .unwrap();
+    }
+    let lite = pg.clone().with_dialect(Dialect::Sqlite);
+    let pairs = vec![
+        vec![Value::Int(1), Value::Int(100)],
+        vec![Value::Int(2), Value::Int(200)],
+    ];
+    for sql in [
+        "SELECT t.id, u.y FROM t JOIN u ON t.id = u.code ORDER BY 1",
+        "SELECT t.id, u.y FROM u JOIN t ON u.code = t.id ORDER BY 1",
+        "SELECT t.id, u.y FROM t LEFT JOIN u ON t.id = u.code ORDER BY 1",
+        "SELECT t.id, u.y FROM t, u WHERE t.id = u.code ORDER BY 1",
+    ] {
+        let (out, _) = traced_agreement(&pg, sql);
+        assert_eq!(
+            out.map_err(|e| e.to_string()),
+            Err("eval: invalid input syntax for type numeric: \"x\"".to_string()),
+            "{sql}"
+        );
+        let (out, _) = traced_agreement(&lite, sql);
+        assert_eq!(out.unwrap().rows, pairs, "{sql} (sqlite)");
+    }
+    // Without the uncoercible code both dialects coerce and match.
+    pg = Database::new(pg.catalog().clone());
+    pg.insert("t", vec![Value::Int(1)]).unwrap();
+    pg.insert("u", vec![Value::text("1.0"), Value::Int(100)])
+        .unwrap();
+    let (out, _) = traced_agreement(&pg, "SELECT t.id, u.y FROM t JOIN u ON t.id = u.code");
+    assert_eq!(out.unwrap().rows, vec![pairs[0].clone()]);
+}
+
+/// Regression (one binding name twice in a FROM scope): a LEFT JOIN and
+/// an inner JOIN of the same table both bound as `t`, so `t.id` meant
+/// the left block on one path and each side separately on the hash
+/// path: the query returned no rows indexed and in the reference but
+/// every `u` row under forced seqscan. PostgreSQL rejects it; so do the
+/// engine and the reference now, in every configuration. With the
+/// scope rejected, a pushed predicate can never resolve into the left
+/// block of an index-nested-loop join, which is the INL memo's guard.
+#[test]
+fn repeated_binding_in_one_from_scope_is_rejected() {
+    let _g = mode_guard();
+    let mut pg = Database::new(Catalog::new(vec![
+        TableSchema::new("u")
+            .column("id", DataType::Int)
+            .column("k", DataType::Int)
+            .pk(&["id"]),
+        TableSchema::new("t")
+            .column("id", DataType::Int)
+            .column("x", DataType::Int)
+            .pk(&["id"]),
+    ]));
+    for id in 0..4 {
+        pg.insert("u", vec![Value::Int(id), Value::Int(id % 2)])
+            .unwrap();
+        pg.insert("t", vec![Value::Int(id), Value::Int(10 * id)])
+            .unwrap();
+    }
+    let lite = pg.clone().with_dialect(Dialect::Sqlite);
+    for db in [&pg, &lite] {
+        for (sql, name) in [
+            (
+                "SELECT u.id FROM u LEFT JOIN t ON u.id = t.id AND u.id <> 1 \
+                 JOIN t ON u.k = t.id WHERE t.x = 10",
+                "t",
+            ),
+            ("SELECT 1 FROM t JOIN T ON t.id = T.id", "T"),
+            ("SELECT a.id FROM u AS a, t AS A", "A"),
+            (
+                "SELECT d.id FROM (SELECT id FROM t) AS d JOIN u AS d ON d.id = 1",
+                "d",
+            ),
+            (
+                "SELECT u.id FROM u WHERE u.id IN (SELECT t.id FROM t, t)",
+                "t",
+            ),
+        ] {
+            let (out, _) = traced_agreement(db, sql);
+            assert_eq!(
+                out,
+                Err(EngineError::DuplicateBinding(name.into())),
+                "{sql}"
+            );
+        }
+        // A subquery may reuse a binding of the scope around it.
+        let (out, _) = traced_agreement(
+            db,
+            "SELECT t.id FROM t WHERE EXISTS (SELECT 1 FROM t WHERE t.x = 10) ORDER BY 1",
+        );
+        assert_eq!(out.unwrap().rows.len(), 4);
     }
 }

@@ -9,12 +9,16 @@
 //! * `rename ∘ rename⁻¹` is an exact identity on both the catalog and
 //!   the rewritten SQL text;
 //! * a sample of synthesized models answers the gold corpus EX-equal to
-//!   v1 end to end (migrated data + co-rewritten SQL).
+//!   v1 end to end (migrated data + co-rewritten SQL);
+//! * a model's cached chain rewrites the schema-sweep corpus exactly as
+//!   re-deriving every intermediate schema per query does.
 
 use footballdb::{generate, load, synthesize_models, v1_shape, DataModel};
 use sqlengine::morph::{migrate_database, schema_of};
 use sqlengine::{execute_sql, Database};
-use sqlkit::morph::{apply_chain, rewrite_sql, MorphOp};
+use sqlkit::morph::{
+    apply_chain, apply_to_schema, rewrite_query, rewrite_sql, MorphError, MorphOp, MorphSchema,
+};
 use std::sync::OnceLock;
 
 fn v1() -> &'static Database {
@@ -123,4 +127,70 @@ fn synthesized_models_answer_gold_ex_equal() {
     for m in &models {
         assert_chain_ex(&m.ops);
     }
+}
+
+/// The chain rewrite with every intermediate schema re-derived per
+/// query.
+fn rewrite_uncached(
+    schema: &MorphSchema,
+    ops: &[MorphOp],
+    sql: &str,
+) -> Result<String, MorphError> {
+    let mut q = sqlkit::parse_query(sql).map_err(|e| MorphError::Parse(e.to_string()))?;
+    let mut s = schema.clone();
+    for op in ops {
+        q = rewrite_query(&s, op, &q)?;
+        s = apply_to_schema(&s, op)?;
+    }
+    Ok(sqlkit::to_sql(&q))
+}
+
+#[test]
+fn cached_chain_rewrites_exactly_as_the_uncached_path() {
+    // The schema-sweep corpus and models of seed 3: the gold pool plus
+    // 150 template questions, onto 24 synthesized models.
+    let seed = 3;
+    let domain = generate(footballdb::DEFAULT_SEED);
+    let bench = nlq::gold::build_benchmark(&domain, 7, &nlq::PipelineConfig::default());
+    let templates = nlq::gold::build_raw_corpus(&domain, &mut xrng::Rng::new(seed ^ 0x7EAD), 150);
+    let corpus: Vec<String> = bench
+        .gold_pool
+        .iter()
+        .chain(&templates)
+        .map(|e| e.sql(DataModel::V1).to_string())
+        .collect();
+    let models = synthesize_models(seed, 24, &corpus);
+    let shape = v1_shape();
+    // Unparseable text and a reference to a table no model has must fail
+    // the same way on both paths.
+    let extra = ["SELEC nonsense", "SELECT x FROM no_such_table"];
+    for m in &models {
+        for sql in corpus.iter().map(String::as_str).chain(extra) {
+            assert_eq!(
+                m.rewrite(sql),
+                rewrite_uncached(&shape, &m.ops, sql),
+                "{}: {sql}",
+                m.name
+            );
+        }
+    }
+    // A chain whose second op does not apply: the error comes after the
+    // first op's rewrite, as it does uncached.
+    let broken = [
+        MorphOp::RenameColumn {
+            from: "teamname".into(),
+            to: "team_label".into(),
+        },
+        MorphOp::RenameTable {
+            from: "player".into(),
+            to: "squad".into(),
+        },
+    ];
+    for sql in GOLD {
+        assert_eq!(
+            sqlkit::morph::MorphChain::new(&shape, &broken).rewrite_sql(sql),
+            rewrite_uncached(&shape, &broken, sql)
+        );
+    }
+    assert!(rewrite_sql(&shape, &broken, GOLD[2]).is_err());
 }
