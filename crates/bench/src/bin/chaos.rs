@@ -21,26 +21,23 @@
 //!    sequence at 8 workers is bit-identical to the 1-worker serial
 //!    reference under the same fault seed.
 //!
-//! Results land in `BENCH_chaos.json`; exit status is 1 when any
-//! invariant is violated, 2 on usage errors.
+//! The three invariants are named in the record; it is written (to
+//! `BENCH_chaos.json` by default) only when all hold, else the binary
+//! exits 1. Usage errors exit 2.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use evalkit::{run_config_governed, set_thread_override, Governor, ItemResult, RunResult};
+use bench::{with_threads, Args, Record};
+use evalkit::{run_config_governed, Governor, ItemResult, Json, RunResult};
 use footballdb::DataModel;
 use sqlengine::ExecBudget;
 use textosql::{Budget, FaultPlan, SystemKind};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: chaos [--smoke] [--seed N] [--seeds N] [--out PATH]\n\
-         \u{20} --smoke   reduced grid for CI (2 seeds x 2 rates)\n\
-         \u{20} --seed N  base fault seed (default 11)\n\
-         \u{20} --seeds N number of consecutive fault seeds (default 3)\n\
-         \u{20} --out P   output path (default BENCH_chaos.json)"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: chaos [--smoke] [--seed N] [--seeds N] [--out PATH]
+  --smoke   reduced grid for CI (2 seeds x 2 rates)
+  --seed N  base fault seed (default 11)
+  --seeds N number of consecutive fault seeds (default 3)
+  --out P   output path (default BENCH_chaos.json)";
 
 /// Per-item fingerprint compared across thread counts.
 fn fingerprint(items: &[ItemResult]) -> Vec<(usize, String, String)> {
@@ -58,34 +55,13 @@ fn fingerprint(items: &[ItemResult]) -> Vec<(usize, String, String)> {
 
 fn main() {
     let dialect = bench::dialect_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut seed = 11u64;
-    let mut seeds = 3usize;
-    let mut out_path = "BENCH_chaos.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seeds" => {
-                seeds = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => out_path = it.next().cloned().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
-    if smoke {
-        seeds = 2;
-    }
+    let mut args = Args::parse(USAGE, &["--smoke"], &["--seed", "--seeds", "--out"]);
+    let smoke = args.switch("--smoke");
+    let seed = args.value("--seed", 11u64);
+    let seeds = args.value("--seeds", if smoke { 2 } else { 3usize });
+    // The smoke grid always runs two seeds.
+    let seeds = if smoke { 2 } else { seeds };
+    let out_path = args.value("--out", "BENCH_chaos.json".to_string());
     let rates: &[f64] = if smoke {
         &[0.0, 0.3]
     } else {
@@ -119,7 +95,7 @@ fn main() {
     let mut monotonic = true;
     let mut identical_to_serial = true;
     let mut total_failures: Vec<(String, usize)> = Vec::new();
-    let mut accuracies: Vec<String> = Vec::new();
+    let mut runs: Vec<Json> = Vec::new();
 
     for s in seed..seed + seeds as u64 {
         for (budget_label, budget) in &budgets {
@@ -135,7 +111,6 @@ fn main() {
                     };
                     let mut per_thread: Vec<RunResult> = Vec::new();
                     for threads in [1usize, 8] {
-                        set_thread_override(Some(threads));
                         // The label seeds the baseline success draw and
                         // per-item RNGs; it must NOT contain the rate,
                         // or the rate-0 and rate-r runs would score
@@ -143,18 +118,19 @@ fn main() {
                         // monotone-degradation comparison would be
                         // meaningless. Only the FaultPlan knows the rate.
                         let label = format!("chaos/{s}/{budget_label}");
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_config_governed(
-                                &setup,
-                                system,
-                                DataModel::V2,
-                                Budget::FewShot(10),
-                                &pool,
-                                &label,
-                                &gov,
-                            )
-                        }));
-                        set_thread_override(None);
+                        let run = with_threads(threads, || {
+                            catch_unwind(AssertUnwindSafe(|| {
+                                run_config_governed(
+                                    &setup,
+                                    system,
+                                    DataModel::V2,
+                                    Budget::FewShot(10),
+                                    &pool,
+                                    &label,
+                                    &gov,
+                                )
+                            }))
+                        });
                         cells += 1;
                         match run {
                             Ok(r) => per_thread.push(r),
@@ -176,11 +152,14 @@ fn main() {
                             );
                         }
                         ex_by_rate.push((rate, serial.accuracy()));
-                        accuracies.push(format!(
-                            "{{\"seed\": {s}, \"budget\": \"{budget_label}\", \
-                             \"system\": \"{system}\", \"rate\": {rate}, \"ex\": {:.4}}}",
-                            serial.accuracy()
-                        ));
+                        runs.push(
+                            Json::object()
+                                .with("seed", s)
+                                .with("budget", *budget_label)
+                                .with("system", system.to_string())
+                                .with("rate", rate)
+                                .with("ex", Json::Fixed(serial.accuracy(), 4)),
+                        );
                         for (k, n) in serial.failure_counts() {
                             match total_failures
                                 .iter_mut()
@@ -207,34 +186,21 @@ fn main() {
     }
     std::panic::set_hook(prev_hook);
 
-    let failure_json = total_failures
-        .iter()
-        .map(|(k, n)| format!("\"{k}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"cells\": {cells},\n  \"seeds\": {seeds},\n  \
-         \"rates\": [{}],\n  \"escaped_panics\": {escaped_panics},\n  \
-         \"monotonic\": {monotonic},\n  \"identical_to_serial\": {identical_to_serial},\n  \
-         \"failure_counts\": {{{failure_json}}},\n  \"runs\": [\n    {}\n  ],\n  \
-         \"scale\": \"{}\"\n}}\n",
-        rates
-            .iter()
-            .map(|r| r.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        accuracies.join(",\n    "),
-        if smoke { "smoke" } else { "full" },
-    );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    let failure_counts = total_failures.into_iter().map(|(k, n)| (k, n.into()));
+    let mut record = Record::new(&args);
+    record.invariant("no_escaped_panics", escaped_panics == 0);
+    record.invariant("monotonic", monotonic);
+    record.invariant("identical_to_serial", identical_to_serial);
+    record.deterministic("cells", cells);
+    record.deterministic("seeds", seeds);
+    record.deterministic("rates", Json::arr(rates.iter().copied()));
+    record.deterministic("escaped_panics", escaped_panics);
+    record.deterministic("failure_counts", Json::obj(failure_counts));
+    record.deterministic("runs", Json::Arr(runs));
+    record.deterministic("scale", if smoke { "smoke" } else { "full" });
     eprintln!(
         "chaos: {cells} cells, {escaped_panics} escaped panics, \
          monotonic={monotonic}, identical_to_serial={identical_to_serial}"
     );
-    print!("{json}");
-    if escaped_panics > 0 || !monotonic || !identical_to_serial {
-        eprintln!("chaos: invariant violated");
-        std::process::exit(1);
-    }
-    println!("chaos: clean");
+    record.write(&out_path);
 }

@@ -38,13 +38,16 @@
 //! checked for per-dialect self-consistency on the corpus database and
 //! its SQLite twin, then swept across the pair; every cross-dialect
 //! divergence must classify against the checked-in dialect-difference
-//! oracle, and the whole record is built twice (thread override 1 vs 8)
-//! and byte-compared before `BENCH_dialect.json` is written.
+//! oracle, and the whole deterministic section is built twice (thread
+//! override 1 vs 8) and compared. The record (`BENCH_dialect.json` by
+//! default) is written only when its invariants hold.
 //!
 //! Exit status 0 when all axes are clean, 1 on any divergence, 2 on
 //! usage errors. Divergences are printed minimized, with both result
 //! sets and the disagreeing configuration.
 
+use bench::{with_threads, Args, Record};
+use evalkit::Json;
 use footballdb::{generate, load_all, load_morphed, synthesize_models, DataModel};
 use nlq::gold::build_raw_corpus;
 use sqlengine::conformance::{
@@ -52,23 +55,18 @@ use sqlengine::conformance::{
     gen_hazard_corpus, result_bits_eq, run_corpus, run_dialect_corpus, run_morph_corpus,
     CorpusConfig, DialectDiffClass,
 };
-use sqlengine::{execute_sql, set_force_seqscan, Database, Dialect, ExecBudget, ResultSet};
-use std::fmt::Write as _;
+use sqlengine::{execute_sql, Database, Dialect, ExecBudget, ResultSet};
 use xrng::Rng;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: conformance [--smoke] [--dialects] [--seed N] [--seeds N] [--queries N] [--out PATH]\n\
-         \u{20} --smoke    reduced corpus for CI (1 seed x 400 queries)\n\
-         \u{20} --dialects run the cross-dialect isomorphism axis instead,\n\
-         \u{20}            writing BENCH_dialect.json\n\
-         \u{20} --seed N   base corpus seed (default 40)\n\
-         \u{20} --seeds N  number of consecutive seeds (default 5)\n\
-         \u{20} --queries N  queries per seed (default 1200)\n\
-         \u{20} --out PATH output path for --dialects (default BENCH_dialect.json)"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "usage: conformance [--smoke] [--dialects] [--seed N] [--seeds N] [--queries N] [--out PATH]
+  --smoke    reduced corpus for CI (1 seed x 400 queries)
+  --dialects run the cross-dialect isomorphism axis instead,
+             writing BENCH_dialect.json
+  --seed N   base corpus seed (default 40)
+  --seeds N  number of consecutive seeds (default 5; 1 with --smoke)
+  --queries N  queries per seed (default 1200; 400 with --smoke)
+  --out PATH output path for --dialects (default BENCH_dialect.json)";
 
 /// One (label, database, sql) execution case for the axes that run
 /// outside `sqlengine::conformance`.
@@ -80,19 +78,22 @@ struct Case<'a> {
 
 /// Runs every case through [`evalkit::par_map`] at a fixed worker count.
 fn run_parallel(cases: &[Case<'_>], threads: usize) -> Vec<Result<ResultSet, String>> {
-    evalkit::set_thread_override(Some(threads));
-    let out = evalkit::par_map(cases, |c| {
-        execute_sql(c.db, &c.sql).map_err(|e| e.to_string())
-    });
-    evalkit::set_thread_override(None);
-    out
+    with_threads(threads, || {
+        evalkit::par_map(cases, |c| {
+            execute_sql(c.db, &c.sql).map_err(|e| e.to_string())
+        })
+    })
 }
 
-/// Aggregated outcome of one full dialect-axis pass, JSON-rendered so
-/// the two passes can be byte-compared.
+/// Aggregated outcome of one full dialect-axis pass: its deterministic
+/// section, compared across the two passes, and the counts the
+/// invariants read.
 struct DialectPass {
-    payload: String,
-    failures: usize,
+    payload: Json,
+    oracle_failures: usize,
+    self_divergences: usize,
+    bugs: usize,
+    panics: usize,
     legitimate_total: usize,
 }
 
@@ -100,8 +101,6 @@ struct DialectPass {
 /// dialect self-consistency (four configs + reference under each
 /// dialect), and the classified cross-dialect sweep.
 fn dialect_pass(seed: u64, seeds: usize, queries: usize) -> DialectPass {
-    let mut failures = 0usize;
-
     let oracle_failures = check_dialect_oracles();
     for f in &oracle_failures {
         eprintln!(
@@ -109,7 +108,6 @@ fn dialect_pass(seed: u64, seeds: usize, queries: usize) -> DialectPass {
             f.check, f.executor, f.sql, f.detail
         );
     }
-    failures += oracle_failures.len();
 
     let mut total_queries = 0usize;
     let mut cross_execs = 0usize;
@@ -157,116 +155,84 @@ fn dialect_pass(seed: u64, seeds: usize, queries: usize) -> DialectPass {
         }
         bugs += report.bugs.len();
     }
-    failures += self_divs[0] + self_divs[1] + bugs + panics;
 
     let legitimate_total: usize = by_class.values().sum();
-    let mut class_json = String::new();
-    for (k, (class, n)) in by_class.iter().enumerate() {
-        if k > 0 {
-            class_json.push_str(", ");
-        }
-        let _ = write!(class_json, "\"{class}\": {n}");
-    }
-    let payload = format!(
-        "\"oracle_failures\": {},\n  \
-         \"self_consistency_divergences\": {{\"postgres\": {}, \"sqlite\": {}}},\n  \
-         \"queries\": {total_queries},\n  \
-         \"executions\": {},\n  \
-         \"agreeing\": {agreeing},\n  \
-         \"legitimate_divergences\": {legitimate_total},\n  \
-         \"by_class\": {{{class_json}}},\n  \
-         \"bug_divergences\": {bugs},\n  \
-         \"unclassified\": {bugs},\n  \
-         \"escaped_panics\": {panics}",
-        oracle_failures.len(),
-        self_divs[0],
-        self_divs[1],
-        cross_execs + self_execs,
-    );
+    let payload = Json::object()
+        .with("oracle_failures", oracle_failures.len())
+        .with(
+            "self_consistency_divergences",
+            Json::object()
+                .with("postgres", self_divs[0])
+                .with("sqlite", self_divs[1]),
+        )
+        .with("queries", total_queries)
+        .with("executions", cross_execs + self_execs)
+        .with("agreeing", agreeing)
+        .with("legitimate_divergences", legitimate_total)
+        .with(
+            "by_class",
+            Json::obj(by_class.into_iter().map(|(c, n)| (c, n.into()))),
+        )
+        .with("bug_divergences", bugs)
+        .with("unclassified", bugs)
+        .with("escaped_panics", panics);
     DialectPass {
         payload,
-        failures,
+        oracle_failures: oracle_failures.len(),
+        self_divergences: self_divs[0] + self_divs[1],
+        bugs,
+        panics,
         legitimate_total,
     }
 }
 
 /// The `--dialects` entry point: two full passes (thread override 1
 /// then 8 — the axis is serial by construction, and the record must not
-/// care), byte-compared, then written.
-fn run_dialect_axis(seed: u64, seeds: usize, queries: usize, smoke: bool, out_path: &str) -> ! {
+/// care), compared, then recorded.
+fn run_dialect_axis(args: &Args, seed: u64, seeds: usize, queries: usize, smoke: bool, out: &str) {
     eprintln!("dialects: pass 1 (thread override 1)...");
-    evalkit::set_thread_override(Some(1));
-    let a = dialect_pass(seed, seeds, queries);
+    let a = with_threads(1, || dialect_pass(seed, seeds, queries));
     eprintln!("dialects: pass 2 (thread override 8)...");
-    evalkit::set_thread_override(Some(8));
-    let b = dialect_pass(seed, seeds, queries);
-    evalkit::set_thread_override(None);
-    let deterministic_identical = a.payload == b.payload;
+    let b = with_threads(8, || dialect_pass(seed, seeds, queries));
 
-    let json = format!(
-        "{{\n  \"suite\": \"dialect\",\n  \"mode\": \"{}\",\n  \"seed\": {seed},\n  \
-         \"seeds\": {seeds},\n  \"queries_per_seed\": {queries},\n  \
-         \"dialects\": [\"postgres\", \"sqlite\"],\n  {},\n  \
-         \"has_legitimate_divergences\": {},\n  \
-         \"deterministic_identical\": {deterministic_identical}\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        a.payload,
-        a.legitimate_total > 0,
-    );
-    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("dialects: wrote {out_path}");
-    print!("{json}");
-
-    if a.failures > 0 || b.failures > 0 || !deterministic_identical || a.legitimate_total == 0 {
-        eprintln!("dialects: FAILED");
-        std::process::exit(1);
+    let mut record = Record::new(args);
+    record.invariant("no_oracle_failures", a.oracle_failures == 0);
+    record.invariant("self_consistent", a.self_divergences == 0);
+    record.invariant("no_bug_divergences", a.bugs == 0);
+    record.invariant("no_escaped_panics", a.panics == 0);
+    record.invariant("has_legitimate_divergences", a.legitimate_total > 0);
+    record.invariant("deterministic_identical", a.payload == b.payload);
+    record.deterministic("suite", "dialect");
+    record.deterministic("mode", if smoke { "smoke" } else { "full" });
+    record.deterministic("seed", seed);
+    record.deterministic("seeds", seeds);
+    record.deterministic("queries_per_seed", queries);
+    record.deterministic("dialects", Json::arr(["postgres", "sqlite"]));
+    if let Json::Obj(members) = a.payload {
+        for (key, value) in members {
+            record.deterministic(&key, value);
+        }
     }
+    record.write(out);
     println!("dialects: clean");
-    std::process::exit(0);
 }
 
 fn main() {
     let dialect = bench::dialect_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 40u64;
-    let mut seeds = 5usize;
-    let mut queries = 1200usize;
-    let mut smoke = false;
-    let mut dialects = false;
-    let mut out_path = "BENCH_dialect.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => {
-                seeds = 1;
-                queries = 400;
-                smoke = true;
-            }
-            "--dialects" => dialects = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seeds" => {
-                seeds = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--queries" => {
-                queries = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--out" => out_path = it.next().unwrap_or_else(|| usage()).clone(),
-            _ => usage(),
-        }
-    }
+    let mut args = Args::parse(
+        USAGE,
+        &["--smoke", "--dialects"],
+        &["--seed", "--seeds", "--queries", "--out"],
+    );
+    let smoke = args.switch("--smoke");
+    let dialects = args.switch("--dialects");
+    let seed = args.value("--seed", 40u64);
+    let seeds = args.value("--seeds", if smoke { 1 } else { 5usize });
+    let queries = args.value("--queries", if smoke { 400 } else { 1200usize });
+    let out_path = args.value("--out", "BENCH_dialect.json".to_string());
     if dialects {
-        run_dialect_axis(seed, seeds, queries, smoke, &out_path);
+        run_dialect_axis(&args, seed, seeds, queries, smoke, &out_path);
+        return;
     }
     let mut failures = 0usize;
 
@@ -311,8 +277,7 @@ fn main() {
     );
 
     // Axis 3: thread-count determinism over the corpus and the gold
-    // corpus. Forced seqscan keeps the comparison independent of which
-    // axis-2 run last warmed the lazy indexes.
+    // corpus.
     let domain = generate(footballdb::DEFAULT_SEED);
     let dbs = load_all(&domain).map(|(m, db)| (m, db.with_dialect(dialect)));
     let mut rng = Rng::new(seed ^ 0x7EAD);
@@ -336,10 +301,8 @@ fn main() {
             });
         }
     }
-    set_force_seqscan(Some(false));
     let single = run_parallel(&cases, 1);
     let eight = run_parallel(&cases, 8);
-    set_force_seqscan(None);
     let mut thread_diffs = 0usize;
     for ((c, a), b) in cases.iter().zip(&single).zip(&eight) {
         let identical = match (a, b) {

@@ -20,30 +20,26 @@
 //! cargo run --release -p bench --bin morph -- [--smoke] [--seed N] [--models N] [--out PATH]
 //! ```
 //!
-//! `--smoke` reduces the benchmark and model count for CI. Exit status 0
-//! only when every axis is clean.
+//! `--smoke` reduces the benchmark and model count for CI. Each axis's
+//! cleanliness is an invariant of the record, which is written only
+//! when all hold; exit status 0 only then.
 
+use bench::{with_threads, Args, Record};
 use evalkit::morph::{distance_table, run_morph_model, sweep_json, MorphModelSpec, MorphRun};
-use evalkit::{par_map, set_thread_override, EvalSetup, Governor};
+use evalkit::{par_map, EvalSetup, Governor, Json};
 use footballdb::morph::MorphModel;
 use footballdb::{generate, load, load_morphed, synthesize_models, DataModel};
 use nlq::gold::{build_benchmark, build_raw_corpus, PipelineConfig};
 use nlq::GoldExample;
 use sqlengine::conformance::{result_bits_eq, run_morph_corpus};
-use sqlengine::{execute_sql, set_force_seqscan, Database, QueryCache, ResultSet};
-use std::fmt::Write as _;
+use sqlengine::{execute_sql, Database, QueryCache, ResultSet};
 use xrng::Rng;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: morph [--smoke] [--seed N] [--models N] [--out PATH]\n\
-         \u{20} --smoke    reduced benchmark + model count for CI\n\
-         \u{20} --seed N   synthesis/benchmark seed (default 7)\n\
-         \u{20} --models N number of synthesized models (default 24)\n\
-         \u{20} --out PATH output JSON (default BENCH_morph.json)"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: morph [--smoke] [--seed N] [--models N] [--out PATH]
+  --smoke    reduced benchmark + model count for CI
+  --seed N   synthesis/benchmark seed (default 7)
+  --models N number of synthesized models (default 24; 8 with --smoke)
+  --out PATH output JSON (default BENCH_morph.json)";
 
 /// Clones an example with its v1 SQL replaced by the co-rewrite onto a
 /// morphed model (the sweep runs everything through the v1 slot).
@@ -60,55 +56,26 @@ fn rewrite_examples(examples: &[GoldExample], model: &MorphModel) -> Vec<GoldExa
         .collect()
 }
 
-/// Executes the corpus on one database at a fixed worker count (forced
-/// seqscan so results are independent of lazy index warm-up order).
+/// Executes the corpus on one database at a fixed worker count.
 fn run_threaded(
     db: &Database,
     corpus: &[String],
     threads: usize,
 ) -> Vec<Result<ResultSet, String>> {
-    set_force_seqscan(Some(false));
-    set_thread_override(Some(threads));
-    let out = par_map(corpus, |sql| {
-        execute_sql(db, sql).map_err(|e| e.to_string())
-    });
-    set_thread_override(None);
-    set_force_seqscan(None);
-    out
+    with_threads(threads, || {
+        par_map(corpus, |sql| {
+            execute_sql(db, sql).map_err(|e| e.to_string())
+        })
+    })
 }
 
 fn main() {
     let dialect = bench::dialect_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut seed = 7u64;
-    let mut n_models = 24usize;
-    let mut models_set = false;
-    let mut out_path = "BENCH_morph.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--models" => {
-                n_models = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                models_set = true;
-            }
-            "--out" => out_path = it.next().cloned().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
-    if smoke && !models_set {
-        n_models = 8;
-    }
+    let mut args = Args::parse(USAGE, &["--smoke"], &["--seed", "--models", "--out"]);
+    let smoke = args.switch("--smoke");
+    let seed = args.value("--seed", 7u64);
+    let n_models = args.value("--models", if smoke { 8 } else { 24usize });
+    let out_path = args.value("--out", "BENCH_morph.json".to_string());
 
     eprintln!(
         "morph: building benchmark ({}, seed {seed}, {n_models} models)...",
@@ -162,8 +129,8 @@ fn main() {
     let mut total_execs = 0usize;
     let mut total_errored = 0usize;
     let mut thread_diffs = 0usize;
-    let mut model_json = String::new();
-    for (k, m) in models.iter().enumerate() {
+    let mut model_list: Vec<Json> = Vec::new();
+    for m in &models {
         let db = load_morphed(&domain, m).with_dialect(dialect);
         let mut rewrite = |sql: &str| m.rewrite(sql).ok();
         let report = run_morph_corpus(&v1, &db, &corpus, &mut rewrite);
@@ -194,19 +161,14 @@ fn main() {
         }
         thread_diffs += diffs;
 
-        if k > 0 {
-            model_json.push_str(",\n");
-        }
-        let _ = write!(
-            model_json,
-            "    {{\"name\": \"{}\", \"distance\": {}, \"ops\": {}, \
-             \"chain\": \"{}\", \"divergences\": {}, \"errored\": {}}}",
-            m.name,
-            m.distance,
-            m.ops.len(),
-            m.chain().replace('"', "'"),
-            report.divergences.len(),
-            report.errored
+        model_list.push(
+            Json::object()
+                .with("name", m.name.as_str())
+                .with("distance", m.distance)
+                .with("ops", m.ops.len())
+                .with("chain", m.chain())
+                .with("divergences", report.divergences.len())
+                .with("errored", report.errored),
         );
         eprintln!(
             "morph: {} (distance {}) conformance {} divergences, threads {} diffs",
@@ -228,8 +190,7 @@ fn main() {
     // Axis 3: the sweep. Baseline v1 at distance 0, then every model,
     // twice — serial and pooled — byte-compared.
     let governor = Governor::default();
-    let sweep_pass = |threads: usize| -> Vec<MorphRun> {
-        set_thread_override(Some(threads));
+    let sweep_pass = || -> Vec<MorphRun> {
         let mut runs: Vec<MorphRun> = Vec::new();
         let base_spec = MorphModelSpec {
             name: "v1".to_string(),
@@ -260,13 +221,12 @@ fn main() {
                 seed, &spec, &db, &cache, &items, &pool, &governor,
             ));
         }
-        set_thread_override(None);
         runs
     };
     eprintln!("morph: sweep pass 1 (serial)...");
-    let runs = sweep_pass(1);
+    let runs = with_threads(1, sweep_pass);
     eprintln!("morph: sweep pass 2 (8 workers)...");
-    let pooled = sweep_pass(8);
+    let pooled = with_threads(8, sweep_pass);
     let json_a = sweep_json(&runs);
     let json_b = sweep_json(&pooled);
     let deterministic_identical = json_a == json_b;
@@ -278,23 +238,24 @@ fn main() {
     );
     print!("{}", distance_table(&runs));
 
-    let json = format!(
-        "{{\n  \"suite\": \"morph\",\n  \"mode\": \"{}\",\n  \"seed\": {seed},\n  \
-         \"models\": {},\n  \"corpus_queries\": {},\n  \"divergences\": {failures},\n  \
-         \"thread_divergences\": {thread_diffs},\n  \"errored\": {total_errored},\n  \
-         \"executions\": {total_execs},\n  \"ex_equality_clean\": {ex_equality_clean},\n  \
-         \"deterministic_identical\": {deterministic_identical},\n  \"panics\": {panics},\n  \
-         \"model_list\": [\n{model_json}\n  ],\n  \"sweep\": {json_a}\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        models.len(),
-        corpus.len()
-    );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("morph: wrote {out_path}");
-
-    if failures > 0 || thread_diffs > 0 || !deterministic_identical || panics > 0 {
-        eprintln!("morph: FAILED");
-        std::process::exit(1);
-    }
+    let mut record = Record::new(&args);
+    record.invariant("ex_equality_clean", ex_equality_clean);
+    record.invariant("deterministic_identical", deterministic_identical);
+    record.invariant("no_divergences", failures == 0);
+    record.invariant("no_thread_divergences", thread_diffs == 0);
+    record.invariant("no_panics", panics == 0);
+    record.deterministic("suite", "morph");
+    record.deterministic("mode", if smoke { "smoke" } else { "full" });
+    record.deterministic("seed", seed);
+    record.deterministic("models", models.len());
+    record.deterministic("corpus_queries", corpus.len());
+    record.deterministic("divergences", failures);
+    record.deterministic("thread_divergences", thread_diffs);
+    record.deterministic("errored", total_errored);
+    record.deterministic("executions", total_execs);
+    record.deterministic("panics", panics);
+    record.deterministic("model_list", Json::Arr(model_list));
+    record.deterministic("sweep", json_a);
+    record.write(&out_path);
     println!("morph: clean");
 }

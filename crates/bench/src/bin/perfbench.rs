@@ -12,16 +12,15 @@
 //!    paths active.
 //!
 //! Both runs must produce identical accuracies — the optimizations are
-//! required to be semantically invisible — and the harness checks that
-//! before reporting, which makes every full benchmark run a paper-scale
-//! differential test of the index layer. The harness also refuses to
-//! write results when the pool width actually observed during the
-//! optimized pass disagrees with the requested `--threads`: a
-//! multi-thread benchmark that silently ran serially (e.g. a stray
-//! `REPRO_THREADS=1` once produced a "parallel" record measured on one
-//! thread) must fail loudly, not publish. Results land in
-//! `BENCH_repro.json` with both `threads` (requested) and
-//! `observed_threads` recorded:
+//! required to be semantically invisible — which makes every full
+//! benchmark run a paper-scale differential test of the index layer.
+//! The pool width actually observed during the optimized pass must
+//! also equal the requested `--threads`: a multi-thread benchmark that
+//! silently ran serially (e.g. a stray `REPRO_THREADS=1` once produced
+//! a "parallel" record measured on one thread) must fail loudly, not
+//! publish. Both are invariants of the record, which is written (to
+//! `BENCH_repro.json` by default) only when they hold, with `threads`
+//! (requested) and `observed_threads` recorded:
 //!
 //! ```text
 //! cargo run --release -p bench --bin perfbench -- \
@@ -30,16 +29,14 @@
 
 use std::time::Instant;
 
+use bench::{with_threads, Args, Record};
 use evalkit::{
     observed_threads, reset_observed_threads, run_fewshot_grid, run_finetuned_grid, run_latency,
-    set_thread_override, EvalSetup, FailureKind, ForensicsRegistry, ItemTrace,
+    EvalSetup, FailureKind, ForensicsRegistry, ItemTrace, Json,
 };
 use sqlengine::set_force_seqscan;
 
-fn usage() -> ! {
-    eprintln!("usage: perfbench [--small] [--seed N] [--threads N] [--out PATH]");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: perfbench [--small] [--seed N] [--threads N] [--out PATH]";
 
 /// Accuracy fingerprint of one full workload pass, used to verify the
 /// optimized run reproduces the baseline exactly, plus the classified
@@ -92,32 +89,14 @@ fn run_workload(
 
 fn main() {
     let dialect = bench::dialect_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut small = false;
-    let mut seed = 7u64;
-    let mut threads_requested = 8usize;
-    let mut out_path = "BENCH_repro.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--small" => small = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                threads_requested = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => out_path = it.next().cloned().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
+    let mut args = Args::parse(USAGE, &["--small"], &["--seed", "--threads", "--out"]);
+    let small = args.switch("--small");
+    let seed = args.value("--seed", 7u64);
+    let threads = args.value("--threads", 8usize);
+    if threads < 1 {
+        args.usage();
     }
+    let out_path = args.value("--out", "BENCH_repro.json".to_string());
 
     eprintln!(
         "perfbench: building setup ({}, seed {seed})...",
@@ -129,12 +108,11 @@ fn main() {
 
     // Baseline: serial, no memoization, sequential scans only.
     eprintln!("perfbench: baseline pass (1 thread, cache disabled, forced seq scans)...");
-    set_thread_override(Some(1));
     set_force_seqscan(Some(true));
     setup.set_query_caches_enabled(false);
     setup.clear_query_caches();
     let t = Instant::now();
-    let (baseline_acc, _, _, _) = run_workload(&setup);
+    let (baseline_acc, _, _, _) = with_threads(1, || run_workload(&setup));
     let serial_s = t.elapsed().as_secs_f64();
 
     // Optimized: worker pool + cold cache + index access paths. The
@@ -142,37 +120,18 @@ fn main() {
     // environment — so the record means what it says.
     setup.set_query_caches_enabled(true);
     setup.clear_query_caches();
-    set_thread_override(Some(threads_requested));
     set_force_seqscan(Some(false));
     reset_observed_threads();
-    eprintln!(
-        "perfbench: optimized pass ({threads_requested} workers, cache enabled, indexes on)..."
-    );
+    eprintln!("perfbench: optimized pass ({threads} workers, cache enabled, indexes on)...");
     let t = Instant::now();
-    let (optimized_acc, failure_counts, stages, forensics) = run_workload(&setup);
+    let (optimized_acc, failure_counts, stages, forensics) =
+        with_threads(threads, || run_workload(&setup));
     let wall_s = t.elapsed().as_secs_f64();
     set_force_seqscan(None);
-    set_thread_override(None);
 
-    let threads = threads_requested;
     let observed = observed_threads();
-    if observed != threads_requested {
-        eprintln!(
-            "perfbench: REFUSING to write {out_path}: requested {threads_requested} worker(s) \
-             but the widest pool observed during the optimized pass was {observed}. \
-             The timing above does not measure the configuration it claims to; \
-             check REPRO_THREADS and the workload size."
-        );
-        std::process::exit(1);
-    }
     let stats = setup.cache_stats();
     let index = setup.index_stats();
-    let identical = baseline_acc == optimized_acc;
-    assert!(
-        identical,
-        "optimized run diverged from the serial seq-scan uncached baseline"
-    );
-
     let speedup = if wall_s > 0.0 { serial_s / wall_s } else { 0.0 };
     // Speedup per observed worker: 1.0 is perfect linear scaling. The
     // record also carries the host's CPU count so a low efficiency on
@@ -180,51 +139,51 @@ fn main() {
     // such rather than as a contention regression.
     let parallel_efficiency = speedup / observed as f64;
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let failure_json = failure_counts
+    let stage_s = |name: &str| Json::Fixed(stages.stage(name).cpu_ns as f64 / 1e9, 3);
+    let failure_counts = failure_counts
         .iter()
-        .map(|(k, n)| format!("\"{}\": {n}", k.name()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"wall_s\": {wall_s:.3},\n  \"serial_s\": {serial_s:.3},\n  \
-         \"setup_s\": {setup_s:.3},\n  \"speedup\": {speedup:.3},\n  \
-         \"parallel_efficiency\": {parallel_efficiency:.4},\n  \
-         \"threads\": {threads},\n  \"observed_threads\": {observed},\n  \
-         \"host_cpus\": {host_cpus},\n  \
-         \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
-         \"cache_entries\": {},\n  \"cache_oversize\": {},\n  \"cache_hit_rate\": {:.4},\n  \
-         \"index_builds\": {},\n  \"index_probes\": {},\n  \"index_hits\": {},\n  \
-         \"stage_scan_s\": {:.3},\n  \"stage_join_s\": {:.3},\n  \"stage_aggregate_s\": {:.3},\n  \
-         \"failure_counts\": {{{failure_json}}},\n  \
-         \"forensics_wrong_result\": {},\n  \"forensics_classified\": {},\n  \
-         \"forensics_unclassified\": {},\n  \
-         \"identical_to_serial\": {identical},\n  \"dialect\": \"{}\",\n  \
-         \"scale\": \"{}\",\n  \"seed\": {seed}\n}}\n",
-        stats.hits,
-        stats.misses,
-        stats.entries,
-        stats.oversize,
-        stats.hit_rate(),
-        index.builds,
-        index.probes,
-        index.hits,
-        stages.stage("scan").cpu_ns as f64 / 1e9,
-        stages.stage("join").cpu_ns as f64 / 1e9,
-        stages.stage("aggregate").cpu_ns as f64 / 1e9,
-        forensics.totals().wrong_result,
-        forensics.totals().classified,
-        forensics.totals().unclassified,
-        dialect,
-        if small { "small" } else { "paper" },
+        .map(|(k, n)| (k.name(), Json::from(*n)));
+    let totals = forensics.totals();
+
+    let mut record = Record::new(&args);
+    record.invariant("identical_to_serial", baseline_acc == optimized_acc);
+    record.invariant("threads_observed_as_requested", observed == threads);
+    record.deterministic("failure_counts", Json::obj(failure_counts));
+    record.deterministic("forensics_wrong_result", totals.wrong_result);
+    record.deterministic("forensics_classified", totals.classified);
+    record.deterministic("forensics_unclassified", totals.unclassified);
+    record.deterministic("dialect", dialect.to_string());
+    record.deterministic("scale", if small { "small" } else { "paper" });
+    record.deterministic("seed", seed);
+    record.advisory("wall_s", Json::Fixed(wall_s, 3));
+    record.advisory("serial_s", Json::Fixed(serial_s, 3));
+    record.advisory("setup_s", Json::Fixed(setup_s, 3));
+    record.advisory("speedup", Json::Fixed(speedup, 3));
+    record.advisory("parallel_efficiency", Json::Fixed(parallel_efficiency, 4));
+    record.advisory("observed_threads", observed);
+    record.advisory("host_cpus", host_cpus);
+    record.advisory("cache_hits", stats.hits);
+    record.advisory("cache_misses", stats.misses);
+    record.advisory("cache_entries", stats.entries);
+    record.advisory("cache_oversize", stats.oversize);
+    record.advisory("cache_hit_rate", Json::Fixed(stats.hit_rate(), 4));
+    record.advisory("index_builds", index.builds);
+    record.advisory("index_probes", index.probes);
+    record.advisory("index_hits", index.hits);
+    record.advisory("stage_scan_s", stage_s("scan"));
+    record.advisory("stage_join_s", stage_s("join"));
+    record.advisory("stage_aggregate_s", stage_s("aggregate"));
+    record.advisory(
+        "replayed_cpu_s",
+        Json::Fixed(stages.replayed_cpu_ns as f64 / 1e9, 3),
     );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!(
         "perfbench: serial {serial_s:.2}s -> optimized {wall_s:.2}s \
-         ({speedup:.2}x, {threads} threads, {:.1}% cache hits, \
+         ({speedup:.2}x, {observed} of {threads} requested threads, {:.1}% cache hits, \
          {} index builds / {} probes)",
         stats.hit_rate() * 100.0,
         index.builds,
         index.probes,
     );
-    print!("{json}");
+    record.write(&out_path);
 }

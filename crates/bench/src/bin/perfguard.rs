@@ -21,21 +21,23 @@
 //!     [--baseline PATH] [--candidate PATH] [--tolerance PCT]
 //! ```
 //!
-//! Both files are plain `perfbench` output; parsing is a flat
-//! field-scan, deliberately dependency-free like the writers. Fields
-//! the guard does not read (e.g. the `forensics_*` counters) are
-//! simply ignored, so the record schema can grow without invalidating
-//! an older checked-in baseline — a baseline predating a new field
-//! still compares cleanly against a candidate that carries it.
+//! Both files are `perfbench` records; parsing is a field-scan by key,
+//! so it reads the flat layout of the checked-in baseline and the
+//! sectioned layout of `bench::Record` alike (`threads` from the
+//! candidate's `args`, `scale` from `deterministic`,
+//! `identical_to_serial` from `invariants`, the timings from
+//! `advisory`). Fields the guard does not read (e.g. the `forensics_*`
+//! counters) are simply ignored, so the record schema can grow without
+//! invalidating an older checked-in baseline — a baseline predating a
+//! new field still compares cleanly against a candidate that carries
+//! it.
 
-fn usage() -> ! {
-    eprintln!("usage: perfguard [--baseline PATH] [--candidate PATH] [--tolerance PCT]");
-    std::process::exit(2);
-}
+use bench::Args;
 
-/// Extracts the raw token following `"key":` in a flat JSON object —
-/// enough for `perfbench` records, which never nest the fields the
-/// guard reads inside another object.
+const USAGE: &str = "usage: perfguard [--baseline PATH] [--candidate PATH] [--tolerance PCT]";
+
+/// Extracts the raw token following the first `"key":` — enough for
+/// `perfbench` records, where each key the guard reads occurs once.
 fn raw_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
     let at = json.find(&needle)? + needle.len();
@@ -92,24 +94,12 @@ fn load(path: &str, what: &str) -> Record {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path = "BENCH_ci_baseline.json".to_string();
-    let mut candidate_path = "BENCH_smoke.json".to_string();
-    let mut tolerance_pct = 25.0f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline_path = it.next().cloned().unwrap_or_else(|| usage()),
-            "--candidate" => candidate_path = it.next().cloned().unwrap_or_else(|| usage()),
-            "--tolerance" => {
-                tolerance_pct = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t: &f64| t > 0.0 && t < 100.0)
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
+    let mut args = Args::parse(USAGE, &[], &["--baseline", "--candidate", "--tolerance"]);
+    let baseline_path = args.value("--baseline", "BENCH_ci_baseline.json".to_string());
+    let candidate_path = args.value("--candidate", "BENCH_smoke.json".to_string());
+    let tolerance_pct = args.value("--tolerance", 25.0f64);
+    if !(tolerance_pct > 0.0 && tolerance_pct < 100.0) {
+        args.usage();
     }
     let tol = tolerance_pct / 100.0;
 

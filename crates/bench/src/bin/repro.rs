@@ -11,23 +11,19 @@
 //! benchmark for quick smoke checks; the default is paper scale
 //! (400 selected examples, 300/100 split).
 
+use bench::Args;
 use evalkit::report;
 use evalkit::{run_fewshot_grid, run_finetuned_grid, run_latency, EvalSetup, RunResult};
 use footballdb::DataModel;
 use textosql::SystemKind;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro [--small] [--seed N] [--worst N] <target>...\n\
-         targets: table1 table2 table3 table4 table5 table6 table7 table8\n\
-         \u{20}        figure7 figure8 ablation-keys ablation-joinpath\n\
-         \u{20}        ablation-train895 ablation-lexical tradeoff-tokens\n\
-         \u{20}        failures forensics export trace <question_id> all\n\
-         \u{20}        forensics --worst N additionally renders the N most\n\
-         \u{20}        divergent wrong_result items with inline clause diffs"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: repro [--small] [--seed N] [--worst N] <target>...
+targets: table1 table2 table3 table4 table5 table6 table7 table8
+         figure7 figure8 ablation-keys ablation-joinpath
+         ablation-train895 ablation-lexical tradeoff-tokens
+         failures forensics export trace <question_id> all
+         forensics --worst N additionally renders the N most
+         divergent wrong_result items with inline clause diffs";
 
 /// `repro trace <question_id>`: executes the question's gold SQL under a
 /// trace collector on every data model and renders the span trees —
@@ -90,32 +86,13 @@ fn figure_runs(setup: &EvalSetup) -> Vec<RunResult> {
 
 fn main() {
     let dialect = bench::dialect_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut small = false;
-    let mut seed = 7u64;
-    let mut worst = 0usize;
-    let mut targets = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--small" => small = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--worst" => {
-                worst = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            t => targets.push(t.to_string()),
-        }
-    }
+    let mut args = Args::parse_with_positional(USAGE, &["--small"], &["--seed", "--worst"]);
+    let small = args.switch("--small");
+    let seed = args.value("--seed", 7u64);
+    let worst = args.value("--worst", 0usize);
+    let targets = args.positional().to_vec();
     if targets.is_empty() {
-        usage();
+        args.usage();
     }
 
     eprintln!(
@@ -133,7 +110,7 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| {
                         eprintln!("trace requires a numeric question id");
-                        usage()
+                        args.usage()
                     });
                 print!("{}", trace_question(&setup, id));
             }
@@ -240,7 +217,7 @@ fn main() {
             }
             other => {
                 eprintln!("unknown target {other:?}");
-                usage();
+                args.usage();
             }
         }
         println!();

@@ -2,64 +2,43 @@
 //! serving layer, swept over arrival rates.
 //!
 //! Runs the whole benchmark **twice** with the same seed (each run
-//! builds fresh snapshots and caches) and proves the determinism
-//! contract before writing `BENCH_serve.json`: the deterministic
-//! section — queueing outcomes, shed/admit counts, latency quantiles
-//! and histograms, executed/error totals, shard-counter invariants —
-//! must be byte-identical between the two runs. Wall time, real-pool
-//! throughput, and the cache hit/miss split are advisory.
+//! builds fresh snapshots and caches). The determinism contract is an
+//! invariant of `BENCH_serve.json`, which is written only when it and
+//! the serving invariants hold: the deterministic section — queueing
+//! outcomes, shed/admit counts, latency quantiles and histograms,
+//! executed/error totals, shard-counter invariants — must be identical
+//! between the two runs, no worker panic may escape, and the shard
+//! counters must not drift. Wall time, real-pool throughput, and the
+//! cache hit/miss split are advisory.
 //!
 //! ```text
 //! cargo run --release -p bench --bin serve -- \
 //!     [--smoke] [--seed N] [--threads N] [--rates A,B,C] [--out PATH]
 //! ```
 
-use evalkit::EvalSetup;
+use bench::{Args, Record};
+use evalkit::{EvalSetup, Json};
 use nlq::gold::PipelineConfig;
 use serve::{ServeConfig, ServeReport};
 
-fn usage() -> ! {
-    eprintln!("usage: serve [--smoke] [--seed N] [--threads N] [--rates A,B,C] [--out PATH]");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: serve [--smoke] [--seed N] [--threads N] [--rates A,B,C] [--out PATH]";
 
 fn main() {
     let dialect = bench::dialect_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut seed = 7u64;
-    let mut threads = 8usize;
-    let mut rates: Option<Vec<f64>> = None;
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--rates" => {
-                rates = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage())
-                        .split(',')
-                        .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
-            }
-            "--out" => out_path = it.next().cloned().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
+    let mut args = Args::parse(
+        USAGE,
+        &["--smoke"],
+        &["--seed", "--threads", "--rates", "--out"],
+    );
+    let smoke = args.switch("--smoke");
+    let seed = args.value("--seed", 7u64);
+    let threads = args.value("--threads", 8usize);
+    let rates: Option<String> = args.opt("--rates");
+    let rates: Option<Vec<f64>> = rates.map(|list| {
+        let rate = |r: &str| r.trim().parse().unwrap_or_else(|_| args.usage());
+        list.split(',').map(rate).collect()
+    });
+    let out_path = args.value("--out", "BENCH_serve.json".to_string());
 
     let pipeline = if smoke {
         EvalSetup::small_config()
@@ -92,45 +71,29 @@ fn main() {
     eprintln!("serve: rerun for the determinism check (run 2/2)...");
     let second = serve::run(&cfg, &pipeline);
 
-    let a = first.deterministic_json("  ");
-    let b = second.deterministic_json("  ");
-    let identical = a == b;
-    assert!(
-        identical,
-        "deterministic sections diverged between reruns:\n--- run 1 ---\n{a}\n--- run 2 ---\n{b}"
+    let counters = first.deterministic_json();
+    let mut record = Record::new(&args);
+    record.invariant(
+        "deterministic_identical",
+        counters == second.deterministic_json(),
     );
-
+    record.invariant("no_escaped_panics", first.escaped_panics == 0);
+    record.invariant("no_shard_drift", first.shard_drift == 0);
+    record.deterministic("scale", if smoke { "small" } else { "paper" });
+    record.deterministic("counters", counters);
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let wall_rates = first
-        .rates
-        .iter()
-        .map(|r| {
-            format!(
-                "\"rate_{:.0}\": {{\"wall_s\": {:.3}, \"throughput_qps\": {:.1}}}",
-                r.rate_qps,
-                r.pool.wall_s,
-                r.pool.throughput_qps()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"deterministic_identical\": {identical},\n  \
-         \"wall_excluded_from_digest\": true,\n  \
-         \"scale\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"observed_threads\": {},\n  \
-         \"counters\": {a},\n  \
-         \"wall\": {{\n    {wall_rates},\n    \
-         \"cache_hits\": {},\n    \"cache_misses\": {}\n  }}\n}}\n",
-        if smoke { "small" } else { "paper" },
-        evalkit::observed_threads(),
-        first.cache.hits,
-        first.cache.misses,
-    );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("serve: deterministic sections bit-identical across reruns; wrote {out_path}");
+    record.advisory("host_cpus", host_cpus);
+    record.advisory("observed_threads", evalkit::observed_threads());
+    for r in &first.rates {
+        let wall = Json::object()
+            .with("wall_s", Json::Fixed(r.pool.wall_s, 3))
+            .with("throughput_qps", Json::Fixed(r.pool.throughput_qps(), 1));
+        record.advisory(&format!("rate_{:.0}", r.rate_qps), wall);
+    }
+    record.advisory("cache_hits", first.cache.hits);
+    record.advisory("cache_misses", first.cache.misses);
     print_summary(&first);
-    print!("{json}");
+    record.write(&out_path);
 }
 
 fn print_summary(report: &ServeReport) {

@@ -1,6 +1,14 @@
-//! Benchmark crate; see src/bin/repro.rs. Shared here: the one read of
+//! Benchmark crate; see src/bin/repro.rs. Shared by the nine binaries:
+//! one argument parser ([`Args`]), one record writer ([`Record`]), one
+//! thread-override scope ([`with_threads`]), the one read of
 //! `REPRO_DIALECT`, which only the binaries' `main` functions call, and
 //! the evaluation set-up they build in that dialect.
+
+mod args;
+mod record;
+
+pub use args::Args;
+pub use record::Record;
 
 use evalkit::EvalSetup;
 use nlq::gold::PipelineConfig;
@@ -31,4 +39,36 @@ pub fn eval_setup(small: bool, seed: u64, dialect: Dialect) -> EvalSetup {
         PipelineConfig::default()
     };
     EvalSetup::with_config(seed, &cfg, dialect)
+}
+
+/// Runs `f` with the worker-pool width forced to `threads`, then puts
+/// back the override it replaced, also when `f` panics.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            evalkit::set_thread_override(self.0);
+        }
+    }
+    let _restore = Restore(evalkit::set_thread_override(Some(threads)));
+    f()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn with_threads_restores_the_override_after_a_panic() {
+        let before = evalkit::configured_threads();
+        let inside = with_threads(3, evalkit::configured_threads);
+        assert_eq!(inside, 3);
+        let caught = std::panic::catch_unwind(|| with_threads(5, || panic!("boom")));
+        assert!(caught.is_err());
+        assert_eq!(evalkit::configured_threads(), before);
+        with_threads(2, || {
+            with_threads(6, || assert_eq!(evalkit::configured_threads(), 6));
+            assert_eq!(evalkit::configured_threads(), 2);
+        });
+    }
 }

@@ -42,6 +42,7 @@
 //! states, like every other deterministic section.
 
 use crate::experiment::{EvalSetup, ItemResult, RunResult};
+use crate::json::Json;
 use crate::metric::FailureKind;
 use crate::metrics::{hardness_name, ItemTrace, STAGES};
 use sqlkit::morph::dissolving_transform;
@@ -286,44 +287,22 @@ impl ForensicsRegistry {
         }
     }
 
-    /// Deterministic JSON: integer counters only, `BTreeMap` order —
-    /// byte-identical across thread counts and cache states.
-    pub fn deterministic_json(&self, indent: &str) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        let total = self.totals();
-        let _ = writeln!(out, "{indent}  \"failed\": {},", total.failed);
-        let _ = writeln!(out, "{indent}  \"wrong_result\": {},", total.wrong_result);
-        let _ = writeln!(out, "{indent}  \"classified\": {},", total.classified);
-        let _ = writeln!(out, "{indent}  \"unclassified\": {},", total.unclassified);
-        let _ = writeln!(out, "{indent}  \"classes\": {{{}}},", class_counts(&total));
-        let _ = writeln!(out, "{indent}  \"stages\": {{{}}},", stage_counts(&total));
-        let _ = writeln!(out, "{indent}  \"cells\": {{");
-        let mut first = true;
-        for ((system, model, hardness), c) in &self.cells {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{indent}    \"{system}|{model}|{hardness}\": {{\"failed\": {}, \
-                 \"wrong_result\": {}, \"classified\": {}, \"unclassified\": {}, \
-                 \"classes\": {{{}}}, \"stages\": {{{}}}}}",
-                c.failed,
-                c.wrong_result,
-                c.classified,
-                c.unclassified,
-                class_counts(c),
-                stage_counts(c)
-            );
-        }
-        if !first {
-            out.push('\n');
-        }
-        let _ = writeln!(out, "{indent}  }}");
-        let _ = write!(out, "{indent}}}");
-        out
+    /// The deterministic section: integer counters only, in `BTreeMap`
+    /// order — identical across thread counts and cache states.
+    pub fn deterministic_json(&self) -> Json {
+        let counts = |c: &FingerprintCell| {
+            Json::object()
+                .with("failed", c.failed)
+                .with("wrong_result", c.wrong_result)
+                .with("classified", c.classified)
+                .with("unclassified", c.unclassified)
+                .with("classes", class_counts(c))
+                .with("stages", stage_counts(c))
+        };
+        let cells = self.cells.iter().map(|((system, model, hardness), c)| {
+            (format!("{system}|{model}|{hardness}"), counts(c))
+        });
+        counts(&self.totals()).with("cells", Json::obj(cells))
     }
 
     /// Text rendering: the report's Table 5/6 deepening. Per
@@ -413,22 +392,22 @@ impl ForensicsRegistry {
     }
 }
 
-fn class_counts(c: &FingerprintCell) -> String {
-    DiffClass::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, k)| format!("\"{}\": {}", k.name(), c.classes[i]))
-        .collect::<Vec<_>>()
-        .join(", ")
+fn class_counts(c: &FingerprintCell) -> Json {
+    Json::obj(
+        DiffClass::ALL
+            .iter()
+            .zip(c.classes)
+            .map(|(k, n)| (k.name(), n.into())),
+    )
 }
 
-fn stage_counts(c: &FingerprintCell) -> String {
-    PipelineStage::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, s)| format!("\"{}\": {}", s.name(), c.stages[i]))
-        .collect::<Vec<_>>()
-        .join(", ")
+fn stage_counts(c: &FingerprintCell) -> Json {
+    Json::obj(
+        PipelineStage::ALL
+            .iter()
+            .zip(c.stages)
+            .map(|(s, n)| (s.name(), n.into())),
+    )
 }
 
 /// The `wrong_result` item total across runs, straight from the failure

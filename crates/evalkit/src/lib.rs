@@ -14,6 +14,8 @@
 //!   7–8);
 //! * [`forensics`] — clause-level diff classification and pipeline-stage
 //!   attribution of every failed item (error fingerprints);
+//! * [`json`] — the one JSON value type and renderer behind every
+//!   benchmark record;
 //! * [`report`] — text renderers for Tables 1–8 and both figures;
 //! * [`ablation`] — keys-encoding, join-path, and extended-training
 //!   ablations.
@@ -31,6 +33,7 @@ pub mod ablation;
 pub mod breakdown;
 pub mod experiment;
 pub mod forensics;
+pub mod json;
 pub mod metric;
 pub mod metrics;
 pub mod morph;
@@ -48,13 +51,13 @@ pub use forensics::{
 };
 pub use metric::{
     accuracy, classify_engine_error, component_match, execute_classified, execution_match,
-    execution_match_cached, execution_match_governed, ComponentMatch, ExOutcome, FailureKind,
-    QueryOutcome,
+    execution_match_governed, ComponentMatch, ExOutcome, FailureKind, QueryOutcome,
 };
 pub use morph::{
     canonical_budget, distance_table, run_morph_model, sweep_json, MorphModelSpec, MorphRun,
 };
 
+pub use json::Json;
 pub use metrics::{
     hardness_name, ItemTrace, LatencyHistogram, MetricsCell, MetricsRegistry, StageAgg, STAGES,
 };

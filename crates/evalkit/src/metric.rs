@@ -162,38 +162,8 @@ pub fn execution_match(db: &Database, gold_sql: &str, predicted: Option<&str>) -
     }
 }
 
-/// [`execution_match`] with result memoization.
-///
-/// Both the gold and the predicted query are executed through `cache`,
-/// so a gold query shared by every configuration of one data model — or
-/// a predicted query repeated across configurations — runs once.
-/// `execute_sql` is a pure function of `(db, sql)`, making the cached
-/// outcome identical to the uncached one.
-pub fn execution_match_cached(
-    db: &Database,
-    cache: &QueryCache,
-    gold_sql: &str,
-    predicted: Option<&str>,
-) -> ExOutcome {
-    let gold = cache
-        .execute_cached(db, gold_sql)
-        .unwrap_or_else(|e| panic!("gold SQL failed to execute: {e}\n{gold_sql}"));
-    match predicted {
-        None => ExOutcome::NoSql,
-        Some(sql) => match cache.execute_cached(db, sql) {
-            Ok(rs) => {
-                if rs.matches(&gold) {
-                    ExOutcome::Correct
-                } else {
-                    ExOutcome::WrongResult
-                }
-            }
-            Err(_) => ExOutcome::ExecError,
-        },
-    }
-}
-
-/// [`execution_match_cached`] with graceful degradation: the prediction
+/// [`execution_match`] through a result memo, with graceful degradation:
+/// gold and prediction both execute through `cache`, the prediction
 /// runs under `budget` and every non-correct outcome carries a
 /// [`FailureKind`]. The gold query stays *unbudgeted* — a gold failure
 /// is a labeling bug and still panics loudly; only predicted SQL is

@@ -19,6 +19,7 @@
 //! sections of `BENCH_profile.json`.
 
 use crate::experiment::{ItemResult, RunResult};
+use crate::json::Json;
 use crate::metric::FailureKind;
 use sqlengine::trace::TraceSpan;
 use sqlkit::Hardness;
@@ -85,15 +86,26 @@ pub struct ItemTrace {
     pub cache_hits: u64,
     /// Query-cache misses (advisory).
     pub cache_misses: u64,
+    /// Thread-CPU nanoseconds that replayed spans carry from their
+    /// cache fill (advisory). Counted once, here, instead of a second
+    /// time in the stages.
+    pub replayed_cpu_ns: u64,
 }
 
 impl ItemTrace {
     /// Buckets every span in `root`'s tree by stage. Spans with stages
     /// outside [`STAGES`] (the synthetic `root`) contribute only their
-    /// access-path counters.
+    /// access-path counters. A span a cache hit replayed
+    /// ([`TraceSpan::is_replay`]) and its subtree keep their counters,
+    /// which the digests need, but their `cpu_ns` was spent by the fill:
+    /// it goes to [`ItemTrace::replayed_cpu_ns`], never to a stage.
     pub fn from_span(root: &TraceSpan) -> ItemTrace {
-        let mut out = ItemTrace::default();
-        root.visit(&mut |s, _| {
+        fn walk(out: &mut ItemTrace, s: &TraceSpan, in_replay: bool) {
+            let replay_root = !in_replay && s.is_replay();
+            if replay_root {
+                out.replayed_cpu_ns += s.cpu_ns;
+            }
+            let in_replay = in_replay || replay_root;
             if let Some(slot) = STAGES.iter().position(|&n| n == s.stage) {
                 let agg = &mut out.stages[slot];
                 agg.calls += 1;
@@ -101,13 +113,20 @@ impl ItemTrace {
                 agg.fuel_steps += s.counters.fuel_steps;
                 agg.fuel_cells += s.counters.fuel_cells;
                 agg.batches_out += s.counters.batches_out;
-                agg.cpu_ns += s.cpu_ns;
+                if !in_replay {
+                    agg.cpu_ns += s.cpu_ns;
+                }
             }
             out.index_probes += s.counters.index_probes;
             out.index_hits += s.counters.index_hits;
             out.cache_hits += s.counters.cache_hits;
             out.cache_misses += s.counters.cache_misses;
-        });
+            for c in &s.children {
+                walk(out, c, in_replay);
+            }
+        }
+        let mut out = ItemTrace::default();
+        walk(&mut out, root, false);
         out
     }
 
@@ -119,6 +138,7 @@ impl ItemTrace {
         self.index_hits += other.index_hits;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.replayed_cpu_ns += other.replayed_cpu_ns;
     }
 
     /// The aggregate for one stage by name (zero for unknown names).
@@ -356,73 +376,56 @@ impl MetricsRegistry {
         out
     }
 
-    /// JSON object for the *deterministic* counters only: stage calls /
-    /// rows / fuel, item and outcome counts, failure and fault counts,
-    /// retries, and latency histogram buckets. Excludes wall-clock and
-    /// the scheduling-dependent cache split — this is the section
-    /// `BENCH_profile.json` requires to be bit-identical across
+    /// The *deterministic* counters only: stage calls / rows / fuel,
+    /// item and outcome counts, failure and fault counts, retries, and
+    /// latency histogram buckets. Excludes wall-clock and the
+    /// scheduling-dependent cache split — this is the section
+    /// `BENCH_profile.json` requires to be identical across
     /// `REPRO_THREADS=1` and `8`.
-    pub fn deterministic_json(&self, indent: &str) -> String {
+    pub fn deterministic_json(&self) -> Json {
         let total = self.totals();
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        let _ = writeln!(out, "{indent}  \"items\": {},", total.items);
-        let _ = writeln!(out, "{indent}  \"correct\": {},", total.correct);
-        let _ = writeln!(out, "{indent}  \"retries\": {},", total.retries);
-        let _ = writeln!(out, "{indent}  \"gave_up\": {},", total.gave_up);
-        let failures: Vec<String> = FailureKind::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, k)| format!("\"{}\": {}", k.name(), total.failures[i]))
-            .collect();
-        let _ = writeln!(out, "{indent}  \"failures\": {{{}}},", failures.join(", "));
-        let faults: Vec<String> = FaultKind::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, k)| format!("\"{}\": {}", k.name(), total.faults[i]))
-            .collect();
-        let _ = writeln!(out, "{indent}  \"faults\": {{{}}},", faults.join(", "));
-        let buckets: Vec<String> = total.latency.buckets.iter().map(u64::to_string).collect();
-        let _ = writeln!(out, "{indent}  \"latency_hist\": [{}],", buckets.join(", "));
-        out.push_str(&format!("{indent}  \"stages\": {{\n"));
-        let mut first = true;
-        for (i, name) in STAGES.iter().enumerate() {
-            let s = total.trace.stages[i];
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{indent}    \"{name}\": {{\"calls\": {}, \"rows_out\": {}, \
-                 \"fuel_steps\": {}, \"fuel_cells\": {}}}",
-                s.calls, s.rows_out, s.fuel_steps, s.fuel_cells
-            );
-        }
-        out.push('\n');
-        let _ = writeln!(out, "{indent}  }},");
-        out.push_str(&format!("{indent}  \"cells\": [\n"));
-        let mut first = true;
-        for ((system, model, hardness), c) in &self.cells {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{indent}    {{\"system\": \"{system}\", \"model\": \"{model}\", \
-                 \"hardness\": \"{hardness}\", \"items\": {}, \"correct\": {}, \
-                 \"fuel_steps\": {}, \"rows_out\": {}}}",
-                c.items,
-                c.correct,
-                c.trace.stages.iter().map(|s| s.fuel_steps).sum::<u64>(),
-                c.trace.stages.iter().map(|s| s.rows_out).sum::<u64>(),
-            );
-        }
-        out.push('\n');
-        let _ = writeln!(out, "{indent}  ]");
-        out.push_str(&format!("{indent}}}"));
-        out
+        let failures = FailureKind::ALL.iter().zip(total.failures);
+        let faults = FaultKind::ALL.iter().zip(total.faults);
+        let stages = Json::obj(STAGES.iter().zip(&total.trace.stages).map(|(name, s)| {
+            let stage = Json::object()
+                .with("calls", s.calls)
+                .with("rows_out", s.rows_out)
+                .with("fuel_steps", s.fuel_steps)
+                .with("fuel_cells", s.fuel_cells);
+            (*name, stage)
+        }));
+        let cells = self.cells.iter().map(|((system, model, hardness), c)| {
+            Json::object()
+                .with("system", system.as_str())
+                .with("model", model.as_str())
+                .with("hardness", hardness.as_str())
+                .with("items", c.items)
+                .with("correct", c.correct)
+                .with(
+                    "fuel_steps",
+                    c.trace.stages.iter().map(|s| s.fuel_steps).sum::<u64>(),
+                )
+                .with(
+                    "rows_out",
+                    c.trace.stages.iter().map(|s| s.rows_out).sum::<u64>(),
+                )
+        });
+        Json::object()
+            .with("items", total.items)
+            .with("correct", total.correct)
+            .with("retries", total.retries)
+            .with("gave_up", total.gave_up)
+            .with(
+                "failures",
+                Json::obj(failures.map(|(k, n)| (k.name(), n.into()))),
+            )
+            .with(
+                "faults",
+                Json::obj(faults.map(|(k, n)| (k.name(), n.into()))),
+            )
+            .with("latency_hist", Json::arr(total.latency.buckets))
+            .with("stages", stages)
+            .with("cells", Json::arr(cells))
     }
 }
 
@@ -473,6 +476,53 @@ mod tests {
         assert_eq!(t.stage("join").fuel_steps, 4);
         // Access-path counters include the synthetic root's.
         assert_eq!(t.index_probes, 4);
+    }
+
+    #[test]
+    fn replayed_cpu_is_reported_apart_from_the_stages() {
+        use sqlengine::{Catalog, DataType, Database, QueryCache, TableSchema, TraceGuard, Value};
+        let mut db = Database::new(Catalog::new(vec![TableSchema::new("t")
+            .column("a", DataType::Int)
+            .column("b", DataType::Int)
+            .pk(&["a"])]));
+        for i in 0..2000 {
+            db.insert("t", vec![Value::Int(i), Value::Int(i % 7)])
+                .unwrap();
+        }
+        let cache = QueryCache::new();
+        let sql = "SELECT x.b, COUNT(*) FROM t x JOIN t y ON x.a = y.b GROUP BY x.b ORDER BY x.b";
+        let trace = || {
+            let guard = TraceGuard::install();
+            cache.execute_cached(&db, sql).unwrap();
+            ItemTrace::from_span(&guard.finish())
+        };
+        let (cold, warm) = (trace(), trace());
+        let counters = |t: &ItemTrace| {
+            let stages: Vec<_> = t
+                .stages
+                .iter()
+                .map(|s| {
+                    (
+                        s.calls,
+                        s.rows_out,
+                        s.fuel_steps,
+                        s.fuel_cells,
+                        s.batches_out,
+                    )
+                })
+                .collect();
+            (stages, t.index_probes, t.index_hits)
+        };
+        assert_eq!(counters(&cold), counters(&warm));
+        assert_eq!((cold.cache_misses, warm.cache_hits), (1, 1));
+        let stage_cpu = |t: &ItemTrace| t.stages.iter().map(|s| s.cpu_ns).sum::<u64>();
+        assert!(stage_cpu(&cold) > 0 && cold.replayed_cpu_ns == 0);
+        assert_eq!(
+            stage_cpu(&warm),
+            0,
+            "a hit must not bill the fill's CPU again"
+        );
+        assert!(warm.replayed_cpu_ns > 0);
     }
 
     #[test]
@@ -542,6 +592,7 @@ mod tests {
     #[test]
     fn registry_keys_are_ordered_and_json_is_deterministic() {
         use crate::experiment::{ItemResult, RunResult};
+        use crate::json::Json;
         use crate::metric::{ExOutcome, FailureKind};
         use footballdb::DataModel;
         use sqlkit::QueryStats;
@@ -573,13 +624,22 @@ mod tests {
         };
         let a = MetricsRegistry::from_runs([&run]);
         let b = MetricsRegistry::from_runs([&run]);
-        assert_eq!(a.deterministic_json(""), b.deterministic_json(""));
+        assert_eq!(a.deterministic_json(), b.deterministic_json());
         let total = a.totals();
         assert_eq!((total.items, total.correct, total.retries), (2, 1, 4));
         assert_eq!(total.faults[4], 2, "transient fault counted");
-        let json = a.deterministic_json("");
-        assert!(json.contains("\"exec_error\": 1"), "{json}");
-        assert!(json.contains("\"transient\": 2"), "{json}");
+        let json = a.deterministic_json();
+        let count = |section: &str, key: &str| json.get(section).and_then(|s| s.get(key)).cloned();
+        assert_eq!(
+            count("failures", "exec_error"),
+            Some(Json::from(1u64)),
+            "{json}"
+        );
+        assert_eq!(
+            count("faults", "transient"),
+            Some(Json::from(2u64)),
+            "{json}"
+        );
         let rendered = a.render();
         assert!(rendered.contains("GPT-3.5"), "{rendered}");
     }

@@ -30,6 +30,7 @@ use textosql::{
 use xrng::Rng;
 
 use crate::experiment::{weighted_success_set, Governor, ItemResult};
+use crate::json::Json;
 use crate::metric::{accuracy, execution_match_governed, ExOutcome, FailureKind};
 use crate::metrics::ItemTrace;
 use crate::parallel::par_map_catch;
@@ -225,42 +226,29 @@ fn bucket_label(distance: usize) -> &'static str {
         .expect("buckets cover all distances")
 }
 
-/// Deterministic JSON for the sweep: per-(model, system) EX with hardness
-/// breakdown, sorted by (distance, model, system name). Byte-identical
-/// across runs and thread counts because every number derives from
-/// deterministic per-item outcomes.
-pub fn sweep_json(runs: &[MorphRun]) -> String {
+/// The sweep's deterministic section: per-(model, system) EX with
+/// hardness breakdown, sorted by (distance, model, system name).
+/// Identical across runs and thread counts because every number derives
+/// from deterministic per-item outcomes.
+pub fn sweep_json(runs: &[MorphRun]) -> Json {
     let mut sorted: Vec<&MorphRun> = runs.iter().collect();
     sorted.sort_by(|a, b| {
         (a.distance, &a.model, a.system.name()).cmp(&(b.distance, &b.model, b.system.name()))
     });
-    let mut out = String::from("[");
-    for (i, r) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut hard = String::from("{");
-        for (j, (h, n, ex)) in r.hardness_accuracy().iter().enumerate() {
-            if j > 0 {
-                hard.push(',');
-            }
-            let _ = write!(hard, "\"{}\": {{\"n\": {n}, \"ex\": {ex:.4}}}", h.label());
-        }
-        hard.push('}');
-        let _ = write!(
-            out,
-            "\n    {{\"model\": \"{}\", \"distance\": {}, \"system\": \"{}\", \
-             \"items\": {}, \"ex\": {:.4}, \"panics\": {}, \"hardness\": {hard}}}",
-            r.model,
-            r.distance,
-            r.system.name(),
-            r.items.len(),
-            r.accuracy(),
-            r.panics()
-        );
-    }
-    out.push_str("\n  ]");
-    out
+    Json::arr(sorted.into_iter().map(|r| {
+        let hardness = r.hardness_accuracy().into_iter().map(|(h, n, ex)| {
+            let cell = Json::object().with("n", n).with("ex", Json::Fixed(ex, 4));
+            (h.label(), cell)
+        });
+        Json::object()
+            .with("model", r.model.as_str())
+            .with("distance", r.distance)
+            .with("system", r.system.name())
+            .with("items", r.items.len())
+            .with("ex", Json::Fixed(r.accuracy(), 4))
+            .with("panics", r.panics())
+            .with("hardness", Json::obj(hardness))
+    }))
 }
 
 /// The headline text table: mean EX per (distance bucket, system), with

@@ -35,8 +35,10 @@ thread_local! {
 /// Forces the pool width, bypassing `REPRO_THREADS` and the hardware
 /// default. `None` restores normal resolution. Affects the whole
 /// process; intended for benchmark baselines and determinism tests.
-pub fn set_thread_override(threads: Option<usize>) {
-    THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::SeqCst);
+/// Returns the override it replaced.
+pub fn set_thread_override(threads: Option<usize>) -> Option<usize> {
+    let previous = THREAD_OVERRIDE.swap(threads.unwrap_or(0), Ordering::SeqCst);
+    (previous != 0).then_some(previous)
 }
 
 /// Widest pool actually spawned by any `par_map` call so far.

@@ -14,8 +14,9 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Escapes a string for JSON.
-fn escape(s: &str) -> String {
+/// Escapes a string for a JSON string literal: quotes, backslashes and
+/// control characters. The one JSON escaper of the workspace.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for ch in s.chars() {
         match ch {

@@ -34,11 +34,11 @@ pub use sim::{simulate, SimReport};
 pub use snapshot::ServeState;
 pub use workload::{BurstSpec, Request, RequestKind, WorkloadSpec};
 
+use evalkit::Json;
 use footballdb::DataModel;
 use nlq::gold::{build_benchmark, PipelineConfig};
 use sqlengine::CacheStats;
 use std::collections::HashSet;
-use std::fmt::Write as _;
 
 /// One full benchmark configuration: which streams to offer and how
 /// to serve them.
@@ -97,67 +97,40 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// The deterministic section: bit-identical across reruns with the
-    /// same config — the serve determinism test compares this string
-    /// byte for byte. Wall-clock throughput and the hit/miss split are
-    /// excluded (advisory).
-    pub fn deterministic_json(&self, indent: &str) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        let _ = writeln!(out, "{indent}  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "{indent}  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "{indent}  \"dialect\": \"{}\",", self.dialect);
-        let _ = writeln!(out, "{indent}  \"rates\": [");
-        for (i, r) in self.rates.iter().enumerate() {
+    /// The deterministic section: identical across reruns with the same
+    /// config — the serve determinism test compares it value for value.
+    /// Wall-clock throughput and the hit/miss split are excluded
+    /// (advisory).
+    pub fn deterministic_json(&self) -> Json {
+        let rates = self.rates.iter().map(|r| {
             let s = &r.sim;
-            let _ = writeln!(out, "{indent}    {{");
-            let _ = writeln!(out, "{indent}      \"rate_qps\": {:.1},", r.rate_qps);
-            let _ = writeln!(out, "{indent}      \"offered\": {},", s.offered);
-            let _ = writeln!(out, "{indent}      \"admitted\": {},", s.admitted);
-            let _ = writeln!(out, "{indent}      \"shed_runaway\": {},", s.shed_runaway);
-            let _ = writeln!(
-                out,
-                "{indent}      \"shed_saturated\": {},",
-                s.shed_saturated
-            );
-            let _ = writeln!(out, "{indent}      \"completed_ok\": {},", s.completed_ok);
-            let _ = writeln!(
-                out,
-                "{indent}      \"completed_error\": {},",
-                s.completed_error
-            );
-            let _ = writeln!(out, "{indent}      \"p50_s\": {:.6},", s.latency.p50());
-            let _ = writeln!(out, "{indent}      \"p99_s\": {:.6},", s.latency.p99());
-            let _ = writeln!(out, "{indent}      \"p999_s\": {:.6},", s.latency.p999());
-            let buckets: Vec<String> = s.latency.buckets.iter().map(u64::to_string).collect();
-            let _ = writeln!(
-                out,
-                "{indent}      \"latency_hist\": [{}],",
-                buckets.join(", ")
-            );
-            let _ = writeln!(out, "{indent}      \"makespan_s\": {:.6},", s.makespan_s);
-            let _ = writeln!(
-                out,
-                "{indent}      \"sim_throughput_qps\": {:.3},",
-                s.sim_throughput_qps()
-            );
-            let _ = writeln!(out, "{indent}      \"executed\": {},", r.pool.executed);
-            let _ = writeln!(out, "{indent}      \"exec_errors\": {}", r.pool.exec_errors);
-            let comma = if i + 1 < self.rates.len() { "," } else { "" };
-            let _ = writeln!(out, "{indent}    }}{comma}");
-        }
-        let _ = writeln!(out, "{indent}  ],");
-        let _ = writeln!(
-            out,
-            "{indent}  \"escaped_panics\": {},",
-            self.escaped_panics
-        );
-        let _ = writeln!(out, "{indent}  \"shard_drift\": {},", self.shard_drift);
-        let _ = writeln!(out, "{indent}  \"cache_entries\": {},", self.cache.entries);
-        let _ = writeln!(out, "{indent}  \"cache_builds\": {},", self.cache.builds);
-        let _ = writeln!(out, "{indent}  \"cache_oversize\": {}", self.cache.oversize);
-        let _ = write!(out, "{indent}}}");
-        out
+            Json::object()
+                .with("rate_qps", Json::Fixed(r.rate_qps, 1))
+                .with("offered", s.offered)
+                .with("admitted", s.admitted)
+                .with("shed_runaway", s.shed_runaway)
+                .with("shed_saturated", s.shed_saturated)
+                .with("completed_ok", s.completed_ok)
+                .with("completed_error", s.completed_error)
+                .with("p50_s", Json::Fixed(s.latency.p50(), 6))
+                .with("p99_s", Json::Fixed(s.latency.p99(), 6))
+                .with("p999_s", Json::Fixed(s.latency.p999(), 6))
+                .with("latency_hist", Json::arr(s.latency.buckets))
+                .with("makespan_s", Json::Fixed(s.makespan_s, 6))
+                .with("sim_throughput_qps", Json::Fixed(s.sim_throughput_qps(), 3))
+                .with("executed", r.pool.executed)
+                .with("exec_errors", r.pool.exec_errors)
+        });
+        Json::object()
+            .with("seed", self.seed)
+            .with("threads", self.threads)
+            .with("dialect", self.dialect.to_string())
+            .with("rates", Json::arr(rates))
+            .with("escaped_panics", self.escaped_panics)
+            .with("shard_drift", self.shard_drift)
+            .with("cache_entries", self.cache.entries)
+            .with("cache_builds", self.cache.builds)
+            .with("cache_oversize", self.cache.oversize)
     }
 }
 

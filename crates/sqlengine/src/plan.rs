@@ -279,14 +279,18 @@ pub(crate) fn has_equi_key(on: &Option<Expr>) -> bool {
 /// declining the probe keeps indexed and forced-seqscan execution
 /// bit-identical by routing the conjunct through the dialect-aware
 /// residual filter. NULL never matches anything, so it stays indexable
-/// (the lookup finds nothing, which is correct).
+/// (the lookup finds nothing, which is correct). A boolean probe never
+/// qualifies: a `BOOL` column may also store text such as `'True'`
+/// (see `db::type_matches`; FootballDB's boolean columns do), whose
+/// text keys never equal a boolean key although `=` may hold —
+/// [`same_key_class`] declines boolean join keys for the same reason.
 fn probe_type_compatible(ty: crate::catalog::DataType, key: &Value) -> bool {
     use crate::catalog::DataType as T;
     match key {
         Value::Null => true,
         Value::Int(_) | Value::Float(_) => matches!(ty, T::Int | T::Float),
         Value::Text(_) => matches!(ty, T::Text | T::Date),
-        Value::Bool(_) => matches!(ty, T::Bool),
+        Value::Bool(_) => false,
     }
 }
 

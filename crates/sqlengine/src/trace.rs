@@ -150,6 +150,12 @@ impl TraceSpan {
         }
     }
 
+    /// True for a span a cache hit re-attached ([`replay`]): its
+    /// counters are the fill's, and so is the CPU time it carries.
+    pub fn is_replay(&self) -> bool {
+        self.detail.contains(REPLAY_MARK)
+    }
+
     /// Calls `f` on every span in the tree, pre-order, with its depth.
     pub fn visit(&self, f: &mut impl FnMut(&TraceSpan, usize)) {
         fn go(s: &TraceSpan, depth: usize, f: &mut impl FnMut(&TraceSpan, usize)) {
@@ -490,6 +496,9 @@ pub(crate) fn capture<T>(f: impl FnOnce() -> T) -> (T, Option<Vec<TraceSpan>>) {
     (out, spans)
 }
 
+/// The `detail` marker of a replayed span.
+const REPLAY_MARK: &str = "cache replay";
+
 /// Re-attaches a captured counter tree under the innermost open span,
 /// marking each replayed root so renderings distinguish a memoized
 /// result from a fresh execution. Counters (and recorded wall times)
@@ -499,11 +508,10 @@ pub(crate) fn replay(spans: &[TraceSpan]) {
     with_top(|top| {
         for s in spans {
             let mut s = s.clone();
-            if s.detail.is_empty() {
-                s.detail = "cache replay".to_string();
-            } else {
-                s.detail.push_str("; cache replay");
+            if !s.detail.is_empty() {
+                s.detail.push_str("; ");
             }
+            s.detail.push_str(REPLAY_MARK);
             top.children.push(s);
         }
     });

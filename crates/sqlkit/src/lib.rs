@@ -70,5 +70,5 @@ pub use morph::{
     apply_chain, apply_to_schema, chain_distance, dissolving_transform, rewrite_query, rewrite_sql,
     MorphChain, MorphError, MorphOp, MorphSchema, MorphTable,
 };
-pub use parser::{parse_query, parse_query_dialect};
+pub use parser::{nesting_depth, parse_query, parse_query_dialect, MAX_NESTING};
 pub use printer::{expr_to_sql, normalize, to_sql, to_sql_for};

@@ -1,4 +1,14 @@
 //! Recursive-descent SQL parser for the benchmark's SQL subset.
+//!
+//! Nesting is bounded: every cycle of the descent passes through an
+//! expression (`parse_expr`: parenthesized expressions, function and
+//! aggregate arguments, IN lists), a query (`parse_query`: subqueries
+//! and derived tables), a NOT chain or a unary-minus chain, and each of
+//! those entries counts one level. A query nested deeper than
+//! [`MAX_NESTING`] levels is rejected with a [`SqlError`] instead of
+//! overflowing the stack, so every recursive consumer of the AST (the
+//! printer, the differ, the morph rewriter, the engine and the
+//! reference interpreter) sees bounded depth too.
 
 use crate::ast::*;
 use crate::dialect::Dialect;
@@ -17,8 +27,29 @@ pub fn parse_query(input: &str) -> Result<Query, SqlError> {
 /// produce the same AST for text they both accept, so the canonical
 /// printer fixpoint is dialect-independent.
 pub fn parse_query_dialect(input: &str, dialect: Dialect) -> Result<Query, SqlError> {
+    parse_counted(input, dialect).map(|(q, _)| q)
+}
+
+/// The deepest nesting a query may reach, counted as the module docs
+/// describe. The gold, template and conformance corpora stay far below
+/// it (see [`nesting_depth`]); a pool thread's 2 MiB stack holds the
+/// deepest accepted query of each kind through parsing, printing,
+/// diffing and execution.
+pub const MAX_NESTING: usize = 64;
+
+/// The nesting depth `input` reaches, as [`MAX_NESTING`] bounds it.
+pub fn nesting_depth(input: &str) -> Result<usize, SqlError> {
+    parse_counted(input, Dialect::Postgres).map(|(_, depth)| depth)
+}
+
+fn parse_counted(input: &str, dialect: Dialect) -> Result<(Query, usize), SqlError> {
     let tokens = tokenize_dialect(input, dialect)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        max_depth: 0,
+    };
     let q = p.parse_query()?;
     p.accept(&Token::Semicolon);
     if let Some(t) = p.peek() {
@@ -27,7 +58,7 @@ pub fn parse_query_dialect(input: &str, dialect: Dialect) -> Result<Query, SqlEr
             format!("trailing input starting at {:?}", t.token.to_string()),
         ));
     }
-    Ok(q)
+    Ok((q, p.max_depth))
 }
 
 /// Words that terminate an implicit (AS-less) alias.
@@ -74,9 +105,29 @@ fn is_keyword(word: &str) -> bool {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Nesting levels open at the current position.
+    depth: usize,
+    max_depth: usize,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, or fails past [`MAX_NESTING`].
+    /// An error ends the parse, so only the success path closes the
+    /// level.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("query nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        self.max_depth = self.max_depth.max(self.depth);
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn peek(&self) -> Option<&Spanned> {
         self.tokens.get(self.pos)
     }
@@ -187,6 +238,10 @@ impl Parser {
     // ---- query level ---------------------------------------------------
 
     fn parse_query(&mut self) -> Result<Query, SqlError> {
+        self.nested(Self::parse_query_inner)
+    }
+
+    fn parse_query_inner(&mut self) -> Result<Query, SqlError> {
         let body = self.parse_body()?;
         let mut order_by = Vec::new();
         if self.accept_kw("ORDER") {
@@ -379,7 +434,7 @@ impl Parser {
     // ---- expressions ---------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr, SqlError> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr, SqlError> {
@@ -402,7 +457,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr, SqlError> {
         if self.accept_kw("NOT") {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -514,7 +569,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr, SqlError> {
         if self.accept(&Token::Minus) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             // Fold negation of literals for tidier ASTs.
             return Ok(match inner {
                 Expr::Literal(Lit::Int(v)) => Expr::Literal(Lit::Int(-v)),

@@ -507,6 +507,59 @@ fn bool_text_comparison_is_dialect_governed() {
     assert!(rs.rows.is_empty(), "sqlite never equates bool and text");
 }
 
+/// A `BOOL` column may hold `'True'`/`'False'` text beside real
+/// booleans, as every FootballDB boolean column does. Index keys of the
+/// text never equal a boolean probe, so `flag = TRUE` and
+/// `flag IN (TRUE)` once answered from the column index missed the text
+/// rows that `=` matches. Both forms must answer alike through the
+/// planner's access-path choice, forced sequential scans and the
+/// reference interpreter, in both dialects.
+#[test]
+fn bool_probes_on_text_stored_booleans_match_seqscan_and_reference() {
+    let _g = mode_guard();
+    let mut db = Database::new(Catalog::new(vec![TableSchema::new("f")
+        .column("id", DataType::Int)
+        .column("flag", DataType::Bool)
+        .pk(&["id"])]));
+    for (id, flag) in [
+        (1, Value::Text("True".into())),
+        (2, Value::Bool(true)),
+        (3, Value::Text("False".into())),
+        (4, Value::Bool(false)),
+        (5, Value::Null),
+    ] {
+        db.insert("f", vec![Value::Int(id), flag]).unwrap();
+    }
+    let ids = |rs: &ResultSet| -> Vec<Value> { rs.rows.iter().map(|r| r[0].clone()).collect() };
+    for dialect in Dialect::ALL {
+        let db = db.clone().with_dialect(dialect);
+        for sql in [
+            "SELECT id FROM f WHERE flag = TRUE ORDER BY id",
+            "SELECT id FROM f WHERE TRUE = flag ORDER BY id",
+            "SELECT id FROM f WHERE flag IN (TRUE) ORDER BY id",
+            "SELECT id FROM f WHERE flag = FALSE ORDER BY id",
+            "SELECT id FROM f WHERE flag IN (FALSE, TRUE) ORDER BY id",
+        ] {
+            let mut outcomes = Vec::new();
+            for force in [false, true] {
+                set_force_seqscan(Some(force));
+                outcomes.push(execute_sql(&db, sql).unwrap());
+                set_force_seqscan(None);
+            }
+            let reference = ref_execute_sql(&db, sql).unwrap();
+            assert_eq!(ids(&outcomes[0]), ids(&outcomes[1]), "[{dialect}] {sql}");
+            assert_eq!(
+                ids(&outcomes[0]),
+                ids(&reference),
+                "[{dialect}] {sql} (reference)"
+            );
+        }
+    }
+    // PostgreSQL reads 'True' as boolean input, so both kinds of row match.
+    let rs = execute_sql(&db, "SELECT id FROM f WHERE flag = TRUE ORDER BY id").unwrap();
+    assert_eq!(ids(&rs), [Value::Int(1), Value::Int(2)]);
+}
+
 /// The query cache keys on each database's dialect, so one cache shared
 /// by a PostgreSQL database and its SQLite twin — one catalog, queried
 /// from two threads at once — never serves one dialect's result to the

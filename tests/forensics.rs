@@ -3,7 +3,7 @@
 //! Drives `sqlkit::diff` + `evalkit::forensics` end to end on a seeded
 //! small-scale grid: golden fingerprint pins, the bucket-sum invariant
 //! (clause-diff buckets account for every `wrong_result` item), the
-//! byte-identity of the fingerprint JSON across thread counts and cache
+//! identity of the fingerprint section across thread counts and cache
 //! states, and differ property tests over the gold corpus.
 //!
 //! The full-scale sweep lives in
@@ -11,7 +11,7 @@
 
 use evalkit::{
     classify_item, run_finetuned_grid, set_thread_override, wrong_result_total, EvalSetup,
-    FailureKind, ForensicsRegistry, RunResult,
+    FailureKind, ForensicsRegistry, Json, RunResult,
 };
 use std::sync::{Mutex, OnceLock};
 
@@ -102,19 +102,12 @@ fn golden_fingerprint_snapshot_for_the_seeded_mini_run() {
     let reg = ForensicsRegistry::from_runs(setup(), runs());
     let t = reg.totals();
     assert_eq!(t.classified + t.unclassified, t.wrong_result);
-    let json = reg.deterministic_json("  ");
+    let json = reg.deterministic_json();
     let pin = |field: &str| -> u64 {
-        let tail = json
-            .split(&format!("\"{field}\": "))
-            .nth(1)
-            .unwrap_or_else(|| panic!("missing {field} in {json}"));
-        tail.split(|c: char| !c.is_ascii_digit())
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap()
+        let value = json.get(field).and_then(Json::as_u64);
+        value.unwrap_or_else(|| panic!("missing {field} in {json}"))
     };
-    // Grand totals (first occurrence of each field is the totals block).
+    // Grand totals (the top level of the section).
     assert_eq!(pin("failed"), t.failed);
     assert_eq!(
         t.failed,
@@ -139,7 +132,7 @@ fn fingerprint_json_is_identical_across_threads_and_cache_states() {
             s.clear_query_caches();
         }
         let runs = run_finetuned_grid(s, &[300]);
-        ForensicsRegistry::from_runs(s, &runs).deterministic_json("  ")
+        ForensicsRegistry::from_runs(s, &runs).deterministic_json()
     };
     let serial_cold = pass(1, true);
     let pooled_cold = pass(8, true);

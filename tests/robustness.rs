@@ -1,15 +1,23 @@
 //! Robustness integration tests: fuel budgets bound pathological
 //! queries, budget aborts never poison the query cache, hazard
-//! templates trip identically across access-path modes, and governed
-//! runs stay bit-identical under panic injection at any thread count.
+//! templates trip identically across access-path modes, governed runs
+//! stay bit-identical under panic injection at any thread count, and
+//! deep nesting is an error rather than a stack overflow.
 
 use footballdb_repro::evalkit::{run_config_governed, set_thread_override, EvalSetup, Governor};
+use footballdb_repro::footballdb::{generate, DataModel, DEFAULT_SEED};
+use footballdb_repro::nlq::gold::{build_benchmark, build_raw_corpus, PipelineConfig};
 use footballdb_repro::sqlengine::conformance::{
-    check_hazard, corpus_db, gen_hazard_corpus, CorpusConfig,
+    check_hazard, corpus_db, gen_corpus, gen_dialect_corpus, gen_hazard_corpus, ref_execute_sql,
+    CorpusConfig,
 };
-use footballdb_repro::sqlengine::{execute_sql_with_budget, EngineError, ExecBudget, QueryCache};
+use footballdb_repro::sqlengine::{
+    execute_sql, execute_sql_with_budget, EngineError, ExecBudget, QueryCache,
+};
+use footballdb_repro::sqlkit::{diff_sql, nesting_depth, parse_query, to_sql, MAX_NESTING};
 use footballdb_repro::textosql::{Budget, FaultPlan, SystemKind};
 use std::time::Instant;
+use xrng::Rng;
 
 /// A four-way cross join over the conformance corpus db: 44 × 60 × 44 ×
 /// 60 ≈ 7M rows, far past the default step budget.
@@ -171,4 +179,85 @@ fn governed_runs_are_thread_invariant_under_panic_injection() {
         serial.items.len()
     );
     assert_eq!(serial.accuracy(), pooled.accuracy());
+}
+
+/// The four self-recursive shapes of the grammar, nested `n` deep, over
+/// the conformance corpus database's `player` table.
+fn nested(kind: &str, n: usize) -> String {
+    match kind {
+        "parentheses" => format!("SELECT {}1{}", "(".repeat(n), ")".repeat(n)),
+        "not" => format!("SELECT pid FROM player WHERE {}pid > 3", "NOT ".repeat(n)),
+        "minus" => format!("SELECT {}pid FROM player", "- ".repeat(n)),
+        "subquery" => format!("SELECT {}1{}", "(SELECT ".repeat(n), ")".repeat(n)),
+        _ => unreachable!("unknown shape {kind}"),
+    }
+}
+
+/// Deep nesting used to overflow the parser's stack and abort the
+/// process, which no panic isolation can catch. On a pool thread's
+/// 2 MiB stack, 10,000 levels of each shape must be an error, and the
+/// deepest accepted query of each shape must parse, print, diff against
+/// itself and run on both the engine and the reference interpreter.
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    let run = || {
+        let db = corpus_db(5);
+        for kind in ["parentheses", "not", "minus", "subquery"] {
+            let sql = nested(kind, 10_000);
+            let err = parse_query(&sql).expect_err(kind);
+            assert!(err.to_string().contains("nested deeper"), "{kind}: {err}");
+            assert!(execute_sql(&db, &sql).is_err(), "{kind}");
+            let deepest = (1..)
+                .take_while(|&n| parse_query(&nested(kind, n)).is_ok())
+                .last();
+            let sql = nested(
+                kind,
+                deepest.unwrap_or_else(|| panic!("{kind} never parses")),
+            );
+            let query = parse_query(&sql).unwrap();
+            assert!(!to_sql(&query).is_empty());
+            assert!(diff_sql(&sql, &sql).unwrap().is_empty(), "{kind}");
+            let engine = execute_sql(&db, &sql).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let reference = ref_execute_sql(&db, &sql).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            assert!(engine.matches(&reference), "{kind}: {sql}");
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(run)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// The nesting ceiling sits above every query the system generates: the
+/// gold pool on all three data models, the template corpus and the
+/// conformance corpora.
+#[test]
+fn nesting_ceiling_is_above_every_generated_query() {
+    let domain = generate(DEFAULT_SEED);
+    let benchmark = build_benchmark(&domain, 7, &PipelineConfig::default());
+    let templates = build_raw_corpus(&domain, &mut Rng::new(7 ^ 0x7EAD), 300);
+    let mut corpus: Vec<String> = Vec::new();
+    for e in benchmark.gold_pool.iter().chain(&templates) {
+        corpus.extend(DataModel::ALL.iter().map(|&m| e.sql(m).to_string()));
+    }
+    for seed in 40..45 {
+        let cfg = CorpusConfig {
+            seed,
+            queries: 1200,
+        };
+        corpus.extend(gen_corpus(&cfg));
+        corpus.extend(gen_dialect_corpus(&cfg));
+        corpus.extend(gen_hazard_corpus(&cfg));
+    }
+    let deepest = corpus
+        .iter()
+        .map(|sql| nesting_depth(sql).unwrap_or_else(|e| panic!("{e}: {sql}")))
+        .max()
+        .unwrap();
+    assert!(
+        deepest < MAX_NESTING,
+        "a generated query nests {deepest} deep"
+    );
 }

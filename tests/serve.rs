@@ -8,14 +8,15 @@
 //!    sets; afterwards every shard's `builds` must equal its stored
 //!    entry count (the racing-miss single-build invariant, per shard).
 //! 2. **Serve determinism** — two full serve runs with the same seed
-//!    (fresh snapshots each) must render byte-identical deterministic
-//!    sections, the property `BENCH_serve.json` asserts on every
+//!    (fresh snapshots each) must produce identical deterministic
+//!    sections, the invariant `BENCH_serve.json` records on every
 //!    generation. A PostgreSQL and a SQLite run share the process and
 //!    run at the same time, each in its own dialect.
 //! 3. **Watermark reporting** — the serve worker pool must raise the
 //!    shared `observed_threads()` watermark the benchmark records,
 //!    exactly like the `par_map` pools do.
 
+use evalkit::Json;
 use serve::{AdmissionPolicy, BurstSpec, ServeConfig};
 use sqlengine::{Catalog, DataType, Database, Dialect, QueryCache, TableSchema, Value};
 use std::sync::{Barrier, Mutex};
@@ -108,7 +109,7 @@ fn serve_runs_are_byte_identical_and_invariants_hold() {
                 s.spawn(move || {
                     let (cfg, pipeline) = small_serve_config(d);
                     let report = serve::run(&cfg, &pipeline);
-                    (report.dialect, report.deterministic_json("  "))
+                    (report.dialect, report.deterministic_json())
                 })
             });
             runs.map(|h| h.join().unwrap())
@@ -119,19 +120,23 @@ fn serve_runs_are_byte_identical_and_invariants_hold() {
         assert_eq!(dialect, again);
         assert_eq!(
             a, b,
-            "two {dialect} serve runs with one seed must render identical deterministic sections"
+            "two {dialect} serve runs with one seed must produce identical deterministic sections"
         );
         // The section carries the serving invariants; pin them here too
-        // so a regression fails with a named assertion, not a string
+        // so a regression fails with a named assertion, not a section
         // diff.
-        assert!(a.contains(&format!("\"dialect\": \"{dialect}\"")), "{a}");
-        assert!(a.contains("\"escaped_panics\": 0"), "{a}");
-        assert!(a.contains("\"shard_drift\": 0"), "{a}");
+        assert_eq!(
+            a.get("dialect"),
+            Some(&Json::from(dialect.to_string())),
+            "{a}"
+        );
+        assert_eq!(a.get("escaped_panics"), Some(&Json::from(0u64)), "{a}");
+        assert_eq!(a.get("shard_drift"), Some(&Json::from(0u64)), "{a}");
         // The injected hazards must actually exercise admission control.
-        let shed: u64 = a
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix("\"shed_runaway\": "))
-            .map(|v| v.trim_end_matches(',').parse::<u64>().unwrap())
+        let rates = a.get("rates").map(Json::items).unwrap_or_default();
+        let shed: u64 = rates
+            .iter()
+            .map(|r| r.get("shed_runaway").and_then(Json::as_u64).unwrap())
             .sum();
         assert!(shed > 0, "workload hazards should trip the governor:\n{a}");
     }

@@ -83,11 +83,10 @@ fn per_item_counters_are_identical_across_thread_counts() {
     set_thread_override(None);
 
     assert_det_traces_identical(&serial, &pooled, "1 vs 8 threads");
-    // The aggregated registry view must agree byte-for-byte too — this
-    // is the same invariant `profile` asserts before writing
-    // BENCH_profile.json.
-    let a = MetricsRegistry::from_runs([&serial]).deterministic_json("");
-    let b = MetricsRegistry::from_runs([&pooled]).deterministic_json("");
+    // The aggregated registry view must agree value for value too —
+    // this is the invariant `profile` records in BENCH_profile.json.
+    let a = MetricsRegistry::from_runs([&serial]).deterministic_json();
+    let b = MetricsRegistry::from_runs([&pooled]).deterministic_json();
     assert_eq!(a, b);
 }
 
