@@ -1,172 +1,221 @@
-//! CI perf guardrail: compares a fresh smoke `perfbench` record against
-//! the checked-in baseline (`BENCH_ci_baseline.json`) and fails — exit
-//! code 1 — when either headline regresses beyond the tolerance band:
+//! CI perf gate over the outside-in benchmark (`BENCHMARK.json`,
+//! `benchmark/`): compares a candidate run with the checked-in record
+//! `BENCH_outside_in.txt` and exits 1, naming each failure, when
 //!
-//! * `wall_s` (optimized-pass wall time) grew past `baseline x (1+tol)`;
-//! * `speedup` (serial / optimized) fell below `baseline x (1-tol)`;
-//! * `parallel_efficiency` (speedup per observed worker) fell below
-//!   `baseline x (1-tol)` — the contention signature: wall time flat
-//!   while the extra workers stop paying for themselves.
+//! * a workload of the record is missing from the candidate, or either
+//!   file's line for it does not read `"correct": true`;
+//! * a workload's `throughput_per_s` fell more than `BENCHMARK.json`'s
+//!   bound for that metric (0.25) below the record's.
 //!
-//! The default tolerance is 25%, wide enough to absorb shared-runner
-//! noise while still catching the class of regression that motivated
-//! it: an executor or planner change that quietly serializes the join
-//! wall. The guard also refuses records whose own invariants are off —
-//! `identical_to_serial` false, or a `threads`/`observed_threads`/
-//! `scale` mismatch against the baseline — since those make the timing
-//! comparison meaningless rather than merely noisy.
+//! Throughput is the only metric gated. eval-grid's `peak_rss_mb` grows
+//! with the number of passes that fit in the run, so a faster change
+//! reads a higher peak for that reason alone.
+//!
+//! Both files hold one line per workload: its name, a space, and the
+//! benchmark's final stdout line (`{"correct", "attempted", "failed",
+//! "metrics"}`) verbatim. One loop writes them, at the benchmark's
+//! declared length (CI writes its candidate under `target/`):
 //!
 //! ```text
+//! for w in eval-grid schema-sweep serve-live; do
+//!   printf '%s ' "$w"
+//!   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+//!     --workload "$w" --seconds 20 --trace 0 --seed 1 | tail -n 1
+//! done > BENCH_outside_in.txt
+//!
 //! cargo run --release -p bench --bin perfguard -- \
-//!     [--baseline PATH] [--candidate PATH] [--tolerance PCT]
+//!     [--baseline BENCH_outside_in.txt] [--candidate target/BENCH_outside_in.txt]
 //! ```
 //!
-//! Both files are `perfbench` records; parsing is a field-scan by key,
-//! so it reads the flat layout of the checked-in baseline and the
-//! sectioned layout of `bench::Record` alike (`threads` from the
-//! candidate's `args`, `scale` from `deterministic`,
-//! `identical_to_serial` from `invariants`, the timings from
-//! `advisory`). Fields the guard does not read (e.g. the `forensics_*`
-//! counters) are simply ignored, so the record schema can grow without
-//! invalidating an older checked-in baseline — a baseline predating a
-//! new field still compares cleanly against a candidate that carries
-//! it.
+//! Both inputs are machine-written with one fixed layout, so fields are
+//! found by key rather than by a JSON parser.
 
 use bench::Args;
 
-const USAGE: &str = "usage: perfguard [--baseline PATH] [--candidate PATH] [--tolerance PCT]";
+const USAGE: &str = "usage: perfguard [--baseline PATH] [--candidate PATH]";
 
-/// Extracts the raw token following the first `"key":` — enough for
-/// `perfbench` records, where each key the guard reads occurs once.
-fn raw_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+/// The benchmark's declaration, which holds each end-to-end metric's bound.
+const SPEC: &str = include_str!("../../../../BENCHMARK.json");
+
+/// The token after the first `"key":` in `json`, up to the next `,`, `}`
+/// or `]`.
+fn token<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+    let rest = json[json.find(&needle)? + needle.len()..].trim_start();
+    Some(rest[..rest.find([',', '}', ']']).unwrap_or(rest.len())].trim_end())
 }
 
-fn num_field(json: &str, key: &str, what: &str) -> f64 {
-    raw_field(json, key)
+/// The `bound` of the `BENCHMARK.json` object that names
+/// `throughput_per_s`, if it lies in (0, 1).
+fn throughput_bound(spec: &str) -> Option<f64> {
+    let at = spec.find("\"throughput_per_s\"")?;
+    let object = &spec[spec[..at].rfind('{')?..at + spec[at..].find('}')?];
+    let bound: f64 = token(object, "bound")?.parse().ok()?;
+    (bound > 0.0 && bound < 1.0).then_some(bound)
+}
+
+/// The `throughput_per_s` of a benchmark result line that reads
+/// `"correct": true`.
+fn throughput(json: &str) -> Result<f64, &'static str> {
+    if token(json, "correct") != Some("true") {
+        return Err("does not read \"correct\": true");
+    }
+    let at = json
+        .find("\"throughput_per_s\":")
+        .ok_or("has no throughput_per_s")?;
+    token(&json[at..], "value")
         .and_then(|t| t.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("perfguard: {what}: missing or non-numeric field \"{key}\"");
-            std::process::exit(1);
-        })
+        .ok_or("has no throughput_per_s value")
 }
 
-fn str_field<'a>(json: &'a str, key: &str, what: &str) -> &'a str {
-    raw_field(json, key)
-        .and_then(|t| t.strip_prefix('"'))
-        .and_then(|t| t.strip_suffix('"'))
-        .unwrap_or_else(|| {
-            eprintln!("perfguard: {what}: missing or non-string field \"{key}\"");
-            std::process::exit(1);
-        })
+/// The `(workload, result line)` pairs of a record file.
+fn workloads(text: &str) -> impl Iterator<Item = (&str, &str)> {
+    text.lines().filter_map(|l| l.split_once(' '))
 }
 
-struct Record {
-    wall_s: f64,
-    speedup: f64,
-    threads: f64,
-    observed_threads: f64,
-    /// Speedup per observed worker; `None` in records predating the
-    /// field (the efficiency gate then stays silent).
-    parallel_efficiency: Option<f64>,
-    identical: bool,
-    scale: String,
+/// One verdict per workload of `record`: `Ok` with the comparison, or
+/// `Err` naming the workload and what failed.
+fn gate(record: &str, candidate: &str, bound: f64) -> Vec<Result<String, String>> {
+    let record: Vec<_> = workloads(record).collect();
+    if record.is_empty() {
+        return vec![Err("the record names no workload".to_string())];
+    }
+    let verdict = |(name, base): (&str, &str)| {
+        let (_, cand) = workloads(candidate)
+            .find(|(n, _)| *n == name)
+            .ok_or_else(|| format!("{name}: missing from the candidate"))?;
+        let base = throughput(base).map_err(|e| format!("{name}: the record {e}"))?;
+        let cand = throughput(cand).map_err(|e| format!("{name}: the candidate {e}"))?;
+        let floor = base * (1.0 - bound);
+        let summary = format!(
+            "{name}: throughput_per_s {cand:.1} against the record's {base:.1} (floor {floor:.1})"
+        );
+        if cand < floor {
+            Err(summary)
+        } else {
+            Ok(summary)
+        }
+    };
+    record.into_iter().map(verdict).collect()
 }
 
-fn load(path: &str, what: &str) -> Record {
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("perfguard: cannot read {what} {path}: {e}");
-        std::process::exit(1);
-    });
-    Record {
-        wall_s: num_field(&json, "wall_s", what),
-        speedup: num_field(&json, "speedup", what),
-        threads: num_field(&json, "threads", what),
-        observed_threads: num_field(&json, "observed_threads", what),
-        parallel_efficiency: raw_field(&json, "parallel_efficiency").and_then(|t| t.parse().ok()),
-        identical: raw_field(&json, "identical_to_serial") == Some("true"),
-        scale: str_field(&json, "scale", what).to_string(),
+/// [`gate`] over the files at `baseline` and `candidate`; an unreadable
+/// file is a failure.
+fn run(baseline: &str, candidate: &str) -> Vec<Result<String, String>> {
+    let bound = throughput_bound(SPEC).expect("BENCHMARK.json bounds throughput_per_s in (0, 1)");
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    match (read(baseline), read(candidate)) {
+        (Ok(record), Ok(cand)) => gate(&record, &cand, bound),
+        (Err(e), _) | (_, Err(e)) => vec![Err(e)],
     }
 }
 
 fn main() {
-    let mut args = Args::parse(USAGE, &[], &["--baseline", "--candidate", "--tolerance"]);
-    let baseline_path = args.value("--baseline", "BENCH_ci_baseline.json".to_string());
-    let candidate_path = args.value("--candidate", "BENCH_smoke.json".to_string());
-    let tolerance_pct = args.value("--tolerance", 25.0f64);
-    if !(tolerance_pct > 0.0 && tolerance_pct < 100.0) {
-        args.usage();
-    }
-    let tol = tolerance_pct / 100.0;
-
-    let base = load(&baseline_path, "baseline");
-    let cand = load(&candidate_path, "candidate");
-
-    let mut errors = Vec::new();
-    if !cand.identical {
-        errors.push("candidate record has identical_to_serial != true".to_string());
-    }
-    if cand.threads != cand.observed_threads {
-        errors.push(format!(
-            "candidate ran {} observed worker(s) against a requested {} — \
-             the timing does not measure its own configuration",
-            cand.observed_threads, cand.threads
-        ));
-    }
-    if cand.scale != base.scale || cand.threads != base.threads {
-        errors.push(format!(
-            "candidate (scale {}, {} threads) is not comparable to baseline (scale {}, {} threads)",
-            cand.scale, cand.threads, base.scale, base.threads
-        ));
-    }
-    let wall_limit = base.wall_s * (1.0 + tol);
-    if cand.wall_s > wall_limit {
-        errors.push(format!(
-            "wall_s regressed: {:.3}s > {:.3}s (baseline {:.3}s + {tolerance_pct}%)",
-            cand.wall_s, wall_limit, base.wall_s
-        ));
-    }
-    let speedup_floor = base.speedup * (1.0 - tol);
-    if cand.speedup < speedup_floor {
-        errors.push(format!(
-            "speedup regressed: {:.3}x < {:.3}x (baseline {:.3}x - {tolerance_pct}%)",
-            cand.speedup, speedup_floor, base.speedup
-        ));
-    }
-    // Efficiency gate: catches the contention class of regression —
-    // wall time can stay flat while per-worker yield collapses (e.g. a
-    // new global lock burning the extra workers). Gated only when both
-    // records carry the field, so old baselines still load.
-    if let (Some(base_eff), Some(cand_eff)) = (base.parallel_efficiency, cand.parallel_efficiency) {
-        let eff_floor = base_eff * (1.0 - tol);
-        if cand_eff < eff_floor {
-            errors.push(format!(
-                "parallel_efficiency regressed: {cand_eff:.4} < {eff_floor:.4} \
-                 (baseline {base_eff:.4} - {tolerance_pct}%)"
-            ));
+    let mut args = Args::parse(USAGE, &[], &["--baseline", "--candidate"]);
+    let baseline = args.value("--baseline", "BENCH_outside_in.txt".to_string());
+    let candidate = args.value("--candidate", "target/BENCH_outside_in.txt".to_string());
+    let verdicts = run(&baseline, &candidate);
+    for verdict in &verdicts {
+        match verdict {
+            Ok(summary) => eprintln!("perfguard: ok: {summary}"),
+            Err(failure) => eprintln!("perfguard: FAIL: {failure}"),
         }
     }
-
-    if !errors.is_empty() {
-        for e in &errors {
-            eprintln!("perfguard: FAIL: {e}");
-        }
+    if verdicts.iter().any(Result::is_err) {
         std::process::exit(1);
     }
-    eprintln!(
-        "perfguard: OK: wall {:.3}s vs baseline {:.3}s (limit {:.3}s), \
-         speedup {:.2}x vs baseline {:.2}x (floor {:.2}x), \
-         {} thread(s) observed as requested",
-        cand.wall_s,
-        base.wall_s,
-        wall_limit,
-        cand.speedup,
-        base.speedup,
-        speedup_floor,
-        cand.threads
-    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A record line in the benchmark's output layout.
+    fn line(workload: &str, correct: bool, throughput: f64) -> String {
+        format!(
+            "{workload} {{\"correct\": {correct}, \"attempted\": 10, \"failed\": {}, \
+             \"metrics\": {{\"setup_s\": {{\"value\": 0.7, \"unit\": \"s\"}}, \
+             \"peak_rss_mb\": {{\"value\": 150.2, \"unit\": \"MB\"}}, \
+             \"throughput_per_s\": {{\"value\": {throughput}, \"unit\": \"1/s\"}}}}}}\n",
+            u8::from(!correct)
+        )
+    }
+
+    fn record() -> String {
+        line("eval-grid", true, 2000.0) + &line("schema-sweep", true, 4000.0)
+    }
+
+    fn failures(verdicts: &[Result<String, String>]) -> Vec<&str> {
+        verdicts
+            .iter()
+            .filter_map(|v| v.as_ref().err())
+            .map(String::as_str)
+            .collect()
+    }
+
+    #[test]
+    fn the_bound_is_read_from_the_benchmark_declaration() {
+        assert_eq!(throughput_bound(SPEC), Some(0.25));
+    }
+
+    #[test]
+    fn a_candidate_within_the_bound_passes() {
+        let cand = line("schema-sweep", true, 3001.5) + &line("eval-grid", true, 2600.0);
+        let verdicts = gate(&record(), &cand, 0.25);
+        assert_eq!(verdicts.len(), 2);
+        assert!(failures(&verdicts).is_empty(), "{verdicts:?}");
+    }
+
+    #[test]
+    fn a_throughput_below_the_floor_fails_and_names_the_workload() {
+        let cand = line("eval-grid", true, 2000.0) + &line("schema-sweep", true, 2999.0);
+        let verdicts = gate(&record(), &cand, 0.25);
+        let failed = failures(&verdicts);
+        assert_eq!(failed.len(), 1, "{verdicts:?}");
+        assert!(failed[0].starts_with("schema-sweep: throughput_per_s 2999.0"));
+    }
+
+    #[test]
+    fn an_incorrect_run_or_a_missing_workload_fails() {
+        let incorrect = line("eval-grid", true, 2500.0) + &line("schema-sweep", false, 4000.0);
+        let failed = gate(&record(), &incorrect, 0.25);
+        assert_eq!(
+            failures(&failed),
+            ["schema-sweep: the candidate does not read \"correct\": true"]
+        );
+        let missing = line("eval-grid", true, 2500.0);
+        let failed = gate(&record(), &missing, 0.25);
+        assert_eq!(
+            failures(&failed),
+            ["schema-sweep: missing from the candidate"]
+        );
+        let refused = "eval-grid pool: requested 2 worker(s), observed 1, nproc 2\n";
+        assert_eq!(failures(&gate(refused, &record(), 0.25)).len(), 1);
+        assert_eq!(failures(&gate("", &record(), 0.25)).len(), 1);
+    }
+
+    #[test]
+    fn an_unreadable_file_fails() {
+        let dir = std::env::temp_dir().join(format!("perfguard-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("record.txt");
+        std::fs::write(&path, record()).unwrap();
+        let path = path.to_str().unwrap();
+        assert!(failures(&run(path, path)).is_empty());
+        let absent = dir.join("absent.txt");
+        let failed = run(path, absent.to_str().unwrap());
+        assert_eq!(failures(&failed).len(), 1);
+        assert!(failures(&failed)[0].starts_with("cannot read"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_checked_in_record_holds_every_workload_correct() {
+        let record = include_str!("../../../../BENCH_outside_in.txt");
+        let verdicts = gate(record, record, 0.25);
+        assert!(failures(&verdicts).is_empty(), "{verdicts:?}");
+        let names: Vec<_> = record.lines().filter_map(|l| l.split(' ').next()).collect();
+        assert_eq!(names, ["eval-grid", "schema-sweep", "serve-live"]);
+    }
 }

@@ -1,4 +1,4 @@
-//! Benchmark crate; see src/bin/repro.rs. Shared by the nine binaries:
+//! Benchmark crate; see src/bin/repro.rs. Shared by the eight binaries:
 //! one argument parser ([`Args`]), one record writer ([`Record`]), one
 //! thread-override scope ([`with_threads`]), the one read of
 //! `REPRO_DIALECT`, which only the binaries' `main` functions call, and

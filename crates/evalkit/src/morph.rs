@@ -218,14 +218,6 @@ pub const DISTANCE_BUCKETS: [(usize, usize, &str); 5] = [
     (10, usize::MAX, "10+"),
 ];
 
-fn bucket_label(distance: usize) -> &'static str {
-    DISTANCE_BUCKETS
-        .iter()
-        .find(|(lo, hi, _)| distance >= *lo && distance <= *hi)
-        .map(|(_, _, l)| *l)
-        .expect("buckets cover all distances")
-}
-
 /// The sweep's deterministic section: per-(model, system) EX with
 /// hardness breakdown, sorted by (distance, model, system name).
 /// Identical across runs and thread counts because every number derives
@@ -301,23 +293,26 @@ pub fn distance_table(runs: &[MorphRun]) -> String {
     out
 }
 
-/// Sanity helper for drivers: the bucket a model lands in.
-pub fn bucket_of(distance: usize) -> &'static str {
-    bucket_label(distance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bucket_label(distance: usize) -> &'static str {
+        DISTANCE_BUCKETS
+            .iter()
+            .find(|(lo, hi, _)| distance >= *lo && distance <= *hi)
+            .map(|(_, _, l)| *l)
+            .expect("buckets cover all distances")
+    }
+
     #[test]
     fn buckets_cover_all_distances() {
         for d in 0..100 {
-            let _ = bucket_of(d);
+            let _ = bucket_label(d);
         }
-        assert_eq!(bucket_of(0), "0 (v1)");
-        assert_eq!(bucket_of(4), "3-5");
-        assert_eq!(bucket_of(25), "10+");
+        assert_eq!(bucket_label(0), "0 (v1)");
+        assert_eq!(bucket_label(4), "3-5");
+        assert_eq!(bucket_label(25), "10+");
     }
 
     #[test]

@@ -72,18 +72,6 @@ impl ExecBudget {
         max_rows: u64::MAX,
     };
 
-    /// A uniformly scaled-down budget for stress tests: `fraction` is a
-    /// divisor applied to the default limits.
-    pub fn scaled_down(divisor: u64) -> ExecBudget {
-        let d = divisor.max(1);
-        let base = ExecBudget::default();
-        ExecBudget {
-            max_steps: (base.max_steps / d).max(1),
-            max_cells: (base.max_cells / d).max(1),
-            max_rows: (base.max_rows / d).max(1),
-        }
-    }
-
     pub fn with_max_steps(mut self, n: u64) -> ExecBudget {
         self.max_steps = n;
         self
@@ -315,11 +303,5 @@ mod tests {
             assert_eq!(spent.fits(&budget), completes, "{budget:?}");
             assert_eq!(metered(&budget, run).0.is_ok(), completes, "{budget:?}");
         }
-    }
-
-    #[test]
-    fn scaled_down_never_hits_zero() {
-        let b = ExecBudget::scaled_down(u64::MAX);
-        assert!(b.max_steps >= 1 && b.max_cells >= 1 && b.max_rows >= 1);
     }
 }

@@ -210,11 +210,6 @@ impl QueryCache {
         }
     }
 
-    /// Number of lock stripes (fixed; exposed for invariant checks).
-    pub fn shard_count(&self) -> usize {
-        SHARDS
-    }
-
     /// Executes `sql` against `db`, serving repeats from the memo table.
     ///
     /// The key is the trimmed query text under the current planner-config
@@ -316,10 +311,6 @@ impl QueryCache {
     /// table itself is left intact; use [`QueryCache::clear`] to drop it.
     pub fn set_enabled(&self, enabled: bool) {
         self.disabled.store(!enabled, Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        !self.disabled.load(Ordering::Relaxed)
     }
 
     /// Drops all entries and zeroes the counters (global and per-shard).
@@ -625,7 +616,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.entries, s.builds), (40, 40));
         let shards = cache.shard_stats();
-        assert_eq!(shards.len(), cache.shard_count());
+        assert_eq!(shards.len(), SHARDS);
         assert_eq!(shards.iter().map(|x| x.entries).sum::<usize>(), 40);
         assert_eq!(shards.iter().map(|x| x.builds).sum::<u64>(), 40);
         for sh in &shards {

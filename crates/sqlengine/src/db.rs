@@ -313,11 +313,6 @@ impl Database {
         )
     }
 
-    /// Records one equality probe answered through an index.
-    pub fn note_index_probe(&self, found: bool) {
-        self.note_index_probes(1, found as u64);
-    }
-
     /// Records a batch of equality probes answered through an index.
     /// The per-row join loops tally locally and flush once per
     /// operator through here, so the hot path pays two atomic adds per
@@ -689,7 +684,7 @@ mod tests {
             for _ in 0..threads {
                 s.spawn(|| {
                     for i in 0..per_thread {
-                        d.note_index_probe(i % 3 == 0);
+                        d.note_index_probes(1, (i % 3 == 0) as u64);
                     }
                 });
             }

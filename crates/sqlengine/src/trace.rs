@@ -188,19 +188,6 @@ impl TraceSpan {
         (n, acc)
     }
 
-    /// Wall-clock nanoseconds summed over every span of `stage` in the
-    /// subtree. Attributions, not a partition: a subquery inside a join
-    /// predicate bills its own operators *and* its parent join.
-    pub fn stage_cpu_ns(&self, stage: &str) -> u64 {
-        let mut ns = 0u64;
-        self.visit(&mut |s, _| {
-            if s.stage == stage {
-                ns += s.cpu_ns;
-            }
-        });
-        ns
-    }
-
     /// The full deterministic counter tree: every span, rendered as
     /// `stage label rows=N steps=S cells=C`, timing and access-path
     /// fields excluded. Byte-identical across thread counts and across

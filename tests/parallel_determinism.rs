@@ -7,7 +7,10 @@
 //! both properties at the experiment-grid level.
 
 use evalkit::morph::canonical_budget;
-use evalkit::{run_config, run_finetuned_grid, set_thread_override, EvalSetup, RunResult};
+use evalkit::{
+    run_config, run_fewshot_grid, run_finetuned_grid, run_latency, set_thread_override, EvalSetup,
+    RunResult,
+};
 use footballdb::DataModel;
 use textosql::{predict, Budget, RetrievalIndex, SystemContext, SystemKind};
 use xrng::Rng;
@@ -44,6 +47,49 @@ fn grid_output_is_independent_of_thread_count() {
     set_thread_override(None);
 
     assert_runs_identical(&serial, &parallel);
+}
+
+/// Tables 6 and 7: one worker with the memos off must reproduce four
+/// workers with them on, fold by fold and item by item. (Forced seqscan
+/// is left to the outside-in benchmark's eval-grid reference: the switch
+/// is process-global, and Table 7 runs the same `run_prepared` path.)
+#[test]
+fn fewshot_and_latency_tables_match_a_serial_uncached_run() {
+    let setup = EvalSetup::small(31);
+    let run = |threads, memos| {
+        set_thread_override(Some(threads));
+        setup.set_query_caches_enabled(memos);
+        setup.clear_query_caches();
+        let tables = (run_fewshot_grid(&setup), run_latency(&setup));
+        set_thread_override(None);
+        tables
+    };
+    let (serial_fewshot, serial_latency) = run(1, false);
+    let (pooled_fewshot, pooled_latency) = run(4, true);
+
+    assert_eq!(serial_fewshot.len(), pooled_fewshot.len());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (a, b) in serial_fewshot.iter().zip(&pooled_fewshot) {
+        let cell = (a.system, a.model, a.shots);
+        assert_eq!(cell, (b.system, b.model, b.shots));
+        assert_eq!(
+            bits(&a.fold_accuracies),
+            bits(&b.fold_accuracies),
+            "{cell:?}"
+        );
+        assert_runs_identical(
+            std::slice::from_ref(&a.last_run),
+            std::slice::from_ref(&b.last_run),
+        );
+    }
+    let rows = |table: &[(SystemKind, f64, f64)]| {
+        table
+            .iter()
+            .map(|&(system, mean, sd)| (system, mean.to_bits(), sd.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(rows(&serial_latency), rows(&pooled_latency));
+    assert_eq!(serial_latency.len(), SystemKind::ALL.len());
 }
 
 #[test]

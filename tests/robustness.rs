@@ -1,11 +1,12 @@
 //! Robustness integration tests: fuel budgets bound pathological
 //! queries, budget aborts never poison the query cache, hazard
 //! templates trip identically across access-path modes, governed runs
-//! stay bit-identical under panic injection at any thread count, and
-//! deep nesting is an error rather than a stack overflow.
+//! stay bit-identical under panic injection at any thread count, deep
+//! nesting is an error rather than a stack overflow, and mutated gold
+//! SQL never panics.
 
 use footballdb_repro::evalkit::{run_config_governed, set_thread_override, EvalSetup, Governor};
-use footballdb_repro::footballdb::{generate, DataModel, DEFAULT_SEED};
+use footballdb_repro::footballdb::{generate, load, DataModel, DEFAULT_SEED};
 use footballdb_repro::nlq::gold::{build_benchmark, build_raw_corpus, PipelineConfig};
 use footballdb_repro::sqlengine::conformance::{
     check_hazard, corpus_db, gen_corpus, gen_dialect_corpus, gen_hazard_corpus, ref_execute_sql,
@@ -16,6 +17,7 @@ use footballdb_repro::sqlengine::{
 };
 use footballdb_repro::sqlkit::{diff_sql, nesting_depth, parse_query, to_sql, MAX_NESTING};
 use footballdb_repro::textosql::{Budget, FaultPlan, SystemKind};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use xrng::Rng;
 
@@ -259,5 +261,68 @@ fn nesting_ceiling_is_above_every_generated_query() {
     assert!(
         deepest < MAX_NESTING,
         "a generated query nests {deepest} deep"
+    );
+}
+
+/// Tokens a mutant may gain, spaced so each lexes on its own.
+const MUTANT_TOKENS: [&str; 16] = [
+    "SELECT", "FROM", "WHERE", "JOIN", "ON", "GROUP BY", "ORDER BY", "UNION", "NOT", "NULL", "(",
+    ")", ",", "'", "*", "1",
+];
+
+/// One to three seeded edits of `sql`: delete a run of bytes, duplicate
+/// one, swap two bytes, or insert a token.
+fn mutate(sql: &str, rng: &mut Rng) -> String {
+    let mut bytes = sql.as_bytes().to_vec();
+    for _ in 0..1 + rng.index(3) {
+        let at = rng.index(bytes.len() + 1);
+        let end = (at + 1 + rng.index(8)).min(bytes.len());
+        match rng.index(4) {
+            0 => drop(bytes.drain(at..end)),
+            1 => drop(bytes.splice(at..at, bytes[at..end].to_vec())),
+            2 if at < bytes.len() => {
+                let other = rng.index(bytes.len());
+                bytes.swap(at, other);
+            }
+            _ => {
+                let token = format!(" {} ", rng.choose(&MUTANT_TOKENS));
+                drop(bytes.splice(at..at, token.bytes()));
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A bounded mutation pass over the gold SQL of v1–v3: parsing,
+/// printing and executing each mutant under the default budget may
+/// fail, but must never panic.
+#[test]
+fn mutated_gold_sql_never_panics() {
+    let domain = generate(DEFAULT_SEED);
+    let benchmark = build_benchmark(&domain, 7, &EvalSetup::small_config());
+    let dbs: Vec<_> = DataModel::ALL
+        .iter()
+        .map(|&m| (m, load(&domain, m)))
+        .collect();
+    let budget = ExecBudget::default();
+    let mut rng = Rng::new(0x6D07);
+    let (mut parsed, mut answered) = (0, 0);
+    for _ in 0..3_000 {
+        let (model, db) = rng.choose(&dbs);
+        let sql = mutate(rng.choose(&benchmark.gold_pool).sql(*model), &mut rng);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let Ok(query) = parse_query(&sql) else {
+                return (false, false);
+            };
+            assert!(!to_sql(&query).is_empty());
+            (true, execute_sql_with_budget(db, &sql, &budget).is_ok())
+        }));
+        let (p, ok) = outcome.unwrap_or_else(|_| panic!("mutant panicked on {model}: {sql}"));
+        parsed += usize::from(p);
+        answered += usize::from(ok);
+    }
+    assert!(
+        parsed > 150 && answered > 30,
+        "{parsed} mutants parsed and {answered} executed: too few to exercise the engine"
     );
 }
