@@ -32,7 +32,7 @@ use footballdb::{generate, load, load_morphed, synthesize_models, DataModel};
 use nlq::gold::{build_benchmark, build_raw_corpus, PipelineConfig};
 use nlq::GoldExample;
 use sqlengine::conformance::{result_bits_eq, run_morph_corpus};
-use sqlengine::{execute_sql, Database, QueryCache, ResultSet};
+use sqlengine::{execute_sql, Database, ResultSet};
 use xrng::Rng;
 
 const USAGE: &str = "usage: morph [--smoke] [--seed N] [--models N] [--out PATH]
@@ -197,19 +197,16 @@ fn main() {
             distance: 0,
             chain: "identity".to_string(),
         };
-        let cache = QueryCache::new();
         runs.extend(run_morph_model(
             seed,
             &base_spec,
             &v1,
-            &cache,
             &benchmark.test,
             &benchmark.train,
             &governor,
         ));
         for m in &models {
             let db = load_morphed(&domain, m).with_dialect(dialect);
-            let cache = QueryCache::new();
             let items = rewrite_examples(&benchmark.test, m);
             let pool = rewrite_examples(&benchmark.train, m);
             let spec = MorphModelSpec {
@@ -217,9 +214,7 @@ fn main() {
                 distance: m.distance,
                 chain: m.chain(),
             };
-            runs.extend(run_morph_model(
-                seed, &spec, &db, &cache, &items, &pool, &governor,
-            ));
+            runs.extend(run_morph_model(seed, &spec, &db, &items, &pool, &governor));
         }
         runs
     };

@@ -1,10 +1,12 @@
 //! System capability model.
 //!
-//! The five evaluated systems are real pipelines (schema linking, IR,
-//! join-path reconstruction, constrained decoding, few-shot retrieval)
-//! layered with a *calibrated stochastic capability model* standing in
-//! for the neural network weights we cannot run. The model has three
-//! parts:
+//! The five evaluated systems are real pipelines (IR, join-path
+//! reconstruction, constrained decoding, few-shot retrieval) layered
+//! with a *calibrated stochastic capability model* standing in for the
+//! neural network weights we cannot run. Pre-processing that no
+//! simulated system runs — schema linking, ValueNet's value finder —
+//! acts only through this model (the lexical-gap penalty of
+//! [`success_probabilities`]). The model has three parts:
 //!
 //! 1. **Targets** — per (system, data model, training budget) mean
 //!    execution accuracies taken from the paper's Tables 5 and 6, with

@@ -6,9 +6,7 @@
 //! design space as composable pieces:
 //!
 //! * [`schema_encode`] — schema serialization with/without PK/FK keys
-//!   and with/without DB content (dimension D4, Table 4's encoding row);
-//! * [`linking`] — IRNet-style schema linking and ValueNet's value
-//!   finder over database content;
+//!   (dimension D4, Table 4's encoding row);
 //! * [`ir`] + [`joinpath`] — the SemQL intermediate representation and
 //!   the shortest-join-path SQL reconstruction, including its
 //!   single-FK-reference limitation (the mechanism behind the v1
@@ -18,7 +16,10 @@
 //!   (LLaMA2's 4,096-token cap);
 //! * [`capability`] — the calibrated stochastic capability model
 //!   standing in for model weights (targets from Tables 5/6, difficulty
-//!   multipliers for Figures 7/8, mechanistic vetoes);
+//!   multipliers for Figures 7/8, mechanistic vetoes). It also carries
+//!   the effect of pre-processing the systems do not run here — schema
+//!   linking and ValueNet's value finder — as per-item penalties such as
+//!   the lexical gap;
 //! * [`systems`] — the five evaluated systems (ValueNet, T5-Picard,
 //!   T5-Picard_Keys, GPT-3.5, LLaMA2-70B) composed per Table 4;
 //! * [`cost`] — the inference-latency model (Table 7);
@@ -46,7 +47,6 @@ pub mod decode;
 pub mod fault;
 pub mod ir;
 pub mod joinpath;
-pub mod linking;
 pub mod prompt;
 pub mod retrieval;
 pub mod schema_encode;

@@ -7,9 +7,13 @@
 //! question. GPT-style prompts are terse; LLaMA2 prompts are wrapped in
 //! its chat template (`[INST] … [/INST]`), whose overhead is exactly why
 //! fewer shots fit its 4,096-token window.
+//!
+//! Prediction does not build the prompt: it budgets shots from token
+//! estimates ([`crate::retrieval::RetrievalIndex::shots_within_budget`]),
+//! and a unit test checks that the prompt built from those shots fits
+//! LLaMA2's window.
 
 use crate::capability::SystemKind;
-use crate::schema_encode::approx_tokens;
 use footballdb::DataModel;
 use nlq::GoldExample;
 use std::fmt::Write;
@@ -70,20 +74,10 @@ pub fn build_prompt(
     out
 }
 
-/// Token size of the built prompt.
-pub fn prompt_tokens(
-    kind: SystemKind,
-    schema_text: &str,
-    shots: &[&GoldExample],
-    model: DataModel,
-    question: &str,
-) -> usize {
-    approx_tokens(&build_prompt(kind, schema_text, shots, model, question))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema_encode::approx_tokens;
 
     fn shot(i: usize) -> GoldExample {
         GoldExample {
@@ -130,10 +124,13 @@ mod tests {
     fn llama_prompt_is_more_verbose_per_shot() {
         let shots = [shot(0)];
         let refs: Vec<&GoldExample> = shots.iter().collect();
-        let gpt_one = prompt_tokens(SystemKind::Gpt35, "", &refs, DataModel::V1, "q");
-        let gpt_zero = prompt_tokens(SystemKind::Gpt35, "", &[], DataModel::V1, "q");
-        let llama_one = prompt_tokens(SystemKind::Llama2, "", &refs, DataModel::V1, "q");
-        let llama_zero = prompt_tokens(SystemKind::Llama2, "", &[], DataModel::V1, "q");
+        let tokens = |kind, shots: &[&GoldExample]| {
+            approx_tokens(&build_prompt(kind, "", shots, DataModel::V1, "q"))
+        };
+        let gpt_one = tokens(SystemKind::Gpt35, &refs);
+        let gpt_zero = tokens(SystemKind::Gpt35, &[]);
+        let llama_one = tokens(SystemKind::Llama2, &refs);
+        let llama_zero = tokens(SystemKind::Llama2, &[]);
         assert!(
             llama_one - llama_zero > gpt_one - gpt_zero,
             "chat template must cost more per shot"

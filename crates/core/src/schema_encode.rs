@@ -4,44 +4,15 @@
 //! schema, but T5-Picard's original encoding omits the PK/FK constraints
 //! while T5-Picard_Keys, ValueNet, and the LLM prompts include them. The
 //! token length of the encoding feeds the few-shot budget (LLaMA2's 4096
-//! limit) and the inference-time model.
+//! limit) and decides which tables survive the input-token tradeoff's
+//! truncation (`evalkit::tradeoff`).
 
-use sqlengine::{Catalog, Database};
+use sqlengine::Catalog;
 use std::fmt::Write;
 
-/// Encoding options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeOptions {
-    /// Include primary/foreign key constraints.
-    pub with_keys: bool,
-    /// Include a few sample values per column (ValueNet-style DB
-    /// content; LLM prompts with sample rows).
-    pub with_content: bool,
-    /// Sample values per column when `with_content`.
-    pub content_samples: usize,
-}
-
-impl EncodeOptions {
-    pub const SCHEMA_ONLY: EncodeOptions = EncodeOptions {
-        with_keys: false,
-        with_content: false,
-        content_samples: 0,
-    };
-    pub const WITH_KEYS: EncodeOptions = EncodeOptions {
-        with_keys: true,
-        with_content: false,
-        content_samples: 0,
-    };
-    pub const FULL: EncodeOptions = EncodeOptions {
-        with_keys: true,
-        with_content: true,
-        content_samples: 3,
-    };
-}
-
-/// Serializes a schema (optionally with content samples) into the flat
-/// text form models consume.
-pub fn encode_schema(catalog: &Catalog, db: Option<&Database>, opts: EncodeOptions) -> String {
+/// Serializes a schema into the flat text form models consume, with or
+/// without its primary/foreign key constraints.
+pub fn encode_schema(catalog: &Catalog, with_keys: bool) -> String {
     let mut out = String::with_capacity(1024);
     for t in &catalog.tables {
         let _ = write!(out, "table {} (", t.name);
@@ -52,7 +23,7 @@ pub fn encode_schema(catalog: &Catalog, db: Option<&Database>, opts: EncodeOptio
             let _ = write!(out, "{} {}", c.name, c.ty);
         }
         out.push(')');
-        if opts.with_keys {
+        if with_keys {
             if !t.primary_key.is_empty() {
                 let _ = write!(out, " primary key ({})", t.primary_key.join(", "));
             }
@@ -67,16 +38,6 @@ pub fn encode_schema(catalog: &Catalog, db: Option<&Database>, opts: EncodeOptio
             }
         }
         out.push('\n');
-        if opts.with_content {
-            if let Some(db) = db {
-                if let Some(rows) = db.rows(&t.name) {
-                    for row in rows.iter().take(opts.content_samples) {
-                        let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-                        let _ = writeln!(out, "  row: {}", cells.join(", "));
-                    }
-                }
-            }
-        }
     }
     out
 }
@@ -90,13 +51,13 @@ pub fn approx_tokens(text: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footballdb::{generate, load, DataModel};
+    use footballdb::DataModel;
 
     #[test]
     fn keys_are_included_only_when_asked() {
         let cat = DataModel::V1.catalog();
-        let without = encode_schema(&cat, None, EncodeOptions::SCHEMA_ONLY);
-        let with = encode_schema(&cat, None, EncodeOptions::WITH_KEYS);
+        let without = encode_schema(&cat, false);
+        let with = encode_schema(&cat, true);
         assert!(!without.contains("foreign key"));
         assert!(with.contains("foreign key"));
         assert!(with.contains("primary key"));
@@ -104,19 +65,10 @@ mod tests {
     }
 
     #[test]
-    fn content_samples_appear() {
-        let d = generate(7);
-        let db = load(&d, DataModel::V1);
-        let enc = encode_schema(db.catalog(), Some(&db), EncodeOptions::FULL);
-        assert!(enc.contains("row:"));
-        assert!(enc.contains("Brazil") || enc.contains("Argentina"));
-    }
-
-    #[test]
     fn all_tables_listed() {
         for m in DataModel::ALL {
             let cat = m.catalog();
-            let enc = encode_schema(&cat, None, EncodeOptions::WITH_KEYS);
+            let enc = encode_schema(&cat, true);
             for t in &cat.tables {
                 assert!(
                     enc.contains(&format!("table {} ", t.name)),
@@ -133,7 +85,7 @@ mod tests {
         assert_eq!(approx_tokens("abcd"), 1);
         assert_eq!(approx_tokens("abcde"), 2);
         let cat = DataModel::V3.catalog();
-        let enc = encode_schema(&cat, None, EncodeOptions::WITH_KEYS);
+        let enc = encode_schema(&cat, true);
         assert!(approx_tokens(&enc) > 200);
     }
 }

@@ -4,9 +4,10 @@
 //! clause-diff classes for `wrong_result` items, failure kinds for the
 //! rest — onto the stage of the text-to-SQL pipeline that most plausibly
 //! produced it. The stages mirror the system composition in [`crate`]:
-//! schema linking ([`crate::linking`]), join-path inference
-//! ([`crate::joinpath`]), constrained decoding ([`crate::decode`]), the
-//! model/provider boundary, and downstream query execution.
+//! schema linking (attributed from clause diffs; the simulated systems
+//! do not run a linker), join-path inference ([`crate::joinpath`]),
+//! constrained decoding ([`crate::decode`]), the model/provider
+//! boundary, and downstream query execution.
 
 /// The pipeline stage a failure is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

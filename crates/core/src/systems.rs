@@ -2,10 +2,12 @@
 //!
 //! Each system composes the real pipeline pieces per Table 4:
 //!
-//! * **ValueNet** — schema linking + value finder + SemQL IR; the
-//!   prediction is reconstructed from the IR through the shortest-join-
-//!   path algorithm (post-processing), so multi-FK data-model shapes
-//!   fail mechanically.
+//! * **ValueNet** — SemQL IR; the prediction is reconstructed from the
+//!   IR through the shortest-join-path algorithm (post-processing), so
+//!   multi-FK data-model shapes fail mechanically. Its pre-processing
+//!   (schema linking, the value finder over database content) is not
+//!   run: its effect on accuracy lives in the capability model
+//!   ([`crate::capability`]), e.g. the lexical-gap penalty.
 //! * **T5-Picard** — seq2seq decoding without key information, with
 //!   Picard grammar/schema-constrained decoding.
 //! * **T5-Picard_Keys** — same with PK/FK-augmented schema encoding.
@@ -24,14 +26,12 @@
 
 use crate::capability::{Budget, SystemKind};
 use crate::cost;
-use crate::decode::{constrain, DecodeOutcome};
+use crate::decode::constrain;
 use crate::fault::{corrupt_sql, FaultKind, FaultPlan, RetryPolicy, SimClock};
 use crate::ir::SemQl;
 use crate::joinpath::JoinGraph;
-use crate::linking::{find_values, schema_links};
-use crate::prompt::build_prompt;
 use crate::retrieval::RetrievalIndex;
-use crate::schema_encode::{approx_tokens, encode_schema, EncodeOptions};
+use crate::schema_encode::{approx_tokens, encode_schema};
 use footballdb::DataModel;
 use nlq::GoldExample;
 use sqlengine::{Catalog, Database, Value};
@@ -69,11 +69,6 @@ pub struct Prediction {
     pub latency: f64,
     /// Few-shot examples that actually fit the prompt (LLMs).
     pub shots_used: usize,
-    /// Picard prefix checks performed (decode cost diagnostics).
-    pub prefix_checks: usize,
-    /// Size of the constructed prompt in tokens (LLM systems; 0 for
-    /// fine-tuned systems, whose encoder input is accounted separately).
-    pub prompt_tokens: usize,
 }
 
 /// Runs one system on one question.
@@ -88,46 +83,11 @@ pub fn predict(
     p_success: f64,
     rng: &mut Rng,
 ) -> Prediction {
-    // Pre-processing work every system performs (and whose size feeds
-    // the latency model): schema encoding, plus linking for ValueNet.
-    let enc_opts = match kind {
-        SystemKind::ValueNet => EncodeOptions::FULL,
-        SystemKind::T5Picard => EncodeOptions::SCHEMA_ONLY,
-        _ => EncodeOptions::WITH_KEYS,
-    };
-    let schema_text = encode_schema(ctx.catalog(), Some(ctx.db), enc_opts);
-    let schema_tokens = approx_tokens(&schema_text);
-    if kind.uses_content() {
-        // ValueNet's value finder and schema linking run on every query.
-        let _links = schema_links(&item.question, ctx.db);
-        let _values = find_values(&item.question, ctx.db);
-    }
-
-    // Few-shot retrieval under the context budget. The budget is scaled
-    // by the prompt format's verbosity: LLaMA2's chat template and
-    // instruction blocks inflate every token of payload, which is why
-    // the paper could fit at most 8 shots into its 4,096-token window.
-    let mut shots_used = 0;
-    let mut prompt_tokens = 0;
-    if let (Budget::FewShot(want), Some(index)) = (ctx.budget, ctx.index) {
-        let (budget, verbosity) = match kind {
-            SystemKind::Llama2 => (LLAMA_TOKEN_BUDGET, 2.5),
-            _ => (GPT_TOKEN_BUDGET, 1.0),
-        };
-        let effective = (budget as f64 / verbosity) as usize;
-        let (shots, _tokens) =
-            index.shots_within_budget(&item.question, ctx.model, want, schema_tokens, effective);
-        shots_used = shots.len();
-        // Materialize the actual prompt the model would receive.
-        let shot_refs: Vec<&GoldExample> = shots.iter().map(|&i| index.example(i)).collect();
-        let prompt = build_prompt(kind, &schema_text, &shot_refs, ctx.model, &item.question);
-        prompt_tokens = approx_tokens(&prompt);
-    }
+    let shots_used = select_shots(kind, item, ctx).len();
 
     let success = rng.chance(p_success);
     let gold = item.sql(ctx.model);
-
-    let (sql, prefix_checks) = if success {
+    let sql = if success {
         produce_success(kind, gold, ctx)
     } else {
         produce_failure(kind, gold, ctx, rng)
@@ -145,9 +105,31 @@ pub fn predict(
         sql,
         latency,
         shots_used,
-        prefix_checks,
-        prompt_tokens,
     }
+}
+
+/// Few-shot retrieval under the context budget: indices into
+/// `ctx.index` of the examples the prompt carries, beside the system's
+/// schema encoding (Table 4's keys row). Empty for fine-tuned budgets
+/// and when no pool is indexed.
+///
+/// The budget is scaled by the prompt format's verbosity: LLaMA2's chat
+/// template and instruction blocks inflate every token of payload, which
+/// is why the paper could fit at most 8 shots into its 4,096-token
+/// window.
+fn select_shots(kind: SystemKind, item: &GoldExample, ctx: &SystemContext<'_>) -> Vec<usize> {
+    let (Budget::FewShot(want), Some(index)) = (ctx.budget, ctx.index) else {
+        return Vec::new();
+    };
+    let (budget, verbosity) = match kind {
+        SystemKind::Llama2 => (LLAMA_TOKEN_BUDGET, 2.5),
+        _ => (GPT_TOKEN_BUDGET, 1.0),
+    };
+    let effective = (budget as f64 / verbosity) as usize;
+    let schema_tokens = approx_tokens(&encode_schema(ctx.catalog(), kind.uses_keys()));
+    let (shots, _tokens) =
+        index.shots_within_budget(&item.question, ctx.model, want, schema_tokens, effective);
+    shots
 }
 
 /// A prediction that passed through a [`FaultPlan`]: the base prediction
@@ -157,10 +139,9 @@ pub struct GovernedPrediction {
     pub prediction: Prediction,
     /// The injected fault, if this (system, question) drew one.
     pub fault: Option<FaultKind>,
-    /// Retry attempts consumed by a transient fault.
+    /// Retry attempts consumed by a transient fault; the simulated
+    /// backoff is already added to the prediction's latency.
     pub retries: u32,
-    /// Simulated seconds spent backing off (already added to latency).
-    pub backoff_s: f64,
     /// True when a transient fault exhausted every retry: the provider
     /// never answered and the prediction carries no SQL.
     pub gave_up: bool,
@@ -197,7 +178,6 @@ pub fn predict_governed(
             prediction,
             fault: None,
             retries: 0,
-            backoff_s: 0.0,
             gave_up: false,
         };
     };
@@ -209,7 +189,6 @@ pub fn predict_governed(
             prediction,
             fault,
             retries: 0,
-            backoff_s: 0.0,
             gave_up: false,
         };
     }
@@ -236,45 +215,26 @@ pub fn predict_governed(
         prediction,
         fault,
         retries,
-        backoff_s: clock.now_s(),
         gave_up: !recovered,
     }
 }
 
 /// Successful prediction: the pipeline reproduces the gold query through
 /// its own machinery.
-fn produce_success(
-    kind: SystemKind,
-    gold: &str,
-    ctx: &SystemContext<'_>,
-) -> (Option<String>, usize) {
+fn produce_success(kind: SystemKind, gold: &str, ctx: &SystemContext<'_>) -> Option<String> {
     match kind {
         SystemKind::ValueNet => {
             // Gold → IR → SQL through the join-path algorithm. The
             // capability layer only grants success on non-vetoed items,
             // so this normally succeeds; any residual failure is an
             // honest pipeline failure.
-            let Ok(q) = sqlkit::parse_query(gold) else {
-                return (None, 0);
-            };
-            match SemQl::from_query(&q) {
-                Ok(ir) => match ir.to_sql(ctx.graph) {
-                    Ok(sql) => (Some(sql), 0),
-                    Err(_) => (None, 0),
-                },
-                Err(_) => (None, 0),
-            }
+            let q = sqlkit::parse_query(gold).ok()?;
+            SemQl::from_query(&q).ok()?.to_sql(ctx.graph).ok()
         }
-        SystemKind::T5Picard | SystemKind::T5PicardKeys => {
-            let outcome = constrain(gold, ctx.catalog());
-            match outcome {
-                DecodeOutcome::Accepted { prefix_checks } => {
-                    (Some(gold.to_string()), prefix_checks)
-                }
-                DecodeOutcome::Rejected { prefix_checks, .. } => (None, prefix_checks),
-            }
-        }
-        SystemKind::Gpt35 | SystemKind::Llama2 => (Some(gold.to_string()), 0),
+        SystemKind::T5Picard | SystemKind::T5PicardKeys => constrain(gold, ctx.catalog())
+            .accepted()
+            .then(|| gold.to_string()),
+        SystemKind::Gpt35 | SystemKind::Llama2 => Some(gold.to_string()),
     }
 }
 
@@ -284,7 +244,7 @@ fn produce_failure(
     gold: &str,
     ctx: &SystemContext<'_>,
     rng: &mut Rng,
-) -> (Option<String>, usize) {
+) -> Option<String> {
     // Some failures produce nothing at all.
     let p_none = match kind {
         SystemKind::ValueNet => 0.25,
@@ -292,11 +252,9 @@ fn produce_failure(
         _ => 0.05,
     };
     if rng.chance(p_none) {
-        return (None, 0);
+        return None;
     }
-    let Ok(query) = sqlkit::parse_query(gold) else {
-        return (None, 0);
-    };
+    let query = sqlkit::parse_query(gold).ok()?;
     // A failed prediction must actually *be* a failure: corruptions that
     // happen to produce the gold results are retried (the capability
     // model already decided this draw is wrong). Unbudgeted, like a
@@ -311,7 +269,6 @@ fn produce_failure(
         }
     };
 
-    let mut checks = 0;
     for _attempt in 0..8 {
         let mut q = query.clone();
         let mutated = apply_mutation(&mut q, ctx, rng);
@@ -323,10 +280,8 @@ fn produce_failure(
             SystemKind::T5Picard | SystemKind::T5PicardKeys => {
                 // Picard rejects schema-invalid corruptions; the decoder
                 // backtracks and tries another beam.
-                let outcome = constrain(&sql, ctx.catalog());
-                checks += outcome.prefix_checks();
-                if outcome.accepted() && is_really_wrong(&sql) {
-                    return (Some(sql), checks);
+                if constrain(&sql, ctx.catalog()).accepted() && is_really_wrong(&sql) {
+                    return Some(sql);
                 }
             }
             SystemKind::ValueNet => {
@@ -335,19 +290,19 @@ fn produce_failure(
                 if let Ok(ir) = SemQl::from_query(&q) {
                     if let Ok(out) = ir.to_sql(ctx.graph) {
                         if is_really_wrong(&out) {
-                            return (Some(out), checks);
+                            return Some(out);
                         }
                     }
                 }
             }
             _ => {
                 if is_really_wrong(&sql) {
-                    return (Some(sql), checks);
+                    return Some(sql);
                 }
             }
         }
     }
-    (None, checks)
+    None
 }
 
 /// Applies one random corruption in place. Returns false when the query
@@ -629,6 +584,7 @@ fn hallucinate_column(query: &mut Query, _rng: &mut Rng) -> bool {
 mod tests {
     use super::*;
     use crate::capability::{profile_items, success_probabilities};
+    use crate::prompt::build_prompt;
     use footballdb::{generate, load};
     use nlq::gold::{build_benchmark, PipelineConfig};
     use sqlengine::execute_sql;
@@ -787,15 +743,19 @@ mod tests {
             index: Some(&index),
             budget: Budget::FewShot(30),
         };
-        let mut rng = Rng::new(7);
+        let schema = encode_schema(c.catalog(), SystemKind::Llama2.uses_keys());
         for item in f.bench.test.iter().take(5) {
-            let p = predict(SystemKind::Llama2, item, &c, 0.5, &mut rng);
+            let shots: Vec<&GoldExample> = select_shots(SystemKind::Llama2, item, &c)
+                .into_iter()
+                .map(|i| index.example(i))
+                .collect();
+            let prompt = build_prompt(SystemKind::Llama2, &schema, &shots, model, &item.question);
+            let tokens = approx_tokens(&prompt);
             assert!(
-                p.prompt_tokens <= LLAMA_TOKEN_BUDGET,
-                "prompt of {} tokens exceeds the 4096 window",
-                p.prompt_tokens
+                tokens <= LLAMA_TOKEN_BUDGET,
+                "prompt of {tokens} tokens exceeds the 4096 window"
             );
-            assert!(p.prompt_tokens > 0);
+            assert!(tokens > 0);
         }
     }
 

@@ -300,30 +300,29 @@ fn cell_state(setup: &EvalSetup, cfg: &PreparedConfig) -> CellState {
     CellState { root, successes }
 }
 
-/// One item of one cell. The item RNG is forked from the cell's root by
-/// label (never drawn from a shared stream), so this function is a pure
-/// unit: any worker may run it, in any order, with identical output.
-fn run_one_item(
-    setup: &EvalSetup,
+/// Predicts one item under `governor` and scores it on `ctx`'s data
+/// model: the fault plan and retries govern the prediction, the emitted
+/// SQL runs against gold through the database's memo (the one predict
+/// verified its corruptions through) under the governor's budget, and a
+/// provider that exhausted its retries is a
+/// [`FailureKind::ProviderError`]. `success` is the caller's draw for
+/// this item and `rng` its item stream.
+pub(crate) fn score_item(
     ctx: &SystemContext,
     system: SystemKind,
-    state: &CellState,
+    item: &GoldExample,
+    profile: &ItemProfile,
+    success: bool,
+    rng: &mut Rng,
     governor: &Governor,
-    i: usize,
 ) -> ItemResult {
-    let (model, budget) = (ctx.model, ctx.budget);
-    let profiles = setup.profiles(model);
-    let item = &setup.benchmark.test[i];
-    let mut rng = state
-        .root
-        .fork(&format!("{system}/{model}/{}/{i}", budget.size()));
-    let p = if state.successes[i] { 1.0 } else { 0.0 };
+    let p = if success { 1.0 } else { 0.0 };
     let g = predict_governed(
         system,
         item,
         ctx,
         p,
-        &mut rng,
+        rng,
         governor.fault_plan.as_ref(),
         &governor.retry,
     );
@@ -338,7 +337,7 @@ fn run_one_item(
         ctx.db,
         ctx.db.query_cache(),
         &governor.budget,
-        item.sql(model),
+        item.sql(ctx.model),
         g.prediction.sql.as_deref(),
     );
     let trace = ItemTrace::from_span(&trace_guard.finish());
@@ -351,11 +350,11 @@ fn run_one_item(
         item_id: item.id,
         outcome,
         failure,
-        predicted_sql: g.prediction.sql.clone(),
+        predicted_sql: g.prediction.sql,
         latency: g.prediction.latency,
         shots_used: g.prediction.shots_used,
-        hardness: profiles[i].hardness,
-        stats: profiles[i].stats,
+        hardness: profile.hardness,
+        stats: profile.stats,
         trace,
         fault: g.fault,
         retries: g.retries,
@@ -364,17 +363,16 @@ fn run_one_item(
 }
 
 /// The degraded record for an item whose worker panicked.
-fn panicked_item(setup: &EvalSetup, model: DataModel, i: usize) -> ItemResult {
-    let profiles = setup.profiles(model);
+pub(crate) fn panicked_item(item: &GoldExample, profile: &ItemProfile) -> ItemResult {
     ItemResult {
-        item_id: setup.benchmark.test[i].id,
+        item_id: item.id,
         outcome: ExOutcome::ExecError,
         failure: Some(FailureKind::Panic),
         predicted_sql: None,
         latency: 0.0,
         shots_used: 0,
-        hardness: profiles[i].hardness,
-        stats: profiles[i].stats,
+        hardness: profile.hardness,
+        stats: profile.stats,
         trace: ItemTrace::default(),
         fault: None,
         retries: 0,
@@ -409,14 +407,29 @@ pub fn run_prepared(setup: &EvalSetup, cells: &[PreparedConfig]) -> Vec<RunResul
         .collect();
     let caught = par_map_catch(&pairs, |&(c, i)| {
         let cfg = &cells[c];
+        let (system, model, budget) = (cfg.system, cfg.model, cfg.budget);
         let ctx = SystemContext {
-            model: cfg.model,
-            db: setup.db(cfg.model),
-            graph: setup.graph(cfg.model),
+            model,
+            db: setup.db(model),
+            graph: setup.graph(model),
             index: Some(&indexes[c]),
-            budget: cfg.budget,
+            budget,
         };
-        run_one_item(setup, &ctx, cfg.system, &states[c], &cfg.governor, i)
+        // The item RNG is forked from the cell's root by label (never
+        // drawn from a shared stream), so each pair is a pure unit: any
+        // worker may run it, in any order, with identical output.
+        let mut rng = states[c]
+            .root
+            .fork(&format!("{system}/{model}/{}/{i}", budget.size()));
+        score_item(
+            &ctx,
+            system,
+            &setup.benchmark.test[i],
+            &setup.profiles(model)[i],
+            states[c].successes[i],
+            &mut rng,
+            &cfg.governor,
+        )
     });
 
     let mut slots = caught.into_iter();
@@ -431,7 +444,9 @@ pub fn run_prepared(setup: &EvalSetup, cells: &[PreparedConfig]) -> Vec<RunResul
                     slots
                         .next()
                         .expect("one slot per pair")
-                        .unwrap_or_else(|_| panicked_item(setup, cfg.model, i))
+                        .unwrap_or_else(|_| {
+                            panicked_item(&setup.benchmark.test[i], &setup.profiles(cfg.model)[i])
+                        })
                 })
                 .collect(),
         })

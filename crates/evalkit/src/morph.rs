@@ -6,9 +6,10 @@
 //! module runs the simulated systems over each of them and reports EX as
 //! a function of schema distance — per (system, model, hardness).
 //!
-//! Mechanics mirror [`crate::experiment`] exactly — stratified success
-//! draws from a label-forked RNG, governed predictions, per-item panic
-//! isolation — but the data-model axis is an arbitrary morphed
+//! Each item runs through the item path of [`crate::experiment`]'s
+//! grids — governed prediction, scoring on the database's memo, per-item
+//! panic isolation — with the sweep's own stratified success draws and
+//! label-forked RNGs; the data-model axis is an arbitrary morphed
 //! [`Database`] instead of the three built-ins. Degradation with distance
 //! is *emergent*, not scripted: the co-rewritten gold SQL on a distant
 //! model has more joins (splits), reclassified hardness, a wider lexical
@@ -21,18 +22,17 @@ use std::fmt::Write as _;
 
 use footballdb::DataModel;
 use nlq::GoldExample;
-use sqlengine::{Database, QueryCache};
+use sqlengine::Database;
 use sqlkit::Hardness;
 use textosql::{
-    predict_governed, profile_items_with_db, success_probabilities, Budget, JoinGraph,
-    RetrievalIndex, SystemContext, SystemKind,
+    profile_items_with_db, success_probabilities, Budget, JoinGraph, RetrievalIndex, SystemContext,
+    SystemKind,
 };
 use xrng::Rng;
 
-use crate::experiment::{weighted_success_set, Governor, ItemResult};
+use crate::experiment::{panicked_item, score_item, weighted_success_set, Governor, ItemResult};
 use crate::json::Json;
-use crate::metric::{accuracy, execution_match_governed, ExOutcome, FailureKind};
-use crate::metrics::ItemTrace;
+use crate::metric::{accuracy, ExOutcome, FailureKind};
 use crate::parallel::par_map_catch;
 
 /// Identity of one synthesized model inside the sweep.
@@ -100,13 +100,13 @@ pub fn canonical_budget(system: SystemKind) -> Budget {
 
 /// Run every system over one morphed model. `items` is the test set and
 /// `pool` the train/shot pool, both already co-rewritten onto the model
-/// (v1 SQL slot). Deterministic in `(seed, spec, inputs)` at any thread
-/// count; each item is panic-isolated.
+/// (v1 SQL slot). Prediction and scoring share `db`'s query memo.
+/// Deterministic in `(seed, spec, inputs)` at any thread count; each
+/// item is panic-isolated.
 pub fn run_morph_model(
     seed: u64,
     spec: &MorphModelSpec,
     db: &Database,
-    cache: &QueryCache,
     items: &[GoldExample],
     pool: &[GoldExample],
     governor: &Governor,
@@ -127,73 +127,30 @@ pub fn run_morph_model(
             let count = (expected.round().max(0.0) as usize).min(probs.len());
             let successes = weighted_success_set(&probs, count, &mut draw_rng);
 
+            let ctx = SystemContext {
+                model: DataModel::V1,
+                db,
+                graph: &graph,
+                index: Some(&index),
+                budget,
+            };
             let idx: Vec<usize> = (0..items.len()).collect();
             let caught = par_map_catch(&idx, |&i| {
-                let item = &items[i];
-                let ctx = SystemContext {
-                    model: DataModel::V1,
-                    db,
-                    graph: &graph,
-                    index: Some(&index),
-                    budget,
-                };
                 let mut rng = cell_root.fork(&format!("item/{i}"));
-                let p = if successes[i] { 1.0 } else { 0.0 };
-                let g = predict_governed(
-                    system,
-                    item,
+                score_item(
                     &ctx,
-                    p,
+                    system,
+                    &items[i],
+                    &profiles[i],
+                    successes[i],
                     &mut rng,
-                    governor.fault_plan.as_ref(),
-                    &governor.retry,
-                );
-                let trace_guard = sqlengine::TraceGuard::install();
-                let (outcome, mut failure) = execution_match_governed(
-                    db,
-                    cache,
-                    &governor.budget,
-                    item.sql(DataModel::V1),
-                    g.prediction.sql.as_deref(),
-                );
-                let trace = ItemTrace::from_span(&trace_guard.finish());
-                if g.gave_up {
-                    failure = Some(FailureKind::ProviderError);
-                }
-                ItemResult {
-                    item_id: item.id,
-                    outcome,
-                    failure,
-                    predicted_sql: g.prediction.sql.clone(),
-                    latency: g.prediction.latency,
-                    shots_used: g.prediction.shots_used,
-                    hardness: profiles[i].hardness,
-                    stats: profiles[i].stats,
-                    trace,
-                    fault: g.fault,
-                    retries: g.retries,
-                    gave_up: g.gave_up,
-                }
+                    governor,
+                )
             });
             let results: Vec<ItemResult> = caught
                 .into_iter()
                 .enumerate()
-                .map(|(i, r)| {
-                    r.unwrap_or_else(|_| ItemResult {
-                        item_id: items[i].id,
-                        outcome: ExOutcome::ExecError,
-                        failure: Some(FailureKind::Panic),
-                        predicted_sql: None,
-                        latency: 0.0,
-                        shots_used: 0,
-                        hardness: profiles[i].hardness,
-                        stats: profiles[i].stats,
-                        trace: ItemTrace::default(),
-                        fault: None,
-                        retries: 0,
-                        gave_up: false,
-                    })
-                })
+                .map(|(i, r)| r.unwrap_or_else(|_| panicked_item(&items[i], &profiles[i])))
                 .collect();
             MorphRun {
                 system,

@@ -497,7 +497,7 @@ pub fn error_analysis(runs: &[RunResult]) -> String {
     out
 }
 
-/// Failure breakdown under governed execution: per-[`FailureKind`]
+/// Failure breakdown under governed execution: per-[`FailureKind`](crate::FailureKind)
 /// counts and shares across one or more runs, plus each run's EX. Rows
 /// cover the whole taxonomy (zero counts included) so reports from
 /// different fault rates align line-for-line.

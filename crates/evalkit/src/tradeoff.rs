@@ -13,7 +13,7 @@
 use crate::experiment::EvalSetup;
 use footballdb::DataModel;
 use sqlkit::ast::TableRef;
-use textosql::schema_encode::{approx_tokens, encode_schema, EncodeOptions};
+use textosql::schema_encode::{approx_tokens, encode_schema};
 use textosql::{cost_params, success_probabilities, Budget, SystemKind};
 use xrng::Rng;
 
@@ -40,7 +40,7 @@ fn retained_tables(model: DataModel, budget: usize) -> Vec<String> {
     let mut out = Vec::new();
     for t in &catalog.tables {
         let single = sqlengine::Catalog::new(vec![t.clone()]);
-        let tokens = approx_tokens(&encode_schema(&single, None, EncodeOptions::WITH_KEYS));
+        let tokens = approx_tokens(&encode_schema(&single, true));
         if used + tokens > budget {
             break;
         }

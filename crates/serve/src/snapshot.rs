@@ -14,11 +14,8 @@ use footballdb::{generate, load, DataModel, Domain};
 use sqlengine::{CacheStats, Database, Dialect, QueryCache};
 use std::sync::Arc;
 
-/// The three data-model snapshots and any number of registered
-/// morphed-model snapshots, each with the query memo its database
-/// carries. Every snapshot is addressable by its catalog fingerprint, so
-/// two models that accept byte-identical SQL text still resolve to
-/// distinct databases and distinct memos.
+/// The three data-model snapshots, each with the query memo its
+/// database carries.
 ///
 /// Every snapshot of a state carries the same [`Dialect`], the one the
 /// state serves: results depend on it (`7 / 2` is `3` under PostgreSQL
@@ -27,8 +24,6 @@ use std::sync::Arc;
 pub struct ServeState {
     pub domain: Domain,
     models: Vec<(DataModel, Arc<Database>)>,
-    /// Morphed snapshots: (name, db).
-    morphed: Vec<(String, Arc<Database>)>,
 }
 
 impl ServeState {
@@ -46,11 +41,7 @@ impl ServeState {
         let models = par_map(&DataModel::ALL, |&m| {
             (m, Arc::new(load(&domain, m).with_dialect(dialect)))
         });
-        ServeState {
-            domain,
-            models,
-            morphed: Vec::new(),
-        }
+        ServeState { domain, models }
     }
 
     /// The dialect this state serves: its snapshots'.
@@ -67,50 +58,11 @@ impl ServeState {
         self.db(model).query_cache()
     }
 
-    /// Registers a morphed data model and returns its catalog
-    /// fingerprint — the snapshot's address from then on. Each snapshot
-    /// answers from its own database's memo, so a second registration
-    /// whose schema differs can never share entries with this one even
-    /// when both accept the same SQL text. Re-registering an identical
-    /// catalog is rejected: the existing snapshot already serves it. So
-    /// is a snapshot in another dialect than the state serves.
-    pub fn register_morphed(&mut self, name: &str, db: Database) -> u64 {
-        let fp = db.catalog_fingerprint();
-        assert!(
-            self.snapshot_by_fingerprint(fp).is_none(),
-            "a snapshot with catalog fingerprint {fp:#x} is already registered"
-        );
-        assert_eq!(
-            db.dialect(),
-            self.dialect(),
-            "snapshot {name:?} is in another dialect than the state serves"
-        );
-        self.morphed.push((name.to_string(), Arc::new(db)));
-        fp
-    }
-
     fn databases(&self) -> impl Iterator<Item = &Arc<Database>> {
-        let morphed = self.morphed.iter().map(|(_, db)| db);
-        self.models.iter().map(|(_, db)| db).chain(morphed)
+        self.models.iter().map(|(_, db)| db)
     }
 
-    /// Resolves any snapshot — built-in or morphed — by catalog
-    /// fingerprint.
-    pub fn snapshot_by_fingerprint(&self, fp: u64) -> Option<(&Arc<Database>, &QueryCache)> {
-        self.databases()
-            .find(|db| db.catalog_fingerprint() == fp)
-            .map(|db| (db, db.query_cache()))
-    }
-
-    /// Names and fingerprints of all registered morphed snapshots.
-    pub fn morphed_models(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.morphed
-            .iter()
-            .map(|(name, db)| (name.as_str(), db.catalog_fingerprint()))
-    }
-
-    /// Aggregated memo counters over every snapshot, morphed ones
-    /// included.
+    /// Aggregated memo counters over every snapshot.
     pub fn cache_stats(&self) -> CacheStats {
         self.databases().map(|db| db.query_cache().stats()).sum()
     }
@@ -148,8 +100,6 @@ impl ServeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlengine::migrate_database;
-    use sqlkit::MorphOp;
 
     #[test]
     fn state_records_the_dialect_it_serves() {
@@ -174,69 +124,5 @@ mod tests {
         assert_eq!(pg, sqlengine::Value::Int(3));
         assert_eq!(lite, sqlengine::Value::Float(3.5));
         assert_eq!(ServeState::build().dialect(), Dialect::Postgres);
-    }
-
-    #[test]
-    #[should_panic(expected = "another dialect")]
-    fn morphed_snapshot_in_another_dialect_is_rejected() {
-        let mut state = ServeState::build();
-        let v1 = load(&state.domain, DataModel::V1).with_dialect(Dialect::Sqlite);
-        let rename = MorphOp::RenameTable {
-            from: "match".to_string(),
-            to: "game".to_string(),
-        };
-        state.register_morphed("sqlite-game", migrate_database(&v1, &[rename]).unwrap());
-    }
-
-    #[test]
-    fn morphed_snapshots_are_keyed_by_fingerprint() {
-        let mut state = ServeState::build();
-        let v1 = load(&state.domain, DataModel::V1);
-        // Two morphed models whose difference (the renamed match table)
-        // is invisible to a query touching only `player`: identical SQL
-        // text, different data models.
-        let a = migrate_database(
-            &v1,
-            &[MorphOp::RenameTable {
-                from: "match".to_string(),
-                to: "game".to_string(),
-            }],
-        )
-        .unwrap();
-        let b = migrate_database(
-            &v1,
-            &[MorphOp::RenameTable {
-                from: "match".to_string(),
-                to: "fixture".to_string(),
-            }],
-        )
-        .unwrap();
-        let fa = state.register_morphed("rename-game", a);
-        let fb = state.register_morphed("rename-fixture", b);
-        assert_ne!(fa, fb);
-        assert_eq!(
-            state.morphed_models().collect::<Vec<_>>(),
-            vec![("rename-game", fa), ("rename-fixture", fb)]
-        );
-
-        let sql = "SELECT count(*) FROM player";
-        for fp in [fa, fb] {
-            let (db, cache) = state.snapshot_by_fingerprint(fp).unwrap();
-            cache.execute_cached(db, sql).unwrap();
-        }
-        // Identical SQL text, but each snapshot cached it in its own
-        // space: two misses, two entries, no cross-model hit.
-        let s = state.cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
-        for fp in [fa, fb] {
-            let (db, cache) = state.snapshot_by_fingerprint(fp).unwrap();
-            cache.execute_cached(db, sql).unwrap();
-        }
-        assert_eq!(state.cache_stats().hits, 2);
-
-        // Built-in snapshots resolve through the same address space.
-        let v1_fp = state.db(DataModel::V1).catalog_fingerprint();
-        assert!(state.snapshot_by_fingerprint(v1_fp).is_some());
-        assert_ne!(v1_fp, fa);
     }
 }

@@ -32,7 +32,7 @@
 //! a successful result, but *whether* it aborts depends on the budget.
 //! Because charging is deterministic and monotone, an execution that
 //! spent `(steps, cells, rows)` completes under exactly the budgets
-//! whose three caps are at least those figures ([`FuelSpent::fits`]).
+//! whose three caps are at least those figures (`FuelSpent::fits`).
 //! [`crate::cache::QueryCache`] stores each entry's figures and serves a
 //! budgeted hit only when they fit the caller's caps, so a cached
 //! verdict always equals a fresh one.

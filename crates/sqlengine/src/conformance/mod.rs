@@ -10,7 +10,7 @@
 //! 1. **Oracle layer** ([`oracle`]): hand-written truth tables and fixed
 //!    scenarios pin the PostgreSQL semantics themselves (three-valued
 //!    logic, NULL ordering, bag set operations, empty-group aggregates).
-//! 2. **Reference layer** ([`reference`]): a naive, audit-by-eye
+//! 2. **Reference layer** ([`reference`](mod@reference)): a naive, audit-by-eye
 //!    interpreter re-executes every corpus query; the engine must agree
 //!    under bag (or ordered, when both sides order) comparison.
 //! 3. **Config layer** ([`check_case`]): the engine re-runs every query

@@ -3,12 +3,12 @@
 //!
 //! Every SELECT block is planned here ([`crate::plan`]) and its FROM,
 //! JOIN and WHERE clauses run on the columnar executor in
-//! [`crate::vexec`]. This module owns what surrounds that path: the
+//! `vexec`. This module owns what surrounds that path: the
 //! query level (set operations with SQL set and bag semantics, ORDER BY
 //! and LIMIT over their output), the shared output stage (hash
 //! grouping, top-k and full sorts, projection), three-valued NULL
 //! logic, and correlated subqueries, which resolve outer columns
-//! through the [`Env`] parent chain.
+//! through the `Env` parent chain.
 //!
 //! Every access-path decision is a pure function of the database
 //! statistics and the query (see [`crate::plan`]), never of timing, so

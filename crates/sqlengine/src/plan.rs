@@ -4,12 +4,12 @@
 //! join order, join algorithm and hash build side — is a pure function
 //! of the catalog statistics, the query text, and the process-wide
 //! planner toggles. [`plan_select`] folds all of them into one explicit
-//! [`SelectPlan`] that the executor ([`crate::vexec`]) and
-//! [`crate::explain`] both consume, so the rendered plan can never
+//! [`SelectPlan`] that the executor (`vexec`) and
+//! [`crate::explain`](mod@crate::explain) both consume, so the rendered plan can never
 //! drift from the executed one.
 //!
 //! Planning never touches index *state*: access paths are decided from
-//! [`scan_index_choice`] alone and the executor fetches (and lazily
+//! `scan_index_choice` alone and the executor fetches (and lazily
 //! builds) the index at run time, so EXPLAIN leaves `index_builds`
 //! untouched.
 
@@ -40,7 +40,7 @@ pub struct ScanPlan {
     /// The binding (alias or table name) this scan is visible under.
     pub binding: String,
     pub access: Access,
-    /// Estimated post-filter cardinality ([`scan_estimate`]).
+    /// Estimated post-filter cardinality (`scan_estimate`).
     pub est: usize,
 }
 
@@ -84,7 +84,7 @@ pub struct SelectPlan {
 }
 
 /// Plans one SELECT block. `folded_where` is the WHERE clause after
-/// [`crate::exec::fold_uncorrelated`] — folding executes subqueries and
+/// `exec::fold_uncorrelated` — folding executes subqueries and
 /// therefore stays in the executor; planning proper is side-effect
 /// free.
 pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> SelectPlan {

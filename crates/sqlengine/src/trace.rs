@@ -26,7 +26,7 @@
 //!    across `REPRO_FORCE_SEQSCAN` modes, and cache events depend on
 //!    scheduling; excluded from the deterministic digests.
 //! 3. **Timing** — `cpu_ns`, the span's thread-CPU nanoseconds
-//!    ([`CLOCK_THREAD_CPUTIME_ID`] on Linux). CPU rather than wall
+//!    (`CLOCK_THREAD_CPUTIME_ID` on Linux). CPU rather than wall
 //!    clock so an operator is billed only for cycles it actually
 //!    burned: on an oversubscribed pool (more workers than cores) the
 //!    scheduler timeslices queries against each other, and a wall
@@ -150,7 +150,7 @@ impl TraceSpan {
         }
     }
 
-    /// True for a span a cache hit re-attached ([`replay`]): its
+    /// True for a span a cache hit re-attached (`replay`): its
     /// counters are the fill's, and so is the CPU time it carries.
     pub fn is_replay(&self) -> bool {
         self.detail.contains(REPLAY_MARK)
@@ -292,7 +292,7 @@ thread_local! {
 /// Installs a fresh trace collector on the current thread and restores
 /// the previous one (normally `None`) on drop — including on unwind, so
 /// a panicking execution cannot leak half a trace into the next query.
-/// Mirrors [`crate::budget::FuelGuard`].
+/// Mirrors `budget::FuelGuard`.
 pub struct TraceGuard {
     prev: Option<Collector>,
     finished: bool,

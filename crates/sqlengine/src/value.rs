@@ -127,7 +127,7 @@ impl Value {
     }
 
     /// Numeric view for arithmetic and cross-type comparison. Lossy
-    /// above 2^53 — comparison paths use the exact [`cmp_int_float`]
+    /// above 2^53 — comparison paths use the exact `cmp_int_float`
     /// instead.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

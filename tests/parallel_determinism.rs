@@ -92,6 +92,38 @@ fn fewshot_and_latency_tables_match_a_serial_uncached_run() {
     assert_eq!(serial_latency.len(), SystemKind::ALL.len());
 }
 
+/// Table 6's last folds, pinned: a digest of every item's `shots_used`
+/// and latency bits. The outside-in benchmark's eval-grid digests cover
+/// outcomes only, so a change to shot selection or to an item's RNG
+/// stream would pass there; here it must update the pinned value on
+/// purpose.
+#[test]
+fn fewshot_shots_and_latencies_match_the_pinned_digest() {
+    let setup = EvalSetup::small(43);
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |x: u64| {
+        for b in x.to_le_bytes() {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut shots = 0;
+    for cell in run_fewshot_grid(&setup) {
+        feed(cell.shots as u64);
+        for item in &cell.last_run.items {
+            feed(item.item_id as u64);
+            feed(item.shots_used as u64);
+            feed(item.latency.to_bits());
+            shots += item.shots_used;
+        }
+    }
+    assert!(shots > 0, "no few-shot prompt carried a shot");
+    assert_eq!(
+        digest, 0x4c57_d67a_1f1b_d16f,
+        "Table 6 shots or latencies moved: {digest:#018x}"
+    );
+}
+
 #[test]
 fn cached_and_uncached_runs_score_identically() {
     let setup = EvalSetup::small(29);
