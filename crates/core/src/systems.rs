@@ -34,7 +34,7 @@ use crate::retrieval::RetrievalIndex;
 use crate::schema_encode::{approx_tokens, encode_schema};
 use footballdb::DataModel;
 use nlq::GoldExample;
-use sqlengine::{Catalog, Database, Value};
+use sqlengine::{Catalog, Database, ExecBudget, Value};
 use sqlkit::ast::{BinOp, Expr, Lit, Query, Select, SelectItem};
 use xrng::Rng;
 
@@ -258,15 +258,18 @@ fn produce_failure(
     // A failed prediction must actually *be* a failure: corruptions that
     // happen to produce the gold results are retried (the capability
     // model already decided this draw is wrong). Unbudgeted, like a
-    // fresh execution; the memo returns exactly what one would.
+    // fresh execution; the memo answers exactly what one would, and an
+    // oversize candidate whose shape differs from gold's is settled by
+    // its memo entry's counts without executing again.
     let memo = ctx.db.query_cache();
     let gold_result = memo.execute_cached(ctx.db, gold).ok();
     let is_really_wrong = |sql: &str| -> bool {
-        match (&gold_result, memo.execute_cached(ctx.db, sql)) {
-            (Some(gold_rs), Ok(rs)) => !rs.matches(gold_rs),
-            // Unexecutable output is wrong by definition.
-            _ => true,
-        }
+        let Some(gold_rs) = &gold_result else {
+            return true;
+        };
+        // Unexecutable output is wrong by definition.
+        let verdict = memo.matches(ctx.db, sql, &ExecBudget::UNLIMITED, gold_rs);
+        !matches!(verdict, Ok(true))
     };
 
     for _attempt in 0..8 {

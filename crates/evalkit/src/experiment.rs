@@ -317,6 +317,11 @@ pub(crate) fn score_item(
     governor: &Governor,
 ) -> ItemResult {
     let p = if success { 1.0 } else { 0.0 };
+    // Predict runs under a collector of its own, dropped afterwards, so
+    // every memo entry it fills carries a counter tree. Scoring's traced
+    // lookups then replay those entries: the memo's trace rule would
+    // re-execute an entry filled with no tree to replay.
+    let predict_guard = sqlengine::TraceGuard::install();
     let g = predict_governed(
         system,
         item,
@@ -326,12 +331,12 @@ pub(crate) fn score_item(
         governor.fault_plan.as_ref(),
         &governor.retry,
     );
-    // A trace collector scoped to this item: spans from the gold and
-    // predicted executions land here and nowhere else, regardless of
-    // which pool thread runs the closure. Scoring reads the memo predict
-    // filled (untraced); the memo's trace rule re-executes an entry
-    // that has no counter tree to replay, so the item trace is the same
-    // as from a cold memo.
+    drop(predict_guard);
+    // A trace collector scoped to this item's scoring: spans from the
+    // gold and predicted executions land here and nowhere else,
+    // regardless of which pool thread runs the closure, and a memo hit
+    // replays its fill's tree, so the item trace is the same as from a
+    // cold memo.
     let trace_guard = sqlengine::TraceGuard::install();
     let (outcome, mut failure) = execution_match_governed(
         ctx.db,
@@ -704,6 +709,35 @@ mod tests {
         for (x, y) in a.items.iter().zip(&b.items) {
             assert_eq!(x.outcome, y.outcome);
         }
+    }
+
+    /// Predict executed a wrong-result item's gold and its emitted
+    /// corruption through the memo, so scoring must replay both, never
+    /// re-execute them.
+    #[test]
+    fn scoring_replays_what_predict_executed() {
+        // A set-up of its own: no other test's lookups touch its memos.
+        let s = EvalSetup::small(11);
+        let pool = &s.benchmark.train[..20];
+        let mut wrong = 0;
+        for (system, budget) in [
+            (SystemKind::T5PicardKeys, Budget::FineTuned(100)),
+            (SystemKind::ValueNet, Budget::FineTuned(100)),
+            (SystemKind::Gpt35, Budget::FewShot(10)),
+        ] {
+            let run = run_config(&s, system, DataModel::V2, budget, pool, "replay");
+            for item in &run.items {
+                if item.outcome == ExOutcome::WrongResult {
+                    wrong += 1;
+                    assert_eq!(
+                        item.trace.cache_misses, 0,
+                        "{system} item {} re-executed: {:?}",
+                        item.item_id, item.predicted_sql
+                    );
+                }
+            }
+        }
+        assert!(wrong > 0, "no wrong_result item to check");
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub use forensics::{
     ForensicsRegistry, ItemForensics,
 };
 pub use metric::{
-    accuracy, classify_engine_error, component_match, execute_classified, execution_match,
-    execution_match_governed, ComponentMatch, ExOutcome, FailureKind, QueryOutcome,
+    accuracy, classify_engine_error, component_match, execution_match, execution_match_governed,
+    ComponentMatch, ExOutcome, FailureKind,
 };
 pub use morph::{
     canonical_budget, distance_table, run_morph_model, sweep_json, MorphModelSpec, MorphRun,

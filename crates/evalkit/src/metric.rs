@@ -13,8 +13,7 @@
 //! join orders or cache states) without ever becoming intransitive; the
 //! conformance harness holds this layer to the same key.
 
-use sqlengine::{execute_sql, Database, EngineError, ExecBudget, QueryCache, ResultSet};
-use std::sync::Arc;
+use sqlengine::{execute_sql, Database, EngineError, ExecBudget, QueryCache};
 
 /// Outcome of evaluating one prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,31 +114,6 @@ pub fn classify_engine_error(e: &EngineError) -> FailureKind {
     }
 }
 
-/// A per-query execution outcome under graceful degradation: either the
-/// materialized results or a classified failure — never a crash.
-#[derive(Debug, Clone)]
-pub enum QueryOutcome {
-    Ok(Arc<ResultSet>),
-    Classified(FailureKind),
-}
-
-/// Executes one prediction through the cache under a fuel budget and
-/// classifies whatever happens.
-pub fn execute_classified(
-    db: &Database,
-    cache: &QueryCache,
-    budget: &ExecBudget,
-    sql: Option<&str>,
-) -> QueryOutcome {
-    match sql {
-        None => QueryOutcome::Classified(FailureKind::NoSql),
-        Some(sql) => match cache.execute_budgeted(db, sql, budget) {
-            Ok(rs) => QueryOutcome::Ok(rs),
-            Err(e) => QueryOutcome::Classified(classify_engine_error(&e)),
-        },
-    }
-}
-
 /// Evaluates a prediction against gold SQL by execution matching.
 ///
 /// A gold query that itself fails to execute is a labeling bug; we
@@ -167,7 +141,10 @@ pub fn execution_match(db: &Database, gold_sql: &str, predicted: Option<&str>) -
 /// runs under `budget` and every non-correct outcome carries a
 /// [`FailureKind`]. The gold query stays *unbudgeted* — a gold failure
 /// is a labeling bug and still panics loudly; only predicted SQL is
-/// treated as untrusted input that may run away.
+/// treated as untrusted input that may run away. The prediction is
+/// checked with [`QueryCache::matches`], so a memo entry that kept only
+/// an oversize result's counts settles a gold of another shape without
+/// executing.
 pub fn execution_match_governed(
     db: &Database,
     cache: &QueryCache,
@@ -178,15 +155,16 @@ pub fn execution_match_governed(
     let gold = cache
         .execute_cached(db, gold_sql)
         .unwrap_or_else(|e| panic!("gold SQL failed to execute: {e}\n{gold_sql}"));
-    match execute_classified(db, cache, budget, predicted) {
-        QueryOutcome::Ok(rs) => {
-            if rs.matches(&gold) {
-                (ExOutcome::Correct, None)
-            } else {
-                (ExOutcome::WrongResult, Some(FailureKind::WrongResult))
-            }
+    let Some(sql) = predicted else {
+        return (ExOutcome::NoSql, Some(FailureKind::NoSql));
+    };
+    match cache.matches(db, sql, budget, &gold) {
+        Ok(true) => (ExOutcome::Correct, None),
+        Ok(false) => (ExOutcome::WrongResult, Some(FailureKind::WrongResult)),
+        Err(e) => {
+            let kind = classify_engine_error(&e);
+            (kind.as_outcome(), Some(kind))
         }
-        QueryOutcome::Classified(kind) => (kind.as_outcome(), Some(kind)),
     }
 }
 

@@ -1,10 +1,11 @@
 //! Concurrency-safe query-result memoization.
 //!
 //! The evaluation harness executes the *same* gold SQL for every
-//! (system × budget) configuration that shares a data model, and many
-//! predicted queries repeat verbatim across configurations (a correct
-//! prediction is frequently the gold text itself). A [`QueryCache`]
-//! deduplicates those executions: results are keyed by the query text
+//! (system × budget) configuration that shares a data model, and
+//! predicted queries repeat too: a correct prediction is frequently the
+//! gold text itself, and a characteristic corruption (a dropped or
+//! negated WHERE clause) recurs across cells. A [`QueryCache`]
+//! deduplicates those executions: outcomes are keyed by the query text
 //! per database instance, so each distinct query runs once and every
 //! later evaluation shares the materialized [`ResultSet`] behind an
 //! `Arc`.
@@ -17,9 +18,28 @@
 //! Free-standing caches (a fresh one per benchmark model, say) work the
 //! same way against any database.
 //!
+//! **What an entry keeps.** A fill is the execution that creates an
+//! entry, and the entry keeps every outcome of a fill but a budget
+//! abort:
+//!
+//! * a result of at most `max_cells` cells (rows × columns) keeps its
+//!   rows;
+//! * a larger result keeps only its column and row counts.
+//!   [`QueryCache::matches`] answers from them whenever they differ from
+//!   gold's, because [`ResultSet::matches`] is false on any count
+//!   mismatch before it reads a row; any other lookup of the key
+//!   executes it again;
+//! * an [`EngineError`] other than [`EngineError::BudgetExceeded`] is
+//!   kept and served like a result. Such an error depends only on the
+//!   key, so a fresh execution reaches the same error.
+//!
+//! A budget abort depends on the caller's budget, so a capped run never
+//! stores one that could poison a later run with a larger budget, or
+//! none.
+//!
 //! The cache is safe to share across threads and is semantically
 //! transparent: [`execute_sql`] is a pure function of `(db, sql)`
-//! *under a fixed planner configuration*, so a cached result is
+//! *under a fixed planner configuration*, so a cached outcome is
 //! bit-identical to a fresh execution. Entries are additionally keyed
 //! by [`planner_config_fingerprint`], the database's
 //! [`Database::catalog_fingerprint`] and its [`Database::dialect`]:
@@ -28,12 +48,13 @@
 //! model and the dialect are part of the key. Indexed and
 //! forced-seq-scan execution are bit-identical by construction (see
 //! `exec::set_force_seqscan`), but the cache does not rely on that
-//! invariant — a result computed under one configuration is never
+//! invariant — an outcome computed under one configuration is never
 //! served under another, so a mid-process toggle flip (or a future
 //! toggle without the bit-identity guarantee) cannot cause staleness.
-//! Each entry also records the fuel its fill spent, so a budgeted
-//! lookup is served only when a fresh execution under the caller's
-//! budget would have completed (see [`crate::budget`]).
+//! Each entry also records the fuel its fill spent (up to the error,
+//! for an error), so a budgeted lookup is served only when a fresh
+//! execution under the caller's budget would have reached the same
+//! outcome (see [`crate::budget`]).
 //! Hit/miss counters make the saved work observable in the benchmark
 //! harness.
 //!
@@ -43,7 +64,10 @@
 //! tree, so while a collector is installed such an entry is not served:
 //! the lookup executes, counts a miss, and stores its tree into the
 //! existing entry (not a new build, so `builds == entries` still holds).
-//! Untraced fills never pay for span bookkeeping.
+//! Untraced fills never pay for span bookkeeping; a caller whose
+//! lookups will be traced later (the evaluation's item path runs
+//! predict before its traced scoring) installs a collector around the
+//! fills instead.
 //!
 //! **Sharding.** The memo table is lock-striped into [`SHARDS`]
 //! independent `RwLock` shards selected by a deterministic FNV hash of
@@ -74,7 +98,9 @@ pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub entries: usize,
-    /// Results executed but not stored because they exceeded the size cap.
+    /// Executions whose result exceeded the size cap. The entry such a
+    /// fill creates keeps only the result's counts, so every later rows
+    /// lookup executes, and counts here, again.
     pub oversize: u64,
     /// Entries actually inserted into the memo table. Two misses racing
     /// on the same key both count a miss (each really executed), but
@@ -108,14 +134,25 @@ impl std::iter::Sum for CacheStats {
     }
 }
 
-/// One memoized execution: the result, the fuel computing it spent,
-/// plus the trace spans recorded while computing it (when the fill
-/// happened under an active [`trace::TraceGuard`]). A later hit replays
-/// the spans, so a memoized run produces the same deterministic counter
-/// tree as a cold one.
+/// What an entry keeps of a successful fill.
+#[derive(Debug, Clone)]
+enum Kept {
+    Rows(Arc<ResultSet>),
+    /// An oversize result's shape; its rows are not retained.
+    Counts {
+        columns: usize,
+        rows: usize,
+    },
+}
+
+/// One memoized execution: its outcome (a budget abort is never
+/// stored), the fuel computing it spent, plus the trace spans recorded
+/// while computing it (when the fill happened under an active
+/// [`trace::TraceGuard`]). A later hit replays the spans, so a memoized
+/// run produces the same deterministic counter tree as a cold one.
 #[derive(Debug)]
 struct CacheEntry {
-    result: Arc<ResultSet>,
+    outcome: Result<Kept, EngineError>,
     spent: FuelSpent,
     trace: Option<Arc<Vec<TraceSpan>>>,
 }
@@ -159,14 +196,11 @@ fn shard_of(key: &str) -> usize {
 /// A concurrency-safe, lock-striped memo table for query execution
 /// against one database instance.
 ///
-/// Only successful results are cached. Errors are never stored: a
-/// failure may be circumstantial rather than intrinsic to the query —
-/// in particular [`EngineError::BudgetExceeded`] depends on the
-/// caller's fuel budget, so a capped run must never poison the table
-/// for a later uncapped run. A successful result is the same under
-/// every budget it completes under, so budgeted and unbudgeted callers
-/// share entries; a budgeted hit is served only when the entry's
-/// recorded spend fits the caller's caps.
+/// Results and deterministic errors are stored (the module docs say
+/// how much of a result); a budget abort never is. An outcome is the
+/// same under every budget its fill's spend fits, so budgeted and
+/// unbudgeted callers share entries, and a budgeted hit is served only
+/// when the entry's recorded spend fits the caller's caps.
 #[derive(Debug)]
 pub struct QueryCache {
     shards: [CacheShard; SHARDS],
@@ -174,15 +208,17 @@ pub struct QueryCache {
     misses: AtomicU64,
     oversize: AtomicU64,
     disabled: AtomicBool,
-    /// Maximum result size (rows × columns) eligible for storage.
+    /// Largest result (rows × columns) whose rows an entry keeps; a
+    /// larger result's entry keeps only its column and row counts.
     ///
-    /// The repeated queries worth memoizing — gold SQL and correct
-    /// predictions — produce small, selective results. Wrong predictions
-    /// can materialize enormous unconstrained joins; those are almost
-    /// always unique, so storing them would pin hundreds of megabytes
-    /// for zero future hits and slow the whole pipeline down through
-    /// allocator pressure. Oversize results are still returned, just not
-    /// retained.
+    /// Gold SQL and correct predictions produce small, selective
+    /// results. Wrong predictions can materialize enormous ones, and
+    /// those recur: predict's dropped-WHERE corruption `SELECT
+    /// full_name FROM player` (8,933 cells) comes up 82–104 times per
+    /// data model in one paper-scale grid pass. Keeping such rows
+    /// would hold every large result for the life of the database,
+    /// while the counts alone settle every EX check whose gold has
+    /// another shape.
     max_cells: usize,
 }
 
@@ -197,8 +233,8 @@ impl QueryCache {
         QueryCache::default()
     }
 
-    /// A cache that stores only results with at most `max_cells`
-    /// (rows × columns) cells.
+    /// A cache whose entries keep the rows of results with at most
+    /// `max_cells` (rows × columns) cells.
     pub fn with_max_cells(max_cells: usize) -> QueryCache {
         QueryCache {
             shards: std::array::from_fn(|_| CacheShard::default()),
@@ -221,25 +257,78 @@ impl QueryCache {
     }
 
     /// Like [`QueryCache::execute_cached`] but under a fuel budget. A
-    /// stored result is served only when the fuel its fill spent fits
+    /// stored outcome is served only when the fuel its fill spent fits
     /// every cap of `budget`, which is exactly when a fresh execution
-    /// would complete; otherwise the query executes under the budget
+    /// would reach it; otherwise the query executes under the budget
     /// (a miss), so a `BudgetExceeded` error and its trip point are the
-    /// same as from an empty cache. Errors are never stored, so a
-    /// capped run cannot poison a later run with a larger — or no —
-    /// budget. Under an installed trace collector a stored result is
-    /// also served only when its fill recorded a counter tree to replay
-    /// (the module docs' trace rule).
+    /// same as from an empty cache. Budget aborts are never stored, so
+    /// a capped run cannot poison a later run with a larger — or no —
+    /// budget. An entry that kept only an oversize result's counts is
+    /// never served here. Under an installed trace collector a stored
+    /// outcome is also served only when its fill recorded a counter
+    /// tree to replay (the module docs' trace rule).
     pub fn execute_budgeted(
         &self,
         db: &Database,
         sql: &str,
         budget: &ExecBudget,
     ) -> Result<Arc<ResultSet>, EngineError> {
+        self.lookup(
+            db,
+            sql,
+            budget,
+            |kept| match kept {
+                Kept::Rows(rs) => Some(rs),
+                Kept::Counts { .. } => None,
+            },
+            |rs| rs,
+        )
+    }
+
+    /// Execution match of `sql` against `gold`: exactly
+    /// `self.execute_budgeted(db, sql, budget)?.matches(gold)`, with one
+    /// more way to hit. An entry that kept only an oversize result's
+    /// counts answers `false` when they differ from gold's, since
+    /// [`ResultSet::matches`] is false on any count mismatch before it
+    /// reads a row. When they equal gold's, the query executes: one
+    /// miss, no replay.
+    pub fn matches(
+        &self,
+        db: &Database,
+        sql: &str,
+        budget: &ExecBudget,
+        gold: &ResultSet,
+    ) -> Result<bool, EngineError> {
+        self.lookup(
+            db,
+            sql,
+            budget,
+            |kept| match kept {
+                Kept::Rows(rs) => Some(rs.matches(gold)),
+                Kept::Counts { columns, rows } => {
+                    (columns != gold.columns.len() || rows != gold.rows.len()).then_some(false)
+                }
+            },
+            |rs| rs.matches(gold),
+        )
+    }
+
+    /// The one lookup path. A stored error is served as is; `serve`
+    /// turns a stored result into the answer, or returns `None` to
+    /// execute instead. A fresh result reaches `fresh` whole, even when
+    /// its entry keeps only its counts.
+    fn lookup<T>(
+        &self,
+        db: &Database,
+        sql: &str,
+        budget: &ExecBudget,
+        serve: impl FnOnce(Kept) -> Option<T>,
+        fresh: impl FnOnce(Arc<ResultSet>) -> T,
+    ) -> Result<T, EngineError> {
         if self.disabled.load(Ordering::Relaxed) {
             self.misses.fetch_add(1, Ordering::Relaxed);
             trace::cache_event(false);
-            return execute_sql_with_budget(db, sql, budget).map(Arc::new);
+            return execute_sql_with_budget(db, sql, budget).map(|rs| fresh(Arc::new(rs)));
         }
         // Key memo entries by planner configuration, data model and
         // dialect: two morphed models can accept byte-identical SQL with
@@ -251,36 +340,53 @@ impl QueryCache {
         let key = sql.trim();
         let shard = &self.shards[shard_of(key)];
         let tracing = trace::is_active();
-        let hit = shard
+        let stored = shard
             .map
             .read()
             .unwrap()
             .get(&fp)
             .and_then(|entries| entries.get(key))
             .filter(|entry| entry.spent.fits(budget) && (!tracing || entry.trace.is_some()))
-            .map(|entry| (Arc::clone(&entry.result), entry.trace.clone()));
-        if let Some((result, spans)) = hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            trace::cache_event(true);
-            if let Some(spans) = &spans {
-                trace::replay(spans);
+            .map(|entry| (entry.outcome.clone(), entry.trace.clone()));
+        if let Some((outcome, spans)) = stored {
+            let answer = match outcome {
+                Ok(kept) => serve(kept).map(Ok),
+                Err(e) => Some(Err(e)),
+            };
+            if let Some(answer) = answer {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                trace::cache_event(true);
+                if let Some(spans) = &spans {
+                    trace::replay(spans);
+                }
+                return answer;
             }
-            return Ok(result);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         trace::cache_event(false);
-        let ((rs, spent), spans) = trace::capture(|| metered(budget, || execute_sql(db, sql)));
-        let rs = Arc::new(rs?);
-        if rs.rows.len().saturating_mul(rs.columns.len().max(1)) > self.max_cells {
-            self.oversize.fetch_add(1, Ordering::Relaxed);
-            return Ok(rs);
-        }
+        let ((out, spent), spans) = trace::capture(|| metered(budget, || execute_sql(db, sql)));
+        let (outcome, out) = match out {
+            Err(e @ EngineError::BudgetExceeded { .. }) => return Err(e),
+            Err(e) => (Err(e.clone()), Err(e)),
+            Ok(rs) => {
+                let rs = Arc::new(rs);
+                let (rows, columns) = (rs.rows.len(), rs.columns.len());
+                let kept = if rows.saturating_mul(columns.max(1)) > self.max_cells {
+                    self.oversize.fetch_add(1, Ordering::Relaxed);
+                    Kept::Counts { columns, rows }
+                } else {
+                    Kept::Rows(Arc::clone(&rs))
+                };
+                (Ok(kept), Ok(rs))
+            }
+        };
         // Two threads may race to fill the same key; both computed the
-        // same pure result, so first-write-wins keeps determinism — and
+        // same pure outcome, so first-write-wins keeps determinism — and
         // only the thread winning this shard's insert counts a build,
         // which is what keeps each shard's `builds` equal to its stored
         // entry count under races. A traced execution hands its counter
-        // tree to an entry an untraced fill left without one.
+        // tree to an entry an untraced fill left without one; an entry
+        // keeps its outcome either way.
         match shard
             .map
             .write()
@@ -298,13 +404,13 @@ impl QueryCache {
             Entry::Vacant(slot) => {
                 shard.builds.fetch_add(1, Ordering::Relaxed);
                 slot.insert(CacheEntry {
-                    result: Arc::clone(&rs),
+                    outcome,
                     spent,
                     trace: spans.map(Arc::new),
                 });
             }
         }
-        Ok(rs)
+        out.map(fresh)
     }
 
     /// Turns memoization off (every call executes) or back on. The memo
@@ -473,14 +579,15 @@ mod tests {
     }
 
     #[test]
-    fn errors_are_never_cached() {
+    fn errors_are_cached_like_results() {
         let db = db();
         let cache = QueryCache::new();
+        let fresh = execute_sql(&db, "SELECT nope FROM t").unwrap_err();
         let e1 = cache.execute_cached(&db, "SELECT nope FROM t").unwrap_err();
         let e2 = cache.execute_cached(&db, "SELECT nope FROM t").unwrap_err();
-        assert_eq!(e1, e2);
+        assert_eq!((&e1, &e2), (&fresh, &fresh));
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 0));
+        assert_eq!((s.hits, s.misses, s.entries, s.builds), (1, 1, 1, 1));
     }
 
     #[test]
@@ -545,21 +652,153 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
     }
 
+    /// The most cells any entry of `cache` keeps rows for.
+    fn largest_kept_rows(cache: &QueryCache) -> usize {
+        let mut largest = 0;
+        for shard in &cache.shards {
+            for table in shard.map.read().unwrap().values() {
+                for entry in table.values() {
+                    if let Ok(Kept::Rows(rs)) = &entry.outcome {
+                        largest = largest.max(rs.rows.len() * rs.columns.len());
+                    }
+                }
+            }
+        }
+        largest
+    }
+
     #[test]
-    fn oversize_results_are_returned_but_not_stored() {
+    fn oversize_results_are_returned_but_keep_only_their_counts() {
         let db = db();
         let cache = QueryCache::with_max_cells(3);
         let sql = "SELECT a FROM t"; // 5 rows x 1 col > 3 cells
         let rs = cache.execute_cached(&db, sql).unwrap();
         assert_eq!(rs.rows.len(), 5);
-        cache.execute_cached(&db, sql).unwrap();
+        // A rows lookup of a counts-only entry executes again.
+        assert_eq!(*cache.execute_cached(&db, sql).unwrap(), *rs);
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.oversize), (0, 2, 0, 2));
-        // Small results still land in the map.
+        assert_eq!((s.hits, s.misses, s.entries, s.oversize), (0, 2, 1, 2));
+        assert_eq!(largest_kept_rows(&cache), 0, "oversize rows retained");
+        // Small results still land in the map with their rows.
         cache
             .execute_cached(&db, "SELECT a FROM t WHERE a = 1")
             .unwrap();
-        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(largest_kept_rows(&cache), 1);
+    }
+
+    /// What [`QueryCache::matches`] must return: the rows lookup's
+    /// verdict on a fresh memo.
+    fn fresh_match(
+        db: &Database,
+        sql: &str,
+        budget: &ExecBudget,
+        gold: &ResultSet,
+    ) -> Result<bool, EngineError> {
+        Ok(QueryCache::new()
+            .execute_budgeted(db, sql, budget)?
+            .matches(gold))
+    }
+
+    #[test]
+    fn counts_only_entry_answers_a_gold_of_another_shape() {
+        let db = db();
+        let gold = execute_sql(&db, "SELECT a FROM t WHERE a = 1").unwrap();
+        let sql = "SELECT a FROM t"; // 5 cells: oversize under a 3-cell cap
+        let budget = ExecBudget::UNLIMITED;
+        let want = fresh_match(&db, sql, &budget, &gold);
+        assert_eq!(want, Ok(false));
+        let cache = QueryCache::with_max_cells(3);
+        let traced = || {
+            let guard = trace::TraceGuard::install();
+            let got = cache.matches(&db, sql, &budget, &gold);
+            (got, guard.finish())
+        };
+        let (cold, cold_trace) = traced();
+        let (warm, warm_trace) = traced();
+        assert_eq!((cold, warm), (want.clone(), want));
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.oversize),
+            (1, 1, 1),
+            "the repeat executes nothing"
+        );
+        assert_eq!(warm_trace.counters.cache_hits, 1);
+        assert_eq!(warm_trace.counter_tree(), cold_trace.counter_tree());
+    }
+
+    #[test]
+    fn counts_only_entry_executes_against_a_gold_of_its_shape() {
+        let db = db();
+        let sql = "SELECT a FROM t";
+        let budget = ExecBudget::UNLIMITED;
+        let cache = QueryCache::with_max_cells(3);
+        cache.execute_cached(&db, sql).unwrap();
+        // Same 5 × 1 shape as the entry's counts: equal rows, then
+        // different rows.
+        for (gold_sql, want) in [(sql, true), ("SELECT a + 1 FROM t", false)] {
+            let gold = execute_sql(&db, gold_sql).unwrap();
+            assert_eq!(fresh_match(&db, sql, &budget, &gold), Ok(want));
+            let before = cache.stats();
+            let guard = trace::TraceGuard::install();
+            assert_eq!(cache.matches(&db, sql, &budget, &gold), Ok(want));
+            let span = guard.finish();
+            let s = cache.stats();
+            assert_eq!(
+                (s.hits, s.misses, s.oversize),
+                (before.hits, before.misses + 1, before.oversize + 1),
+                "one miss that executes"
+            );
+            assert!(!span.render().contains("cache replay"), "{}", span.render());
+        }
+    }
+
+    #[test]
+    fn stored_error_is_served_only_under_a_budget_its_spend_fits() {
+        let db = db();
+        // The cross join and the projection spend fuel before the
+        // division errors.
+        let sql = "SELECT x.a / 0 FROM t x, t y";
+        let gold = execute_sql(&db, "SELECT a FROM t").unwrap();
+        let roomy = ExecBudget::default();
+        let tight = ExecBudget::UNLIMITED.with_max_steps(10);
+        let error = fresh_match(&db, sql, &roomy, &gold).unwrap_err();
+        assert!(matches!(error, EngineError::Eval(_)), "{error:?}");
+        let trip = fresh_match(&db, sql, &tight, &gold).unwrap_err();
+        assert!(
+            matches!(trip, EngineError::BudgetExceeded { .. }),
+            "{trip:?}"
+        );
+
+        let cache = QueryCache::new();
+        assert_eq!(cache.matches(&db, sql, &roomy, &gold), Err(error.clone()));
+        assert_eq!(cache.matches(&db, sql, &roomy, &gold), Err(error.clone()));
+        assert_eq!(cache.execute_budgeted(&db, sql, &roomy), Err(error));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
+        // Below the fill's spend the query executes and trips exactly
+        // where a fresh memo's run trips.
+        assert_eq!(cache.matches(&db, sql, &tight, &gold), Err(trip.clone()));
+        assert_eq!(cache.execute_budgeted(&db, sql, &tight), Err(trip));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 3, 1));
+    }
+
+    #[test]
+    fn disabled_cache_matches_by_executing() {
+        let db = db();
+        let cache = QueryCache::with_max_cells(3);
+        cache.set_enabled(false);
+        let budget = ExecBudget::UNLIMITED;
+        let gold = execute_sql(&db, "SELECT a FROM t WHERE a = 1").unwrap();
+        for sql in ["SELECT a FROM t", "SELECT a FROM t", "SELECT nope FROM t"] {
+            assert_eq!(
+                cache.matches(&db, sql, &budget, &gold),
+                fresh_match(&db, sql, &budget, &gold)
+            );
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 3, 0));
     }
 
     #[test]
@@ -640,12 +879,17 @@ mod tests {
             .unwrap();
         let s = cache.stats();
         assert_eq!((s.builds, s.entries), (2, 2));
-        // Oversize and error executions never count as builds.
+        // Oversize and error fills build entries like any other; a budget
+        // abort builds none.
         let tiny = QueryCache::with_max_cells(1);
         tiny.execute_cached(&db, "SELECT a FROM t").unwrap();
         tiny.execute_cached(&db, "SELECT nope FROM t").unwrap_err();
+        let starved = ExecBudget::UNLIMITED.with_max_steps(1);
+        tiny.execute_budgeted(&db, "SELECT a FROM t WHERE a > 0", &starved)
+            .unwrap_err();
         let s = tiny.stats();
-        assert_eq!((s.builds, s.entries, s.oversize), (0, 0, 1));
+        assert_eq!((s.builds, s.entries, s.oversize), (2, 2, 1));
+        assert_eq!(tiny.shard_drift(), 0);
     }
 
     #[test]

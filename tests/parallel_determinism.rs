@@ -198,8 +198,7 @@ fn failed_predictions_share_the_database_memo() {
     assert!(fresh.iter().filter(|sql| sql.is_some()).count() > 100);
 
     // Predicting a failed item again is served gold from the memo the
-    // first prediction filled (candidates that failed to execute are
-    // never stored, so those run again).
+    // first prediction filled.
     let (model, system) = (DataModel::V2, SystemKind::Gpt35);
     let i = (0..setup.benchmark.test.len())
         .find(|&i| predict_item(model, system, i).is_some())
