@@ -207,6 +207,16 @@ fn main() {
                     setup.benchmark.test.len(),
                     dir.display()
                 );
+                for (model, db) in &setup.databases {
+                    let model_dir = dir.join(model.label());
+                    let tables = footballdb::csv::write_csv_release(db, &model_dir)
+                        .unwrap_or_else(|e| panic!("CSV export failed: {e}"));
+                    println!(
+                        "wrote {} {model} tables as CSV to {}",
+                        tables.len(),
+                        model_dir.display()
+                    );
+                }
             }
             "all" => {
                 print!("{}", report::full_report(&setup));

@@ -201,7 +201,6 @@ pub fn run(cfg: &ServeConfig, pipeline: &PipelineConfig) -> ServeReport {
                 &state,
                 &stream,
                 &sim.admitted_flags,
-                &classes,
                 cfg.threads,
                 &cfg.policy,
             );

@@ -6,16 +6,15 @@
 //! cursor and execute them through the lock-striped caches against
 //! `Arc`-shared databases. Wall time and throughput here are advisory
 //! (they depend on the machine); the deterministic counters are the
-//! executed/error totals and the merged per-worker service histogram,
-//! which depend only on the admitted stream and the fuel model.
+//! executed/error totals, which depend only on the admitted stream and
+//! the fuel model.
 
-use evalkit::{note_pool_width, LatencyHistogram};
-use std::collections::HashMap;
+use evalkit::note_pool_width;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::admission::{class_key, AdmissionPolicy, QueryClass};
+use crate::admission::AdmissionPolicy;
 use crate::snapshot::ServeState;
 use crate::workload::{Request, RequestKind};
 
@@ -29,10 +28,6 @@ pub struct PoolReport {
     /// Worker panics caught at the pool boundary. Deterministically
     /// zero unless the engine itself is broken.
     pub escaped_panics: u64,
-    /// Per-worker simulated-service histograms, merged. Exercises the
-    /// shard-merge path; bucket totals are deterministic because the
-    /// admitted set and the fuel model are.
-    pub service_hist: LatencyHistogram,
     /// Wall seconds for the replay (advisory).
     pub wall_s: f64,
     pub threads: usize,
@@ -58,7 +53,6 @@ pub fn replay(
     state: &ServeState,
     requests: &[Request],
     admitted: &[bool],
-    classes: &HashMap<(footballdb::DataModel, String), QueryClass>,
     threads: usize,
     policy: &AdmissionPolicy,
 ) -> PoolReport {
@@ -71,7 +65,6 @@ pub fn replay(
         executed: u64,
         exec_errors: u64,
         escaped_panics: u64,
-        hist: LatencyHistogram,
     }
 
     let tallies: Vec<WorkerTally> = std::thread::scope(|scope| {
@@ -83,7 +76,6 @@ pub fn replay(
                         executed: 0,
                         exec_errors: 0,
                         escaped_panics: 0,
-                        hist: LatencyHistogram::default(),
                     };
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -92,28 +84,20 @@ pub fn replay(
                             continue;
                         }
                         tally.executed += 1;
-                        match req.kind {
-                            RequestKind::NoSql => {
-                                tally.hist.record(policy.service_floor_s);
-                            }
-                            _ => {
-                                let class = classes
-                                    .get(&class_key(req.model, &req.sql))
-                                    .expect("admitted queries were classified");
-                                tally.hist.record(class.service_s);
-                                let run = catch_unwind(AssertUnwindSafe(|| {
-                                    state.cache(req.model).execute_budgeted(
-                                        state.db(req.model),
-                                        &req.sql,
-                                        &policy.budget,
-                                    )
-                                }));
-                                match run {
-                                    Ok(Ok(_)) => {}
-                                    Ok(Err(_)) => tally.exec_errors += 1,
-                                    Err(_) => tally.escaped_panics += 1,
-                                }
-                            }
+                        if req.kind == RequestKind::NoSql {
+                            continue;
+                        }
+                        let run = catch_unwind(AssertUnwindSafe(|| {
+                            state.cache(req.model).execute_budgeted(
+                                state.db(req.model),
+                                &req.sql,
+                                &policy.budget,
+                            )
+                        }));
+                        match run {
+                            Ok(Ok(_)) => {}
+                            Ok(Err(_)) => tally.exec_errors += 1,
+                            Err(_) => tally.escaped_panics += 1,
                         }
                     }
                     tally
@@ -127,7 +111,6 @@ pub fn replay(
         executed: 0,
         exec_errors: 0,
         escaped_panics: 0,
-        service_hist: LatencyHistogram::default(),
         wall_s: start.elapsed().as_secs_f64(),
         threads,
     };
@@ -135,7 +118,6 @@ pub fn replay(
         report.executed += t.executed;
         report.exec_errors += t.exec_errors;
         report.escaped_panics += t.escaped_panics;
-        report.service_hist.merge(&t.hist);
     }
     report
 }

@@ -27,7 +27,7 @@ use crate::error::EngineError;
 use crate::result::ResultSet;
 use crate::trace;
 use crate::value::{like_match, value_key_eq, value_key_hash, IndexKey, Value};
-use crate::vexec::VRel;
+use crate::vexec::{batches_of, VRel};
 use sqlkit::ast::*;
 use sqlkit::printer::expr_to_sql;
 use sqlkit::Dialect;
@@ -36,7 +36,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Executes a parsed query against the database.
 pub fn execute(db: &Database, query: &Query) -> Result<ResultSet, EngineError> {
@@ -130,15 +130,6 @@ pub(crate) fn force_seqscan() -> bool {
 // concurrent queries on the evaluation pool bleed wall-clock into each
 // other's stage counters; scoped collection cannot.
 
-/// A materialized intermediate relation: column bindings plus rows.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Relation {
-    /// (binding, column-name) per position. The binding is the table
-    /// alias (or name) the column is visible under.
-    pub(crate) cols: Vec<(String, String)>,
-    pub(crate) rows: Vec<Vec<Value>>,
-}
-
 /// Evaluation environment: one row laid out as `cols`, optionally
 /// chained to an outer query's environment for correlated subqueries.
 pub(crate) struct Env<'a> {
@@ -151,12 +142,13 @@ pub(crate) struct Env<'a> {
     pub(crate) plan: Option<&'a ColumnPlan>,
 }
 
-/// Where an [`Env`]'s row values live. Only `Slice` is materialized;
-/// the other forms read through gather vectors, so a scan, filter or
-/// join candidate is evaluated without building its row.
+/// Where an [`Env`]'s row values live. Only `Slice` is a stored row;
+/// the other forms read through gather vectors, so a join candidate, a
+/// filtered row or an output-stage row is evaluated without building
+/// it.
 #[derive(Clone, Copy)]
 pub(crate) enum Row<'a> {
-    /// A materialized row.
+    /// A base or derived-table row, read by a scan filter.
     Slice(&'a [Value]),
     /// Row `.1` of a relation.
     Rel(&'a VRel<'a>, usize),
@@ -356,7 +348,8 @@ pub(crate) fn exec_query(
     if !query.order_by.is_empty() {
         let _sort = trace::span("sort");
         let keys = order_keys_by_output(&result, &query.order_by)?;
-        sort_by_keys(&mut result.rows, keys, &query.order_by, db.dialect());
+        let keyed = keys.into_iter().zip(std::mem::take(&mut result.rows));
+        result.rows = sort_rows(keyed.collect(), &query.order_by, db.dialect());
         result.ordered = true;
         trace::rows_out(result.rows.len() as u64);
     }
@@ -481,7 +474,7 @@ fn consume_match(counts: &mut HashMap<Vec<Option<IndexKey>>, usize>, row: &[Valu
 /// (NULL == NULL, Int/Float unified). Rows are bucketed by a streaming
 /// hash of their values and compared with [`value_key_eq`] only on hash
 /// collision, so no per-row key vector is materialized.
-pub(crate) fn dedup_by_key<T, F>(items: &mut Vec<T>, key: F)
+fn dedup_by_key<T, F>(items: &mut Vec<T>, key: F)
 where
     F: Fn(&T) -> &[Value],
 {
@@ -507,42 +500,65 @@ where
     *items = kept;
 }
 
+/// Orders two ORDER BY key rows, honoring each key's direction.
+/// [`Value::sort_cmp`] is a total order, so this is one too.
+fn cmp_keys(
+    a: &[Value],
+    b: &[Value],
+    order_by: &[OrderItem],
+    dialect: Dialect,
+) -> std::cmp::Ordering {
+    for ((x, y), o) in a.iter().zip(b).zip(order_by) {
+        let ord = x.sort_cmp(y, dialect);
+        let ord = if o.desc { ord.reverse() } else { ord };
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// Stable sort of `(keys, row)` pairs by their ORDER BY keys; returns
+/// the rows.
+fn sort_rows(
+    mut keyed: Vec<(Vec<Value>, Vec<Value>)>,
+    order_by: &[OrderItem],
+    dialect: Dialect,
+) -> Vec<Vec<Value>> {
+    keyed.sort_by(|(a, _), (b, _)| cmp_keys(a, b, order_by, dialect));
+    keyed.into_iter().map(|(_, row)| row).collect()
+}
+
 /// One candidate row in the bounded top-k heap: ordered by the ORDER BY
-/// keys (honoring per-key direction) and then by input position, making
-/// the heap order total and the final output identical to a stable full
-/// sort followed by truncation.
-struct TopKEntry {
+/// keys and then by input position, making the heap order total and
+/// the final output identical to a stable full sort followed by
+/// truncation.
+struct TopKEntry<'o> {
     keys: Vec<Value>,
     idx: usize,
     row: Vec<Value>,
-    desc: Arc<[bool]>,
+    order_by: &'o [OrderItem],
     dialect: Dialect,
 }
 
-impl PartialEq for TopKEntry {
+impl PartialEq for TopKEntry<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
-impl Eq for TopKEntry {}
+impl Eq for TopKEntry<'_> {}
 
-impl PartialOrd for TopKEntry {
+impl PartialOrd for TopKEntry<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for TopKEntry {
+impl Ord for TopKEntry<'_> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        for ((x, y), desc) in self.keys.iter().zip(&other.keys).zip(self.desc.iter()) {
-            let ord = x.sort_cmp(y, self.dialect);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        self.idx.cmp(&other.idx)
+        cmp_keys(&self.keys, &other.keys, self.order_by, self.dialect)
+            .then(self.idx.cmp(&other.idx))
     }
 }
 
@@ -589,65 +605,71 @@ pub(crate) fn check_bindings(s: &Select) -> Result<(), EngineError> {
 
 /// Whether the output stage groups: GROUP BY, or an aggregate anywhere
 /// in the projections, HAVING or ORDER BY.
-pub(crate) fn uses_aggregates(
-    s: &Select,
-    items: &[(String, Expr)],
-    order_by: &[OrderItem],
-) -> bool {
+fn uses_aggregates(s: &Select, items: &[(String, Expr)], order_by: &[OrderItem]) -> bool {
     !s.group_by.is_empty()
         || items.iter().any(|(_, e)| e.contains_aggregate())
         || s.having.as_ref().is_some_and(|h| h.contains_aggregate())
         || order_by.iter().any(|o| o.expr.contains_aggregate())
 }
 
-/// Step 4 of SELECT execution for every output path the columnar
-/// executor doesn't cover natively (it materializes the surviving rows
-/// into a [`Relation`] first): aggregation / plain projection / top-k /
-/// full sort over the expanded projection `items`, with DISTINCT,
-/// LIMIT, and output-row fuel.
+/// Step 4 of SELECT execution: aggregation / plain projection / top-k /
+/// full sort over the surviving rows of `rel`, read through their
+/// gather vectors, with DISTINCT, LIMIT and output-row fuel. The
+/// projections are expanded against `rel`'s layout here.
 pub(crate) fn output_stage(
     db: &Database,
     s: &Select,
     order_by: &[OrderItem],
     limit: Option<u64>,
     outer: Option<&Env<'_>>,
-    rel: &Relation,
-    items: &[(String, Expr)],
+    rel: &VRel<'_>,
 ) -> Result<ResultSet, EngineError> {
+    let items = expand_projections(rel.cols(), &s.projections)?;
     let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
     let mut out = ResultSet::new(columns);
 
-    if uses_aggregates(s, items, order_by) {
+    if uses_aggregates(s, &items, order_by) {
         {
             let _span = trace::span("aggregate");
-            exec_aggregate(db, s, order_by, rel, items, outer, &mut out)?;
+            exec_aggregate(db, s, order_by, rel, &items, outer, &mut out)?;
             trace::rows_out(out.rows.len() as u64);
         }
         if let Some(n) = limit {
             out.rows.truncate(n as usize);
         }
         charge_rows("output", out.rows.len() as u64)?;
-    } else if order_by.is_empty() {
-        // Plain unordered projection: stream output rows directly,
-        // without retaining source rows.
-        let _span = trace::span("project");
-        let plan = ColumnPlan::compile(items.iter().map(|(_, e)| e), &rel.cols);
+        return Ok(out);
+    }
+
+    // Projection, top-k or full sort. One plan covers the projection
+    // and ORDER BY expressions, both evaluated in the source scope.
+    let stage = if order_by.is_empty() {
+        "project"
+    } else {
+        "sort"
+    };
+    let _span = trace::span(stage);
+    let plan = ColumnPlan::compile(
+        items
+            .iter()
+            .map(|(_, e)| e)
+            .chain(order_by.iter().map(|o| &o.expr)),
+        rel.cols(),
+    );
+    let env = |row| Env {
+        cols: rel.cols(),
+        row: Row::Rel(rel, row),
+        parent: outer,
+        plan: Some(&plan),
+    };
+    if order_by.is_empty() {
+        // Plain unordered projection: stream output rows directly.
         let width = items.len() as u64;
-        let mut rows = Vec::with_capacity(rel.rows.len());
-        for row in &rel.rows {
+        let mut rows = Vec::with_capacity(rel.len());
+        for row in 0..rel.len() {
             charge("project", 1, width)?;
             charge_rows("output", 1)?;
-            let env = Env {
-                cols: &rel.cols,
-                row: Row::Slice(row),
-                parent: outer,
-                plan: Some(&plan),
-            };
-            let mut out_row = Vec::with_capacity(items.len());
-            for (_, e) in items {
-                out_row.push(eval(db, e, &env)?);
-            }
-            rows.push(out_row);
+            rows.push(project(db, &items, &env(row))?);
         }
         if s.distinct {
             dedup_by_key(&mut rows, |r| r.as_slice());
@@ -657,53 +679,26 @@ pub(crate) fn output_stage(
         }
         out.rows = rows;
         trace::rows_out(out.rows.len() as u64);
+        trace::batches(batches_of(out.rows.len()));
     } else if !s.distinct && limit.is_some() {
         // Top-k: ORDER BY + LIMIT k without DISTINCT keeps a bounded
         // heap of the k smallest rows under the sort order. Ties break
         // by input position, so the output is exactly the stable full
-        // sort truncated to k — at O(n log k) and without materializing
-        // a source-row copy per input row.
-        let _span = trace::span("sort");
+        // sort truncated to k, at O(n log k).
         trace::detail(|| "top-k heap".to_string());
         let k = limit.unwrap_or(0) as usize;
-        let plan = ColumnPlan::compile(
-            items
-                .iter()
-                .map(|(_, e)| e)
-                .chain(order_by.iter().map(|o| &o.expr)),
-            &rel.cols,
-        );
-        let desc: Arc<[bool]> = order_by.iter().map(|o| o.desc).collect();
         let width = items.len() as u64;
         let mut heap: BinaryHeap<TopKEntry> = BinaryHeap::with_capacity(k + 1);
-        for (idx, row) in rel.rows.iter().enumerate() {
+        for idx in 0..rel.len() {
             charge("project", 1, width)?;
-            let env = Env {
-                cols: &rel.cols,
-                row: Row::Slice(row),
-                parent: outer,
-                plan: Some(&plan),
-            };
-            let mut out_row = Vec::with_capacity(items.len());
-            for (_, e) in items {
-                out_row.push(eval(db, e, &env)?);
-            }
-            let keys = order_key_row(
-                db,
-                order_by,
-                rel,
-                row,
-                &out_row,
-                items,
-                outer,
-                &out.columns,
-                Some(&plan),
-            )?;
+            let env = env(idx);
+            let row = project(db, &items, &env)?;
+            let keys = order_keys(order_by, &items, &out.columns, &row, |e| eval(db, e, &env))?;
             let entry = TopKEntry {
                 keys,
                 idx,
-                row: out_row,
-                desc: Arc::clone(&desc),
+                row,
+                order_by,
                 dialect: db.dialect(),
             };
             if heap.len() < k {
@@ -720,63 +715,29 @@ pub(crate) fn output_stage(
         trace::rows_out(out.rows.len() as u64);
         charge_rows("output", out.rows.len() as u64)?;
     } else {
-        // Ordered projection (full sort). Keep the source row alongside
-        // the output row so ORDER BY can reference non-projected
-        // columns. One plan covers the projection and ORDER BY
-        // expressions, both evaluated in the source scope.
-        let _span = trace::span("sort");
+        // Full sort. Each output row keeps its source row's index, so
+        // ORDER BY can read non-projected columns.
         trace::detail(|| "full sort".to_string());
-        let plan = ColumnPlan::compile(
-            items
-                .iter()
-                .map(|(_, e)| e)
-                .chain(order_by.iter().map(|o| &o.expr)),
-            &rel.cols,
-        );
-        let width = (items.len() + rel.cols.len()) as u64;
-        let mut pairs: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rel.rows.len());
-        for row in &rel.rows {
-            // Full sort retains the source row alongside the output row,
-            // so the cell charge covers both.
+        let width = (items.len() + rel.width()) as u64;
+        let mut projected: Vec<(usize, Vec<Value>)> = Vec::with_capacity(rel.len());
+        for src in 0..rel.len() {
+            // The cell charge covers the source row as well as the
+            // output row: the sort keys may read either.
             charge("project", 1, width)?;
-            let env = Env {
-                cols: &rel.cols,
-                row: Row::Slice(row),
-                parent: outer,
-                plan: Some(&plan),
-            };
-            let mut out_row = Vec::with_capacity(items.len());
-            for (_, e) in items {
-                out_row.push(eval(db, e, &env)?);
-            }
-            pairs.push((row.clone(), out_row));
+            projected.push((src, project(db, &items, &env(src))?));
         }
         if s.distinct {
-            dedup_by_key(&mut pairs, |(_, o)| o.as_slice());
+            dedup_by_key(&mut projected, |(_, o)| o.as_slice());
         }
-        let keys = pairs
-            .iter()
-            .map(|(src, outr)| {
-                order_key_row(
-                    db,
-                    order_by,
-                    rel,
-                    src,
-                    outr,
-                    items,
-                    outer,
-                    &out.columns,
-                    Some(&plan),
-                )
+        let keyed = projected
+            .into_iter()
+            .map(|(src, row)| {
+                let env = env(src);
+                let keys = order_keys(order_by, &items, &out.columns, &row, |e| eval(db, e, &env))?;
+                Ok((keys, row))
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut idx: Vec<usize> = (0..pairs.len()).collect();
-        sort_indices(&mut idx, &keys, order_by, db.dialect());
-        let mut reordered = Vec::with_capacity(pairs.len());
-        for i in idx {
-            reordered.push(pairs[i].1.clone());
-        }
-        out.rows = reordered;
+            .collect::<Result<Vec<_>, EngineError>>()?;
+        out.rows = sort_rows(keyed, order_by, db.dialect());
         out.ordered = true;
         if let Some(n) = limit {
             out.rows.truncate(n as usize);
@@ -787,29 +748,32 @@ pub(crate) fn output_stage(
     Ok(out)
 }
 
-/// Computes ORDER BY key values for one source/output row pair, trying
-/// the source scope first and falling back to output aliases.
-#[allow(clippy::too_many_arguments)]
-fn order_key_row(
+/// Evaluates the projections `items` over one row.
+fn project(
     db: &Database,
-    order_by: &[OrderItem],
-    rel: &Relation,
-    src: &[Value],
-    out_row: &[Value],
     items: &[(String, Expr)],
-    outer: Option<&Env<'_>>,
-    out_columns: &[String],
-    plan: Option<&ColumnPlan>,
+    env: &Env<'_>,
 ) -> Result<Vec<Value>, EngineError> {
-    let env = Env {
-        cols: &rel.cols,
-        row: Row::Slice(src),
-        parent: outer,
-        plan,
-    };
+    items.iter().map(|(_, e)| eval(db, e, env)).collect()
+}
+
+/// The ORDER BY key values of one output row. Each key tries, in
+/// order: a position (`ORDER BY 1`), an output column name, `eval` in
+/// the source (or group) scope, and last the text of a projection
+/// expression. A bare name that matches an output column resolves to
+/// the output column even when the source scope has the same name —
+/// PostgreSQL's resolution order for ORDER BY. (Evaluated over a group,
+/// `ORDER BY 1` would be the constant 1 and an alias the group's first
+/// source value.)
+fn order_keys(
+    order_by: &[OrderItem],
+    items: &[(String, Expr)],
+    out_columns: &[String],
+    out_row: &[Value],
+    mut eval: impl FnMut(&Expr) -> Result<Value, EngineError>,
+) -> Result<Vec<Value>, EngineError> {
     let mut keys = Vec::with_capacity(order_by.len());
     for o in order_by {
-        // Positional ordering: ORDER BY 1.
         if let Expr::Literal(Lit::Int(pos)) = &o.expr {
             let i = (*pos as usize).saturating_sub(1);
             if i < out_row.len() {
@@ -817,10 +781,6 @@ fn order_key_row(
                 continue;
             }
         }
-        // Alias reference. A bare ORDER BY name that matches an output
-        // column resolves to the output column even when the same name
-        // also exists in the source scope — PostgreSQL's resolution
-        // order for ORDER BY (output list first, then source tables).
         if let Expr::Column(c) = &o.expr {
             if c.table.is_none() {
                 if let Some(i) = out_columns
@@ -832,10 +792,9 @@ fn order_key_row(
                 }
             }
         }
-        match eval(db, &o.expr, &env) {
+        match eval(&o.expr) {
             Ok(v) => keys.push(v),
             Err(EngineError::UnknownColumn(_)) => {
-                // Last resort: projection expression text match.
                 let text = expr_to_sql(&o.expr);
                 match items.iter().position(|(_, e)| expr_to_sql(e) == text) {
                     Some(i) => keys.push(out_row[i].clone()),
@@ -846,35 +805,6 @@ fn order_key_row(
         }
     }
     Ok(keys)
-}
-
-fn sort_indices(idx: &mut [usize], keys: &[Vec<Value>], order_by: &[OrderItem], dialect: Dialect) {
-    idx.sort_by(|&a, &b| {
-        for (k, o) in keys[a].iter().zip(&keys[b]).zip(order_by) {
-            let (x, y) = k;
-            let ord = x.sort_cmp(y, dialect);
-            let ord = if o.desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-}
-
-fn sort_by_keys(
-    rows: &mut Vec<Vec<Value>>,
-    keys: Vec<Vec<Value>>,
-    order_by: &[OrderItem],
-    dialect: Dialect,
-) {
-    let mut idx: Vec<usize> = (0..rows.len()).collect();
-    sort_indices(&mut idx, &keys, order_by, dialect);
-    let mut reordered = Vec::with_capacity(rows.len());
-    for i in idx {
-        reordered.push(rows[i].clone());
-    }
-    *rows = reordered;
 }
 
 fn order_keys_by_output(
@@ -943,7 +873,7 @@ pub(crate) fn find_col(cols: &[(String, String)], c: &ColumnRef) -> Option<usize
 
 // ---- projection ---------------------------------------------------------
 
-pub(crate) fn expand_projections(
+fn expand_projections(
     cols: &[(String, String)],
     items: &[SelectItem],
 ) -> Result<Vec<(String, Expr)>, EngineError> {
@@ -991,7 +921,7 @@ fn exec_aggregate(
     db: &Database,
     s: &Select,
     order_by: &[OrderItem],
-    rel: &Relation,
+    rel: &VRel<'_>,
     items: &[(String, Expr)],
     outer: Option<&Env<'_>>,
     out: &mut ResultSet,
@@ -999,18 +929,18 @@ fn exec_aggregate(
     // Charge the full input up front: grouping and per-group evaluation
     // each walk every input row at least once, and an over-budget input
     // should abort before any of that work starts.
-    charge("aggregate", rel.rows.len() as u64, rel.cols.len() as u64)?;
+    charge("aggregate", rel.len() as u64, rel.width() as u64)?;
     // Partition rows into groups.
     let mut groups: Vec<Vec<usize>> = Vec::new();
     if s.group_by.is_empty() {
-        groups.push((0..rel.rows.len()).collect());
+        groups.push((0..rel.len()).collect());
     } else {
-        let plan = ColumnPlan::compile(s.group_by.iter(), &rel.cols);
+        let plan = ColumnPlan::compile(s.group_by.iter(), rel.cols());
         let mut index: HashMap<Vec<Option<IndexKey>>, usize> = HashMap::new();
-        for (ri, row) in rel.rows.iter().enumerate() {
+        for ri in 0..rel.len() {
             let env = Env {
-                cols: &rel.cols,
-                row: Row::Slice(row),
+                cols: rel.cols(),
+                row: Row::Rel(rel, ri),
                 parent: outer,
                 plan: Some(&plan),
             };
@@ -1026,7 +956,7 @@ fn exec_aggregate(
         }
     }
 
-    let mut group_outputs: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(groups.len());
+    let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(groups.len());
     for group in &groups {
         // HAVING filter.
         if let Some(h) = &s.having {
@@ -1039,97 +969,27 @@ fn exec_aggregate(
         for (_, e) in items {
             out_row.push(eval_agg(db, e, rel, group, outer)?);
         }
-        let mut order_row = Vec::with_capacity(order_by.len());
-        for o in order_by {
-            // ORDER BY 1 is positional, and a bare name that matches an
-            // output column takes the output value — same resolution
-            // order as the non-aggregate path (`order_key_row`): output
-            // list first, then the group scope. Evaluating these through
-            // `eval_agg` would misread `ORDER BY 1` as the constant 1
-            // and an aliased name as the group's first source value.
-            if let Expr::Literal(Lit::Int(pos)) = &o.expr {
-                let i = (*pos as usize).saturating_sub(1);
-                if i < out_row.len() {
-                    order_row.push(out_row[i].clone());
-                    continue;
-                }
-            }
-            if let Expr::Column(c) = &o.expr {
-                if c.table.is_none() {
-                    if let Some(i) = out
-                        .columns
-                        .iter()
-                        .position(|n| n.eq_ignore_ascii_case(&c.column))
-                    {
-                        order_row.push(out_row[i].clone());
-                        continue;
-                    }
-                }
-            }
-            let v = match eval_agg(db, &o.expr, rel, group, outer) {
-                Ok(v) => v,
-                Err(EngineError::UnknownColumn(_)) => {
-                    // Alias fallback: projection expression text match.
-                    match alias_value(&o.expr, items, &out_row, &out.columns) {
-                        Some(v) => v,
-                        None => return Err(EngineError::UnknownColumn(expr_to_sql(&o.expr))),
-                    }
-                }
-                Err(e) => return Err(e),
-            };
-            order_row.push(v);
-        }
-        group_outputs.push((order_row, out_row));
+        let keys = order_keys(order_by, items, &out.columns, &out_row, |e| {
+            eval_agg(db, e, rel, group, outer)
+        })?;
+        keyed.push((keys, out_row));
     }
 
     if s.distinct {
-        dedup_by_key(&mut group_outputs, |(_, o)| o.as_slice());
+        dedup_by_key(&mut keyed, |(_, o)| o.as_slice());
     }
-
-    if !order_by.is_empty() {
-        let keys: Vec<Vec<Value>> = group_outputs.iter().map(|(k, _)| k.clone()).collect();
-        let mut idx: Vec<usize> = (0..group_outputs.len()).collect();
-        sort_indices(&mut idx, &keys, order_by, db.dialect());
-        out.rows = idx
-            .into_iter()
-            .map(|i| group_outputs[i].1.clone())
-            .collect();
-        out.ordered = true;
-    } else {
-        out.rows = group_outputs.into_iter().map(|(_, o)| o).collect();
-    }
+    out.rows = sort_rows(keyed, order_by, db.dialect());
+    out.ordered = !order_by.is_empty();
     Ok(())
 }
 
-fn alias_value(
-    expr: &Expr,
-    items: &[(String, Expr)],
-    out_row: &[Value],
-    columns: &[String],
-) -> Option<Value> {
-    if let Expr::Column(c) = expr {
-        if c.table.is_none() {
-            if let Some(i) = columns
-                .iter()
-                .position(|n| n.eq_ignore_ascii_case(&c.column))
-            {
-                return Some(out_row[i].clone());
-            }
-        }
-    }
-    let text = expr_to_sql(expr);
-    items
-        .iter()
-        .position(|(_, e)| expr_to_sql(e) == text)
-        .map(|i| out_row[i].clone())
-}
-
 /// Evaluates an expression over a group: aggregates fold over the group's
-/// rows; bare columns take the first row's value (NULL for empty groups).
+/// rows; anything else reads the first row (a literal, or NULL, for an
+/// empty group).
 fn eval_agg(
     db: &Database,
     expr: &Expr,
-    rel: &Relation,
+    rel: &VRel<'_>,
     group: &[usize],
     outer: Option<&Env<'_>>,
 ) -> Result<Value, EngineError> {
@@ -1148,40 +1008,18 @@ fn eval_agg(
             let v = eval_agg(db, expr, rel, group, outer)?;
             apply_unary(*op, &v)
         }
-        Expr::Column(_) | Expr::Literal(_) | Expr::Func { .. } => match group.first() {
-            Some(&ri) => {
+        other => match (group.first(), other) {
+            (Some(&ri), _) => {
                 let env = Env {
-                    cols: &rel.cols,
-                    row: Row::Slice(&rel.rows[ri]),
-                    parent: outer,
-                    plan: None,
-                };
-                eval(db, expr, &env)
-            }
-            None => match expr {
-                Expr::Literal(_) => {
-                    let env = Env {
-                        cols: &rel.cols,
-                        row: Row::Slice(&[]),
-                        parent: outer,
-                        plan: None,
-                    };
-                    eval(db, expr, &env)
-                }
-                _ => Ok(Value::Null),
-            },
-        },
-        other => match group.first() {
-            Some(&ri) => {
-                let env = Env {
-                    cols: &rel.cols,
-                    row: Row::Slice(&rel.rows[ri]),
+                    cols: rel.cols(),
+                    row: Row::Rel(rel, ri),
                     parent: outer,
                     plan: None,
                 };
                 eval(db, other, &env)
             }
-            None => Ok(Value::Null),
+            (None, Expr::Literal(l)) => Ok(lit_value(l)),
+            (None, _) => Ok(Value::Null),
         },
     }
 }
@@ -1191,7 +1029,7 @@ fn compute_aggregate(
     func: AggFunc,
     distinct: bool,
     arg: Option<&Expr>,
-    rel: &Relation,
+    rel: &VRel<'_>,
     group: &[usize],
     outer: Option<&Env<'_>>,
 ) -> Result<Value, EngineError> {
@@ -1199,12 +1037,12 @@ fn compute_aggregate(
     let Some(arg) = arg else {
         return Ok(Value::Int(group.len() as i64));
     };
-    let plan = ColumnPlan::compile([arg], &rel.cols);
+    let plan = ColumnPlan::compile([arg], rel.cols());
     let mut values = Vec::with_capacity(group.len());
     for &ri in group {
         let env = Env {
-            cols: &rel.cols,
-            row: Row::Slice(&rel.rows[ri]),
+            cols: rel.cols(),
+            row: Row::Rel(rel, ri),
             parent: outer,
             plan: Some(&plan),
         };

@@ -588,7 +588,7 @@ fn sole_binding(e: &Expr, default_binding: Option<&str>) -> Option<String> {
     }
 }
 
-pub(crate) fn contains_subquery(e: &Expr) -> bool {
+fn contains_subquery(e: &Expr) -> bool {
     let mut found = false;
     e.visit_queries(&mut |_| found = true);
     found

@@ -5,12 +5,11 @@
 //! over gather vectors instead of rows: a scan is a `Vec<u32>` of
 //! surviving row ids over its base (a borrowed base table, or a derived
 //! table's own result rows), a join pushes `(left id, right id)` pairs,
-//! a filter produces a selection vector, and values materialize exactly
-//! once — either in the native projection kernel or in one final
-//! [`Relation`] handed to the shared output stage (`exec::output_stage`:
-//! aggregation, sorts, subquery projections). That relation keeps the
-//! full column layout but copies only the columns the output stage can
-//! read ([`output_columns`]); the rest hold NULL.
+//! and a filter produces a selection vector. The surviving [`VRel`]
+//! goes to the output stage (`exec::output_stage`: projection,
+//! grouping, ORDER BY, top-k), which reads its rows through the same
+//! gather vectors, so values are copied only into output rows, group
+//! keys and sort keys; no full-width row is ever built.
 //!
 //! Every expression — pushed scan filters, ON clauses, the residual
 //! WHERE, projections — evaluates through the one `exec::eval` over an
@@ -34,14 +33,11 @@
 //! forced seqscan} × {fresh, cached} and checks them against the naive
 //! reference interpreter (`conformance::reference`).
 
-use crate::budget::{charge, charge_rows};
+use crate::budget::charge;
 use crate::db::Database;
 use crate::error::EngineError;
-use crate::exec::{
-    dedup_by_key, eval, exec_query, expand_projections, find_col, output_stage, row_key,
-    uses_aggregates, ColumnPlan, Env, Relation, Row, Slot,
-};
-use crate::plan::{contains_subquery, Access, JoinAlgo, JoinStep, SelectPlan};
+use crate::exec::{eval, exec_query, find_col, output_stage, row_key, ColumnPlan, Env, Row, Slot};
+use crate::plan::{Access, JoinAlgo, JoinStep, SelectPlan};
 use crate::result::ResultSet;
 use crate::trace;
 use crate::value::{IndexKey, Value};
@@ -58,7 +54,7 @@ const NONE_ROW: u32 = u32::MAX;
 
 static NULL_VALUE: Value = Value::Null;
 
-fn batches_of(len: usize) -> u64 {
+pub(crate) fn batches_of(len: usize) -> u64 {
     (len as u64).div_ceil(BATCH)
 }
 
@@ -130,6 +126,15 @@ impl<'a> VRel<'a> {
         }
     }
 
+    /// `(binding, column)` per position.
+    pub(crate) fn cols(&self) -> &[(String, String)] {
+        &self.cols
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
     pub(crate) fn width(&self) -> usize {
         self.cols.len()
     }
@@ -140,26 +145,6 @@ impl<'a> VRel<'a> {
         match slot.gather[row] {
             NONE_ROW => &NULL_VALUE,
             g => &slot.base[g as usize][col - slot.start],
-        }
-    }
-
-    /// The one materialization point: copies the surviving rows into a
-    /// [`Relation`] with the full column layout, cloning only the `kept`
-    /// columns ([`output_columns`]) and writing NULL into the rest.
-    /// Deliberately uncharged and span-free.
-    fn materialize(&self, kept: &[usize]) -> Relation {
-        let rows = (0..self.len)
-            .map(|r| {
-                let mut row = vec![Value::Null; self.cols.len()];
-                for &i in kept {
-                    row[i] = self.value(r, i).clone();
-                }
-                row
-            })
-            .collect();
-        Relation {
-            cols: self.cols.clone(),
-            rows,
         }
     }
 }
@@ -285,95 +270,9 @@ pub(crate) fn exec_select_vec(
         trace::batches(batches_of(rel.len));
     }
 
-    // 3./4. Output. The plain unordered projection runs natively over
-    // the gather vectors; everything else (aggregation, sorts, top-k,
-    // subquery projections) materializes the surviving rows once —
-    // only the columns the output stage can read — and runs the shared
-    // output stage.
-    let items = expand_projections(&rel.cols, &s.projections)?;
-    let native = !uses_aggregates(s, &items, order_by)
-        && order_by.is_empty()
-        && items.iter().all(|(_, e)| !contains_subquery(e));
-    if !native {
-        let rel = rel.materialize(&output_columns(&rel.cols, s, &items, order_by));
-        return output_stage(db, s, order_by, limit, outer, &rel, &items);
-    }
-
-    let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
-    let mut out = ResultSet::new(columns);
-    {
-        let _span = trace::span("project");
-        let cplan = ColumnPlan::compile(items.iter().map(|(_, e)| e), &rel.cols);
-        let width = items.len() as u64;
-        let mut rows = Vec::with_capacity(rel.len);
-        for row in 0..rel.len {
-            charge("project", 1, width)?;
-            charge_rows("output", 1)?;
-            let env = Env {
-                cols: &rel.cols,
-                row: Row::Rel(&rel, row),
-                parent: outer,
-                plan: Some(&cplan),
-            };
-            let mut out_row = Vec::with_capacity(items.len());
-            for (_, e) in &items {
-                out_row.push(eval(db, e, &env)?);
-            }
-            rows.push(out_row);
-        }
-        if s.distinct {
-            dedup_by_key(&mut rows, |r| r.as_slice());
-        }
-        if let Some(n) = limit {
-            rows.truncate(n as usize);
-        }
-        out.rows = rows;
-        trace::rows_out(out.rows.len() as u64);
-        trace::batches(batches_of(out.rows.len()));
-    }
-    Ok(out)
-}
-
-/// The positions in `cols` the shared output stage can read while it
-/// evaluates the projections `items`, GROUP BY, HAVING and ORDER BY. A
-/// qualified reference keeps the column with the same binding and name;
-/// an unqualified one keeps every column with that name, so an
-/// ambiguous name still fails against the full layout. A subquery
-/// anywhere keeps every column: its correlated references resolve
-/// through the row scope.
-fn output_columns(
-    cols: &[(String, String)],
-    s: &Select,
-    items: &[(String, Expr)],
-    order_by: &[OrderItem],
-) -> Vec<usize> {
-    let exprs: Vec<&Expr> = items
-        .iter()
-        .map(|(_, e)| e)
-        .chain(&s.group_by)
-        .chain(&s.having)
-        .chain(order_by.iter().map(|o| &o.expr))
-        .collect();
-    if exprs.iter().any(|e| contains_subquery(e)) {
-        return (0..cols.len()).collect();
-    }
-    let mut refs: Vec<&ColumnRef> = Vec::new();
-    for e in exprs {
-        e.visit(&mut |x| {
-            if let Expr::Column(c) = x {
-                refs.push(c);
-            }
-        });
-    }
-    (0..cols.len())
-        .filter(|&i| {
-            let (b, n) = &cols[i];
-            refs.iter().any(|c| {
-                n.eq_ignore_ascii_case(&c.column)
-                    && c.table.as_ref().is_none_or(|t| b.eq_ignore_ascii_case(t))
-            })
-        })
-        .collect()
+    // 3./4. Output: aggregation, sorts, top-k and projection read the
+    // surviving rows through their gather vectors.
+    output_stage(db, s, order_by, limit, outer, &rel)
 }
 
 /// Loads one FROM/JOIN source as a single-slot relation and applies its
@@ -989,84 +888,4 @@ fn restore_column_order(rel: &mut VRel<'_>, from_width: usize, blocks: &[(usize,
     }
     rel.slots = new_slots;
     rel.col_slot = col_slot;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// [`output_columns`] for one query over the layout
-    /// `t(id, name, x) ⨝ u(id, name, y)`, with the projections expanded
-    /// as the executor expands them.
-    fn kept(sql: &str) -> Vec<usize> {
-        let cols: Vec<(String, String)> = [
-            ("t", "id"),
-            ("t", "name"),
-            ("t", "x"),
-            ("u", "id"),
-            ("u", "name"),
-            ("u", "y"),
-        ]
-        .iter()
-        .map(|(b, n)| (b.to_string(), n.to_string()))
-        .collect();
-        let q = sqlkit::parse_query(sql).unwrap();
-        let s = q.leftmost_select();
-        let items = expand_projections(&cols, &s.projections).unwrap();
-        output_columns(&cols, s, &items, &q.order_by)
-    }
-
-    #[test]
-    fn qualified_reference_keeps_only_its_binding() {
-        // Join keys and WHERE columns are consumed before materialization.
-        assert_eq!(
-            kept("SELECT u.name FROM t JOIN u ON t.id = u.id WHERE u.y > 1 ORDER BY T.X"),
-            vec![2, 4]
-        );
-        assert_eq!(
-            kept("SELECT t.name FROM t JOIN u ON t.id = u.id GROUP BY t.name HAVING SUM(u.y) > 1"),
-            vec![1, 5]
-        );
-    }
-
-    #[test]
-    fn unqualified_name_keeps_every_binding_with_that_name() {
-        assert_eq!(
-            kept("SELECT name, COUNT(*) FROM t JOIN u ON t.id = u.id GROUP BY name"),
-            vec![1, 4]
-        );
-        assert_eq!(
-            kept("SELECT t.x FROM t JOIN u ON t.id = u.id ORDER BY y"),
-            vec![2, 5]
-        );
-    }
-
-    #[test]
-    fn wildcards_keep_the_columns_they_expand_to() {
-        assert_eq!(
-            kept("SELECT * FROM t JOIN u ON t.id = u.id ORDER BY 1"),
-            (0..6).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            kept("SELECT u.* FROM t JOIN u ON t.id = u.id ORDER BY 1"),
-            vec![3, 4, 5]
-        );
-    }
-
-    #[test]
-    fn count_star_keeps_no_column() {
-        assert!(kept("SELECT COUNT(*) FROM t JOIN u ON t.id = u.id").is_empty());
-    }
-
-    #[test]
-    fn subquery_keeps_every_column() {
-        assert_eq!(
-            kept("SELECT t.x, (SELECT COUNT(*) FROM u AS v WHERE v.id = t.id) FROM t JOIN u ON t.id = u.id"),
-            (0..6).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            kept("SELECT t.x FROM t JOIN u ON t.id = u.id ORDER BY (SELECT 1)"),
-            (0..6).collect::<Vec<_>>()
-        );
-    }
 }

@@ -1,11 +1,13 @@
 //! SQL dialect identification.
 //!
 //! The workspace models two concrete backends: PostgreSQL (the
-//! semantics the engine has always implemented) and SQLite. The enum
-//! lives here in `sqlkit` because both the front end (printer/parser
-//! modes) and the engine (comparison, arithmetic, ordering, `LIKE`)
-//! are parameterized by it; `sqlengine` re-exports it, and each
-//! `sqlengine::Database` carries one.
+//! semantics the engine has always implemented) and SQLite. Only the
+//! engine's semantics are parameterized by the dialect (comparison,
+//! arithmetic, ordering, `LIKE`); the front end has one mode, parsing
+//! with PostgreSQL's lexical rules and printing PostgreSQL spellings,
+//! whichever backend a query runs on. The enum lives in this crate at
+//! the bottom of the dependency graph; `sqlengine` re-exports it, and
+//! each `sqlengine::Database` carries one.
 //!
 //! The full behavior matrix — which operations differ, in what way,
 //! and which conformance oracle pins each one — is documented in

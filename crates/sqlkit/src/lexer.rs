@@ -4,7 +4,6 @@
 //! lexer is case-preserving for identifiers and string literals; keyword
 //! recognition happens case-insensitively in the parser.
 
-use crate::dialect::Dialect;
 use crate::error::SqlError;
 use std::fmt;
 
@@ -74,18 +73,10 @@ pub struct Spanned {
     pub offset: usize,
 }
 
-/// Tokenizes `input` into a vector of spanned tokens (PostgreSQL
-/// mode).
+/// Tokenizes `input` into a vector of spanned tokens under
+/// PostgreSQL's lexical rules: identifiers may be `"double-quoted"` or
+/// `` `backtick` ``-quoted, never `[bracket]`-quoted.
 pub fn tokenize(input: &str) -> Result<Vec<Spanned>, SqlError> {
-    tokenize_dialect(input, Dialect::Postgres)
-}
-
-/// Tokenizes `input` under a specific dialect's lexical rules. The
-/// shared core accepts `"double-quoted"` and `` `backtick` `` quoted
-/// identifiers; SQLite mode additionally accepts SQL Server-style
-/// `[bracket]` quoting, which real SQLite tolerates and real
-/// PostgreSQL rejects.
-pub fn tokenize_dialect(input: &str, dialect: Dialect) -> Result<Vec<Spanned>, SqlError> {
     let bytes = input.as_bytes();
     let mut out = Vec::with_capacity(input.len() / 4 + 4);
     let mut i = 0;
@@ -257,29 +248,6 @@ pub fn tokenize_dialect(input: &str, dialect: Dialect) -> Result<Vec<Spanned>, S
                 }
                 out.push(Spanned {
                     token: Token::Str(s),
-                    offset: start,
-                });
-            }
-            b'[' if dialect == Dialect::Sqlite => {
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    if i >= bytes.len() {
-                        return Err(SqlError::lex(
-                            start,
-                            "unterminated bracket-quoted identifier",
-                        ));
-                    }
-                    if bytes[i] == b']' {
-                        i += 1;
-                        break;
-                    }
-                    let ch = input[i..].chars().next().unwrap();
-                    s.push(ch);
-                    i += ch.len_utf8();
-                }
-                out.push(Spanned {
-                    token: Token::QuotedIdent(s),
                     offset: start,
                 });
             }

@@ -65,10 +65,10 @@ pub use diff::{
 pub use error::SqlError;
 pub use format::{format_query, format_sql};
 pub use hardness::{classify, classify_sql, mean_hardness, Hardness};
-pub use lexer::{token_count, tokenize, tokenize_dialect, Token};
+pub use lexer::{token_count, tokenize, Token};
 pub use morph::{
     apply_chain, apply_to_schema, chain_distance, dissolving_transform, rewrite_query, rewrite_sql,
     MorphChain, MorphError, MorphOp, MorphSchema, MorphTable,
 };
-pub use parser::{nesting_depth, parse_query, parse_query_dialect, MAX_NESTING};
-pub use printer::{expr_to_sql, normalize, to_sql, to_sql_for};
+pub use parser::{nesting_depth, parse_query, MAX_NESTING};
+pub use printer::{expr_to_sql, normalize, to_sql};

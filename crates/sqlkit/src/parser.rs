@@ -11,23 +11,14 @@
 //! reference interpreter) sees bounded depth too.
 
 use crate::ast::*;
-use crate::dialect::Dialect;
 use crate::error::SqlError;
-use crate::lexer::{tokenize_dialect, Spanned, Token};
+use crate::lexer::{tokenize, Spanned, Token};
 
 /// Parses a single SQL query (a `SELECT`, possibly a set-operation chain,
-/// with optional trailing `ORDER BY` / `LIMIT` and `;`). PostgreSQL
-/// mode — the workspace's canonical form.
+/// with optional trailing `ORDER BY` / `LIMIT` and `;`) under
+/// PostgreSQL's lexical rules, whichever dialect the query will run on.
 pub fn parse_query(input: &str) -> Result<Query, SqlError> {
-    parse_query_dialect(input, Dialect::Postgres)
-}
-
-/// Parses a single SQL query under a specific dialect's lexical rules
-/// (see [`tokenize_dialect`]); the grammar itself is shared. Both modes
-/// produce the same AST for text they both accept, so the canonical
-/// printer fixpoint is dialect-independent.
-pub fn parse_query_dialect(input: &str, dialect: Dialect) -> Result<Query, SqlError> {
-    parse_counted(input, dialect).map(|(q, _)| q)
+    parse_counted(input).map(|(q, _)| q)
 }
 
 /// The deepest nesting a query may reach, counted as the module docs
@@ -39,11 +30,11 @@ pub const MAX_NESTING: usize = 64;
 
 /// The nesting depth `input` reaches, as [`MAX_NESTING`] bounds it.
 pub fn nesting_depth(input: &str) -> Result<usize, SqlError> {
-    parse_counted(input, Dialect::Postgres).map(|(_, depth)| depth)
+    parse_counted(input).map(|(_, depth)| depth)
 }
 
-fn parse_counted(input: &str, dialect: Dialect) -> Result<(Query, usize), SqlError> {
-    let tokens = tokenize_dialect(input, dialect)?;
+fn parse_counted(input: &str) -> Result<(Query, usize), SqlError> {
+    let tokens = tokenize(input)?;
     let mut p = Parser {
         tokens,
         pos: 0,
@@ -1047,15 +1038,8 @@ mod tests {
     }
 
     #[test]
-    fn sqlite_mode_accepts_bracket_quoted_identifiers() {
-        // Brackets are a SQLite tolerance; PostgreSQL mode rejects them.
+    fn rejects_bracket_quoted_identifiers() {
+        // Brackets are a SQLite tolerance; PostgreSQL rejects them.
         assert!(parse_query("SELECT [home goals] FROM [match]").is_err());
-        let q = parse_query_dialect("SELECT [home goals] FROM [match]", Dialect::Sqlite).unwrap();
-        // Bracket quoting lexes to the same quoted-identifier token as
-        // the shared forms, so the AST matches the double-quoted parse.
-        assert_eq!(
-            q,
-            parse_query("SELECT \"home goals\" FROM \"match\"").unwrap()
-        );
     }
 }

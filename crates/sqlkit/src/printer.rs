@@ -13,38 +13,25 @@
 //! masquerade as an engine divergence.
 
 use crate::ast::*;
-use crate::dialect::Dialect;
 use std::fmt::Write;
 
-/// Renders a query as canonical SQL text (PostgreSQL mode — the
-/// workspace's canonical form).
+/// Renders a query as canonical SQL text, with PostgreSQL's spelling of
+/// every literal (booleans print as `TRUE`/`FALSE`).
 pub fn to_sql(query: &Query) -> String {
-    to_sql_for(query, Dialect::Postgres)
-}
-
-/// Renders a query as SQL text accepted by the given backend. The two
-/// modes differ only where the dialects' *syntax* does: SQLite mode
-/// prints boolean literals as `1`/`0` (TRUE/FALSE keywords are a late
-/// SQLite addition, and the integer forms are the storage-class
-/// canonical spelling that the engine's SQLite comparison semantics
-/// treat identically). Everything else — quoting, precedence,
-/// keywords — is shared, so PostgreSQL mode is byte-identical to
-/// [`to_sql`].
-pub fn to_sql_for(query: &Query, dialect: Dialect) -> String {
     let mut out = String::with_capacity(128);
-    write_query(&mut out, query, dialect);
+    write_query(&mut out, query);
     out
 }
 
-fn write_query(out: &mut String, q: &Query, d: Dialect) {
-    write_body(out, &q.body, d);
+fn write_query(out: &mut String, q: &Query) {
+    write_body(out, &q.body);
     if !q.order_by.is_empty() {
         out.push_str(" ORDER BY ");
         for (i, item) in q.order_by.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            write_expr(out, &item.expr, d);
+            write_expr(out, &item.expr);
             if item.desc {
                 out.push_str(" DESC");
             }
@@ -55,27 +42,27 @@ fn write_query(out: &mut String, q: &Query, d: Dialect) {
     }
 }
 
-fn write_body(out: &mut String, body: &QueryBody, d: Dialect) {
+fn write_body(out: &mut String, body: &QueryBody) {
     match body {
-        QueryBody::Select(s) => write_select(out, s, d),
+        QueryBody::Select(s) => write_select(out, s),
         QueryBody::SetOp {
             op,
             all,
             left,
             right,
         } => {
-            write_body(out, left, d);
+            write_body(out, left);
             let _ = write!(out, " {op}");
             if *all {
                 out.push_str(" ALL");
             }
             out.push(' ');
-            write_body(out, right, d);
+            write_body(out, right);
         }
     }
 }
 
-fn write_select(out: &mut String, s: &Select, d: Dialect) {
+fn write_select(out: &mut String, s: &Select) {
     out.push_str("SELECT ");
     if s.distinct {
         out.push_str("DISTINCT ");
@@ -90,7 +77,7 @@ fn write_select(out: &mut String, s: &Select, d: Dialect) {
                 let _ = write!(out, "{t}.*");
             }
             SelectItem::Expr { expr, alias } => {
-                write_expr(out, expr, d);
+                write_expr(out, expr);
                 if let Some(a) = alias {
                     let _ = write!(out, " AS {a}");
                 }
@@ -103,20 +90,20 @@ fn write_select(out: &mut String, s: &Select, d: Dialect) {
             if i > 0 {
                 out.push_str(", ");
             }
-            write_table_ref(out, t, d);
+            write_table_ref(out, t);
         }
         for j in &s.joins {
             let _ = write!(out, " {} ", j.kind);
-            write_table_ref(out, &j.table, d);
+            write_table_ref(out, &j.table);
             if let Some(on) = &j.on {
                 out.push_str(" ON ");
-                write_expr(out, on, d);
+                write_expr(out, on);
             }
         }
     }
     if let Some(w) = &s.where_clause {
         out.push_str(" WHERE ");
-        write_expr(out, w, d);
+        write_expr(out, w);
     }
     if !s.group_by.is_empty() {
         out.push_str(" GROUP BY ");
@@ -124,16 +111,16 @@ fn write_select(out: &mut String, s: &Select, d: Dialect) {
             if i > 0 {
                 out.push_str(", ");
             }
-            write_expr(out, g, d);
+            write_expr(out, g);
         }
     }
     if let Some(h) = &s.having {
         out.push_str(" HAVING ");
-        write_expr(out, h, d);
+        write_expr(out, h);
     }
 }
 
-fn write_table_ref(out: &mut String, t: &TableRef, d: Dialect) {
+fn write_table_ref(out: &mut String, t: &TableRef) {
     match t {
         TableRef::Named { name, alias } => {
             out.push_str(name);
@@ -143,7 +130,7 @@ fn write_table_ref(out: &mut String, t: &TableRef, d: Dialect) {
         }
         TableRef::Derived { query, alias } => {
             out.push('(');
-            write_query(out, query, d);
+            write_query(out, query);
             let _ = write!(out, ") AS {alias}");
         }
     }
@@ -167,24 +154,24 @@ fn precedence(op: BinOp) -> u8 {
     }
 }
 
-fn write_expr(out: &mut String, e: &Expr, d: Dialect) {
-    write_expr_prec(out, e, 0, d);
+fn write_expr(out: &mut String, e: &Expr) {
+    write_expr_prec(out, e, 0);
 }
 
-fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
+fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8) {
     match e {
         Expr::Column(c) => {
             let _ = write!(out, "{c}");
         }
-        Expr::Literal(l) => write_lit(out, l, d),
+        Expr::Literal(l) => write_lit(out, l),
         Expr::Unary { op, expr } => match op {
             UnaryOp::Not => {
                 out.push_str("NOT ");
-                write_expr_prec(out, expr, 6, d);
+                write_expr_prec(out, expr, 6);
             }
             UnaryOp::Neg => {
                 out.push('-');
-                write_expr_prec(out, expr, 6, d);
+                write_expr_prec(out, expr, 6);
             }
         },
         Expr::Binary { left, op, right } => {
@@ -193,10 +180,10 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
             if needs_parens {
                 out.push('(');
             }
-            write_expr_prec(out, left, prec, d);
+            write_expr_prec(out, left, prec);
             let _ = write!(out, " {op} ");
             // Right side binds one tighter for left-associative printing.
-            write_expr_prec(out, right, prec + 1, d);
+            write_expr_prec(out, right, prec + 1);
             if needs_parens {
                 out.push(')');
             }
@@ -211,7 +198,7 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
                 out.push_str("DISTINCT ");
             }
             match arg {
-                Some(a) => write_expr(out, a, d),
+                Some(a) => write_expr(out, a),
                 None => out.push('*'),
             }
             out.push(')');
@@ -222,7 +209,7 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                write_expr(out, a, d);
+                write_expr(out, a);
             }
             out.push(')');
         }
@@ -231,7 +218,7 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
             list,
             negated,
         } => {
-            write_expr_prec(out, expr, 4, d);
+            write_expr_prec(out, expr, 4);
             if *negated {
                 out.push_str(" NOT");
             }
@@ -240,7 +227,7 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                write_expr(out, item, d);
+                write_expr(out, item);
             }
             out.push(')');
         }
@@ -249,12 +236,12 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
             query,
             negated,
         } => {
-            write_expr_prec(out, expr, 4, d);
+            write_expr_prec(out, expr, 4);
             if *negated {
                 out.push_str(" NOT");
             }
             out.push_str(" IN (");
-            write_query(out, query, d);
+            write_query(out, query);
             out.push(')');
         }
         Expr::Exists { query, negated } => {
@@ -262,12 +249,12 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
                 out.push_str("NOT ");
             }
             out.push_str("EXISTS (");
-            write_query(out, query, d);
+            write_query(out, query);
             out.push(')');
         }
         Expr::ScalarSubquery(query) => {
             out.push('(');
-            write_query(out, query, d);
+            write_query(out, query);
             out.push(')');
         }
         Expr::Between {
@@ -276,17 +263,17 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
             high,
             negated,
         } => {
-            write_expr_prec(out, expr, 4, d);
+            write_expr_prec(out, expr, 4);
             if *negated {
                 out.push_str(" NOT");
             }
             out.push_str(" BETWEEN ");
-            write_expr_prec(out, low, 4, d);
+            write_expr_prec(out, low, 4);
             out.push_str(" AND ");
-            write_expr_prec(out, high, 4, d);
+            write_expr_prec(out, high, 4);
         }
         Expr::IsNull { expr, negated } => {
-            write_expr_prec(out, expr, 4, d);
+            write_expr_prec(out, expr, 4);
             if *negated {
                 out.push_str(" IS NOT NULL");
             } else {
@@ -296,7 +283,7 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8, d: Dialect) {
     }
 }
 
-fn write_lit(out: &mut String, l: &Lit, d: Dialect) {
+fn write_lit(out: &mut String, l: &Lit) {
     match l {
         Lit::Int(v) => {
             let _ = write!(out, "{v}");
@@ -314,10 +301,7 @@ fn write_lit(out: &mut String, l: &Lit, d: Dialect) {
             }
             out.push('\'');
         }
-        Lit::Bool(b) => match d {
-            Dialect::Postgres => out.push_str(if *b { "TRUE" } else { "FALSE" }),
-            Dialect::Sqlite => out.push(if *b { '1' } else { '0' }),
-        },
+        Lit::Bool(b) => out.push_str(if *b { "TRUE" } else { "FALSE" }),
         Lit::Null => out.push_str("NULL"),
     }
 }
@@ -326,7 +310,7 @@ fn write_lit(out: &mut String, l: &Lit, d: Dialect) {
 /// column names).
 pub fn expr_to_sql(e: &Expr) -> String {
     let mut out = String::with_capacity(16);
-    write_expr(&mut out, e, Dialect::Postgres);
+    write_expr(&mut out, e);
     out
 }
 
@@ -466,27 +450,10 @@ mod tests {
     }
 
     #[test]
-    fn sqlite_mode_prints_bools_as_integers() {
-        let q = parse_query("SELECT * FROM t WHERE a = TRUE AND b != false").unwrap();
+    fn prints_bools_as_keywords() {
         assert_eq!(
-            to_sql_for(&q, Dialect::Postgres),
+            roundtrip("SELECT * FROM t WHERE a = TRUE AND b != false"),
             "SELECT * FROM t WHERE a = TRUE AND b != FALSE"
         );
-        assert_eq!(
-            to_sql_for(&q, Dialect::Sqlite),
-            "SELECT * FROM t WHERE a = 1 AND b != 0"
-        );
-        // PostgreSQL mode IS the canonical printer.
-        assert_eq!(to_sql_for(&q, Dialect::Postgres), to_sql(&q));
-    }
-
-    #[test]
-    fn dialect_modes_agree_away_from_bool_literals() {
-        let q = parse_query(
-            "SELECT x, count(*) FROM t JOIN u ON t.id = u.id \
-             WHERE y LIKE 'a%' GROUP BY x ORDER BY x DESC LIMIT 3",
-        )
-        .unwrap();
-        assert_eq!(to_sql_for(&q, Dialect::Sqlite), to_sql(&q));
     }
 }

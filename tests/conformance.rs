@@ -634,38 +634,30 @@ fn fuel(span: &TraceSpan, stage: &str) -> ((u64, u64), (u64, u64)) {
     (total, (c.fuel_steps, c.fuel_cells))
 }
 
-/// Column-pruned materialization: before its shared output stage the
-/// columnar executor copies only the columns that stage can read and
-/// leaves NULL in the rest. The pruning must be invisible on the real
-/// FootballDB v1 schema, for every way the output stage reaches a
-/// column, and every SELECT shape — derived tables, correlated
-/// subqueries, subqueries in ON, no FROM — runs on that executor.
-#[test]
-fn column_pruned_materialization_is_invisible() {
-    let _g = mode_guard();
-    let db = footballdb::load(
-        &footballdb::generate(footballdb::DEFAULT_SEED),
-        DataModel::V1,
-    );
-    let pc = "FROM player p JOIN club c ON p.club_id = c.club_id";
-    let pcl = format!("{pc} JOIN league l ON c.league_id = l.league_id");
-    let unlimited = ExecBudget::UNLIMITED;
+/// The FROM clause most output-stage cases share, and a three-table
+/// variant.
+const PC: &str = "FROM player p JOIN club c ON p.club_id = c.club_id";
+const PCL: &str = "FROM player p JOIN club c ON p.club_id = c.club_id \
+                   JOIN league l ON c.league_id = l.league_id";
 
-    for sql in [
-        // Empty mask.
-        format!("SELECT COUNT(*) {pcl}"),
+/// Output-stage shapes over FootballDB v1 that return rows: every way
+/// the output stage reaches a column.
+fn output_stage_shapes() -> Vec<String> {
+    vec![
+        // No column read at all.
+        format!("SELECT COUNT(*) {PCL}"),
         // Wildcards with ORDER BY (full sort and top-k).
         "SELECT * FROM club c JOIN league l ON c.league_id = l.league_id ORDER BY c.club_id"
             .to_string(),
-        format!("SELECT l.* {pcl} ORDER BY c.name, p.player_id LIMIT 7"),
+        format!("SELECT l.* {PCL} ORDER BY c.name, p.player_id LIMIT 7"),
         // ORDER BY a non-projected column, an alias, a position.
-        format!("SELECT p.full_name {pc} ORDER BY c.founded_year DESC, p.player_id"),
-        format!("SELECT p.full_name AS who, c.name AS home {pc} ORDER BY home, who"),
-        format!("SELECT p.full_name, c.name {pc} ORDER BY 2 DESC, 1 LIMIT 10"),
+        format!("SELECT p.full_name {PC} ORDER BY c.founded_year DESC, p.player_id"),
+        format!("SELECT p.full_name AS who, c.name AS home {PC} ORDER BY home, who"),
+        format!("SELECT p.full_name, c.name {PC} ORDER BY 2 DESC, 1 LIMIT 10"),
         // HAVING over an aggregate argument that is not projected; a
         // grouping key that nothing else reads.
-        format!("SELECT c.name {pc} GROUP BY c.name HAVING SUM(caps) > 50 ORDER BY c.name"),
-        format!("SELECT COUNT(*) {pc} GROUP BY c.league_id ORDER BY 1 DESC"),
+        format!("SELECT c.name {PC} GROUP BY c.name HAVING SUM(caps) > 50 ORDER BY c.name"),
+        format!("SELECT COUNT(*) {PC} GROUP BY c.league_id ORDER BY 1 DESC"),
         // LEFT JOIN null extension, read and counted.
         "SELECT c.name, COUNT(p.player_id) FROM club c LEFT JOIN player p \
          ON p.club_id = c.club_id AND p.caps > 100 GROUP BY c.name ORDER BY 2 DESC, 1"
@@ -674,40 +666,80 @@ fn column_pruned_materialization_is_invisible() {
          ON co.team_id = nt.team_id AND nt.fifa_ranking <= 10 ORDER BY nt.teamname, co.name"
             .to_string(),
         // DISTINCT with ORDER BY.
-        format!("SELECT DISTINCT c.country {pc} ORDER BY c.country DESC"),
-        // A correlated scalar subquery reads the row scope: all columns.
+        format!("SELECT DISTINCT c.country {PC} ORDER BY c.country DESC"),
+        // A correlated scalar subquery reads the row scope.
         "SELECT c.name, (SELECT COUNT(*) FROM player p2 WHERE p2.club_id = c.club_id) \
          FROM club c JOIN league l ON c.league_id = l.league_id WHERE c.club_id < 12 \
          ORDER BY c.name"
             .to_string(),
-    ] {
+    ]
+}
+
+/// Shapes with a subquery or no FROM, small enough for the reference
+/// interpreter's cross products.
+const SUBQUERY_SHAPES: [&str; 6] = [
+    // A derived table joined to a base table, with a filter pushed to
+    // the derived scan.
+    "SELECT l.name, d.old_clubs FROM league l JOIN (SELECT league_id, COUNT(*) AS old_clubs \
+     FROM club WHERE founded_year < 1900 GROUP BY league_id) AS d \
+     ON d.league_id = l.league_id WHERE d.old_clubs > 5 ORDER BY l.name",
+    // Correlated EXISTS, IN and scalar subqueries.
+    "SELECT nt.teamname FROM national_team nt WHERE NOT EXISTS (SELECT 1 FROM coach co \
+     WHERE co.team_id = nt.team_id AND co.name LIKE 'A%') ORDER BY nt.teamname",
+    "SELECT l.name FROM league l WHERE l.league_id IN (SELECT c.league_id FROM club c \
+     WHERE c.country = l.country AND c.founded_year < 1875) ORDER BY l.name",
+    "SELECT nt.teamname, nt.fifa_ranking FROM national_team nt WHERE nt.fifa_ranking * 2 < \
+     (SELECT COUNT(*) FROM coach co WHERE co.team_id = nt.team_id) ORDER BY nt.teamname",
+    // A subquery in ON, correlated to the joined table.
+    "SELECT nt.teamname, l.name FROM national_team nt JOIN league l \
+     ON l.confederation = nt.confederation AND l.division = \
+     (SELECT MAX(l2.division) FROM league l2 WHERE l2.country = l.country) \
+     WHERE nt.fifa_ranking <= 3 ORDER BY nt.teamname, l.name",
+    "SELECT 1 + 2 AS three, 'x' AS y",
+];
+
+/// Output-stage references to `country`, a column of both player and
+/// club: each must fail as ambiguous.
+fn ambiguous_shapes() -> Vec<String> {
+    vec![
+        format!("SELECT p.full_name {PC} ORDER BY country"),
+        format!("SELECT COUNT(*) {PC} GROUP BY country"),
+        format!("SELECT c.name {PC} GROUP BY c.name HAVING COUNT(DISTINCT country) > 1"),
+    ]
+}
+
+/// One grouping query (fuel charged up front in `aggregate`), then a
+/// full sort and a top-k (fuel charged per row in `sort`).
+fn charged_shapes() -> [String; 3] {
+    [
+        format!("SELECT l.name, COUNT(*) {PCL} GROUP BY l.name"),
+        format!("SELECT p.full_name {PC} ORDER BY c.name, p.player_id"),
+        format!("SELECT p.full_name {PC} ORDER BY c.name, p.player_id LIMIT 3"),
+    ]
+}
+
+/// The output stage reads the surviving rows through their gather
+/// vectors. On the real FootballDB v1 schema every way it reaches a
+/// column must answer, every SELECT shape — derived tables, correlated
+/// subqueries, subqueries in ON, no FROM — must run on the columnar
+/// executor and agree with the reference interpreter, ambiguous names
+/// must still fail, and budgets must trip in the stage that charges.
+#[test]
+fn output_stage_reads_rows_through_gather_vectors() {
+    let _g = mode_guard();
+    let db = footballdb::load(
+        &footballdb::generate(footballdb::DEFAULT_SEED),
+        DataModel::V1,
+    );
+    let unlimited = ExecBudget::UNLIMITED;
+
+    for sql in output_stage_shapes() {
         let (out, _) = traced_columnar(&db, &sql, &unlimited);
         let rows = out.unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
         assert!(!rows.is_empty(), "{sql}: no rows");
     }
 
-    // Shapes with a subquery or no FROM, small enough for the reference
-    // interpreter's cross products.
-    for sql in [
-        // A derived table joined to a base table, with a filter pushed to
-        // the derived scan.
-        "SELECT l.name, d.old_clubs FROM league l JOIN (SELECT league_id, COUNT(*) AS old_clubs \
-         FROM club WHERE founded_year < 1900 GROUP BY league_id) AS d \
-         ON d.league_id = l.league_id WHERE d.old_clubs > 5 ORDER BY l.name",
-        // Correlated EXISTS, IN and scalar subqueries.
-        "SELECT nt.teamname FROM national_team nt WHERE NOT EXISTS (SELECT 1 FROM coach co \
-         WHERE co.team_id = nt.team_id AND co.name LIKE 'A%') ORDER BY nt.teamname",
-        "SELECT l.name FROM league l WHERE l.league_id IN (SELECT c.league_id FROM club c \
-         WHERE c.country = l.country AND c.founded_year < 1875) ORDER BY l.name",
-        "SELECT nt.teamname, nt.fifa_ranking FROM national_team nt WHERE nt.fifa_ranking * 2 < \
-         (SELECT COUNT(*) FROM coach co WHERE co.team_id = nt.team_id) ORDER BY nt.teamname",
-        // A subquery in ON, correlated to the joined table.
-        "SELECT nt.teamname, l.name FROM national_team nt JOIN league l \
-         ON l.confederation = nt.confederation AND l.division = \
-         (SELECT MAX(l2.division) FROM league l2 WHERE l2.country = l.country) \
-         WHERE nt.fifa_ranking <= 3 ORDER BY nt.teamname, l.name",
-        "SELECT 1 + 2 AS three, 'x' AS y",
-    ] {
+    for sql in SUBQUERY_SHAPES {
         let (out, _) = traced_columnar(&db, sql, &unlimited);
         let rs = out.unwrap_or_else(|e| panic!("{sql}: {e}"));
         assert!(!rs.rows.is_empty(), "{sql}: no rows");
@@ -718,12 +750,7 @@ fn column_pruned_materialization_is_invisible() {
         );
     }
 
-    // `country` is a column of both player and club.
-    for sql in [
-        format!("SELECT p.full_name {pc} ORDER BY country"),
-        format!("SELECT COUNT(*) {pc} GROUP BY country"),
-        format!("SELECT c.name {pc} GROUP BY c.name HAVING COUNT(DISTINCT country) > 1"),
-    ] {
+    for sql in ambiguous_shapes() {
         let (out, _) = traced_columnar(&db, &sql, &unlimited);
         assert_eq!(
             out,
@@ -735,24 +762,21 @@ fn column_pruned_materialization_is_invisible() {
     // Budgets that trip inside `aggregate` (one up-front charge of the
     // full input) and inside `sort` (per-row charges whose width is the
     // full source layout plus the projections).
-    let sql = format!("SELECT l.name, COUNT(*) {pcl} GROUP BY l.name");
-    let (_, span) = traced_columnar(&db, &sql, &unlimited);
+    let [grouped, sorted, top_k] = charged_shapes();
+    let (_, span) = traced_columnar(&db, &grouped, &unlimited);
     let ((steps, _), (agg_steps, _)) = fuel(&span, "aggregate");
-    assert!(agg_steps > 1, "{sql}");
+    assert!(agg_steps > 1, "{grouped}");
     let budget = unlimited.with_max_steps(steps - agg_steps + 1);
-    let (out, _) = traced_columnar(&db, &sql, &budget);
+    let (out, _) = traced_columnar(&db, &grouped, &budget);
     assert_eq!(
         out,
         Err(EngineError::BudgetExceeded {
             stage: "aggregate",
             spent: steps
         }),
-        "{sql}"
+        "{grouped}"
     );
-    for sql in [
-        format!("SELECT p.full_name {pc} ORDER BY c.name, p.player_id"),
-        format!("SELECT p.full_name {pc} ORDER BY c.name, p.player_id LIMIT 3"),
-    ] {
+    for sql in [sorted, top_k] {
         let (_, span) = traced_columnar(&db, &sql, &unlimited);
         let ((_, cells), (_, sort_cells)) = fuel(&span, "sort");
         assert!(sort_cells > 1, "{sql}");
@@ -766,6 +790,51 @@ fn column_pruned_materialization_is_invisible() {
         let (_, (_, charged_in_sort)) = fuel(&tripped, "sort");
         assert!(charged_in_sort > 0, "{sql}: tripped outside sort");
     }
+}
+
+/// The engine's deterministic counters, pinned across commits: an
+/// FNV-1a digest of each query's logical digest (rows and fuel per
+/// span, scans spliced out, so the access path does not matter) and
+/// its result row count or error, over every gold-pool query on v1–v3
+/// and every output-stage case above. A change to what any operator
+/// charges or emits must update the pin on purpose.
+#[test]
+fn engine_counters_match_the_pinned_digest() {
+    let _g = mode_guard();
+    let setup = evalkit::EvalSetup::small(7);
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut queries: Vec<(DataModel, String)> = Vec::new();
+    for model in DataModel::ALL {
+        for item in &setup.benchmark.gold_pool {
+            queries.push((model, item.sql(model).to_string()));
+        }
+    }
+    let v1_cases = output_stage_shapes()
+        .into_iter()
+        .chain(SUBQUERY_SHAPES.map(str::to_string))
+        .chain(ambiguous_shapes())
+        .chain(charged_shapes());
+    queries.extend(v1_cases.map(|sql| (DataModel::V1, sql)));
+    assert!(queries.len() > 3 * 200, "{} queries", queries.len());
+
+    for (model, sql) in &queries {
+        let (out, span) = trace_execute_sql(setup.db(*model), sql);
+        feed(span.logical_digest().as_bytes());
+        match out {
+            Ok(rs) => feed(&(rs.rows.len() as u64).to_le_bytes()),
+            Err(e) => feed(e.to_string().as_bytes()),
+        }
+    }
+    assert_eq!(
+        digest, 0x759a_1594_84ea_82e9,
+        "engine counters moved: {digest:#018x}"
+    );
 }
 
 /// Runs `sql` indexed and under forced seqscan with tracing; asserts

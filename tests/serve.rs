@@ -153,14 +153,7 @@ fn serve_pool_reports_into_observed_threads_watermark() {
     // could have recorded concurrently (tests cap at 8 workers), so
     // the watermark reading below is attributable to this pool.
     let width = 24;
-    let report = serve::pool::replay(
-        &state,
-        &[],
-        &[],
-        &std::collections::HashMap::new(),
-        width,
-        &AdmissionPolicy::default(),
-    );
+    let report = serve::pool::replay(&state, &[], &[], width, &AdmissionPolicy::default());
     assert_eq!(report.threads, width);
     assert_eq!((report.executed, report.escaped_panics), (0, 0));
     assert!(
