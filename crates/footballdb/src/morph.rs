@@ -13,15 +13,21 @@
 //! 2. **corpus co-rewriting** — every query of the validation corpus
 //!    rewrites cleanly through the op (e.g. a rename that would capture a
 //!    projection alias is rejected here and a different synonym drawn).
+//!    The corpus is parsed once and each committed op's rewrite is kept
+//!    as a query, never printed and parsed back: printing a rewritten
+//!    query and parsing it again gives the same query, so the gate
+//!    decides exactly as it would on the SQL text.
 //!
 //! The result is a set of data models at varying [`chain_distance`] from
 //! v1, each of which provably accepts the whole gold corpus.
 
 use sqlengine::catalog::Catalog;
+use sqlengine::db::TableData;
 use sqlengine::morph::{migrate, migrate_database, schema_of};
-use sqlengine::value::Value;
 use sqlengine::Database;
+use sqlkit::ast::Query;
 use sqlkit::morph::{chain_distance, MorphChain, MorphError, MorphOp, MorphSchema};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 use xrng::Rng;
 
@@ -146,9 +152,9 @@ const EXT_SUFFIXES: &[&str] = &["detail", "info", "ext", "attrs"];
 
 struct Synth<'a> {
     catalog: Catalog,
-    /// The validation corpus, progressively rewritten through the chain so
-    /// each candidate op is checked as a single-step rewrite.
-    corpus: Vec<String>,
+    /// The parsed validation corpus, progressively rewritten through the
+    /// chain so each candidate op is checked as a single-step rewrite.
+    corpus: Cow<'a, [Query]>,
     ops: Vec<MorphOp>,
     /// Extension tables created by splits in this chain (merge candidates).
     exts: Vec<String>,
@@ -158,18 +164,19 @@ struct Synth<'a> {
 impl Synth<'_> {
     /// Try to commit one op: catalog gate, then corpus gate.
     fn try_op(&mut self, op: MorphOp) -> bool {
-        let empty: Vec<Vec<Vec<Value>>> = self.catalog.tables.iter().map(|_| Vec::new()).collect();
+        let empty = vec![TableData::default(); self.catalog.tables.len()];
         let Ok((next_catalog, _)) = migrate(&self.catalog, &empty, &op) else {
             return false;
         };
         let step = MorphChain::new(&schema_of(&self.catalog), std::slice::from_ref(&op));
-        let mut rewritten = Vec::with_capacity(self.corpus.len());
-        for sql in &self.corpus {
-            match step.rewrite_sql(sql) {
-                Ok(s) => rewritten.push(s),
-                Err(_) => return false,
-            }
-        }
+        let Ok(rewritten) = self
+            .corpus
+            .iter()
+            .map(|q| step.rewrite_query(q))
+            .collect::<Result<Vec<_>, _>>()
+        else {
+            return false;
+        };
         if let MorphOp::SplitTable { ext, .. } = &op {
             self.exts.push(ext.clone());
         }
@@ -177,7 +184,7 @@ impl Synth<'_> {
             self.exts.retain(|e| !e.eq_ignore_ascii_case(ext));
         }
         self.catalog = next_catalog;
-        self.corpus = rewritten;
+        self.corpus = Cow::Owned(rewritten);
         self.ops.push(op);
         true
     }
@@ -262,10 +269,17 @@ impl Synth<'_> {
 /// Synthesize `n` validated morph models from v1. `corpus` is the set of
 /// v1 gold SQL every chain must co-rewrite cleanly (pass the full gold
 /// pool for production sweeps; a sample for quick tests). Deterministic in
-/// `(seed, n, corpus)`.
+/// `(seed, n, corpus)`. Panics if a corpus query does not parse.
 pub fn synthesize_models(seed: u64, n: usize, corpus: &[String]) -> Vec<MorphModel> {
     let root = Rng::new(seed ^ 0x5EED_304F);
     let base = DataModel::V1.catalog();
+    let parsed: Vec<Query> = corpus
+        .iter()
+        .map(|sql| {
+            sqlkit::parse_query(sql)
+                .unwrap_or_else(|e| panic!("synthesis corpus query does not parse: {sql}: {e}"))
+        })
+        .collect();
     (0..n)
         .map(|i| {
             let mut rng = root.fork(&format!("model/{i}"));
@@ -274,7 +288,7 @@ pub fn synthesize_models(seed: u64, n: usize, corpus: &[String]) -> Vec<MorphMod
             let target = 1 + (i % 7);
             let mut s = Synth {
                 catalog: base.clone(),
-                corpus: corpus.to_vec(),
+                corpus: Cow::Borrowed(&parsed),
                 ops: Vec::new(),
                 exts: Vec::new(),
                 rng: &mut rng,

@@ -664,8 +664,9 @@ fn r_aggregate(
 }
 
 /// Evaluates an expression over a group: aggregates fold the group's
-/// rows; everything else reads the first row (NULL on an empty group,
-/// except literals which still evaluate).
+/// rows, operators and function calls combine their operands' group
+/// values, and everything else reads the first row (NULL on an empty
+/// group, except literals which still evaluate).
 fn r_eval_agg(
     db: &Database,
     expr: &Expr,
@@ -687,6 +688,13 @@ fn r_eval_agg(
         Expr::Unary { op, expr } => {
             let v = r_eval_agg(db, expr, rel, group, outer)?;
             r_unary(*op, &v)
+        }
+        Expr::Func { name, args } => {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(r_eval_agg(db, a, rel, group, outer)?);
+            }
+            r_function(name, &vals)
         }
         other => match group.first() {
             Some(&ri) => {

@@ -24,6 +24,12 @@
 //! is derived state: `Clone` starts it empty and every insert drops it.
 //! Insert holds `&mut self`, so both invalidations reach the stripes
 //! through `RwLock::get_mut` (no lock taken) and skip empty ones.
+//!
+//! Stored rows are shared, not owned: each table's rows sit behind an
+//! `Arc` ([`TableData`]), so a clone, or a database migrated through a
+//! morph op that leaves a table alone, holds the same rows as its
+//! source. Insert copies a table's rows first when they are shared, so
+//! no database ever sees another's writes.
 
 use crate::cache::QueryCache;
 use crate::catalog::{Catalog, DataType, TableSchema};
@@ -35,10 +41,23 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// A stored table: schema reference by index plus rows.
+/// A stored table's rows, in the order of its catalog entry's columns.
+/// Cloning shares the rows (one `Arc` handle), it never copies them.
 #[derive(Debug, Clone, Default)]
 pub struct TableData {
-    pub rows: Vec<Vec<Value>>,
+    rows: Arc<Vec<Vec<Value>>>,
+}
+
+impl TableData {
+    pub(crate) fn new(rows: Vec<Vec<Value>>) -> TableData {
+        TableData {
+            rows: Arc::new(rows),
+        }
+    }
+
+    pub(crate) fn rows(&self) -> &[Vec<Value>] {
+        &self.rows
+    }
 }
 
 /// A fast, deterministic hasher for the column indexes: their maps are
@@ -201,8 +220,9 @@ pub struct Database {
 }
 
 impl Clone for Database {
-    /// Clones catalog, dialect and rows; the index cache and the query
-    /// memo start empty (both refill lazily) and counters reset.
+    /// Clones catalog and dialect and shares every table's rows; the
+    /// index cache and the query memo start empty (both refill lazily)
+    /// and counters reset.
     fn clone(&self) -> Database {
         Database {
             catalog: self.catalog.clone(),
@@ -240,6 +260,24 @@ impl Database {
             probe_stripes: std::array::from_fn(|_| ProbeStripe::default()),
             memo: QueryCache::new(),
         }
+    }
+
+    /// A database holding `tables` (`tables[i]` belongs to
+    /// `catalog.tables[i]`), each row type-checked as [`Database::insert`]
+    /// checks it. The rows stay shared with wherever else they are held.
+    pub(crate) fn from_tables(
+        catalog: Catalog,
+        tables: Vec<TableData>,
+    ) -> Result<Database, EngineError> {
+        assert_eq!(tables.len(), catalog.tables.len(), "one table per schema");
+        let mut db = Database::new(catalog);
+        for (schema, table) in db.catalog.tables.iter().zip(&tables) {
+            for row in table.rows() {
+                check_row(&schema.name, schema, row)?;
+            }
+        }
+        db.data = tables;
+        Ok(db)
     }
 
     /// The same database under `dialect`'s semantics.
@@ -285,7 +323,12 @@ impl Database {
 
     /// Read-only access to a table's rows.
     pub fn rows(&self, name: &str) -> Option<&[Vec<Value>]> {
-        self.table_index(name).map(|i| self.data[i].rows.as_slice())
+        self.table_index(name).map(|i| self.data[i].rows())
+    }
+
+    /// Every table's rows, in catalog order.
+    pub(crate) fn tables(&self) -> &[TableData] {
+        &self.data
     }
 
     /// The hash index for `(table, column)`, building and caching it on
@@ -301,7 +344,7 @@ impl Database {
         if let Some(ix) = shard.read().unwrap().get(&(t, c)) {
             return Some(ix.clone());
         }
-        let built = Arc::new(ColumnIndex::build(&self.data[t].rows, c));
+        let built = Arc::new(ColumnIndex::build(self.data[t].rows(), c));
         self.index_builds.fetch_add(1, Ordering::Relaxed);
         Some(
             shard
@@ -365,30 +408,14 @@ impl Database {
         }
     }
 
-    /// Inserts a row after type-checking it against the schema.
+    /// Inserts a row after type-checking it against the schema. Rows
+    /// shared with another database are copied first.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<(), EngineError> {
         let idx = self
             .table_index(table)
             .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
-        let schema = &self.catalog.tables[idx];
-        if row.len() != schema.columns.len() {
-            return Err(EngineError::Arity {
-                table: table.to_string(),
-                expected: schema.columns.len(),
-                got: row.len(),
-            });
-        }
-        for (value, col) in row.iter().zip(&schema.columns) {
-            if !type_matches(value, col.ty) {
-                return Err(EngineError::TypeMismatch {
-                    table: table.to_string(),
-                    column: col.name.clone(),
-                    expected: col.ty,
-                    got: format!("{value:?}"),
-                });
-            }
-        }
-        self.data[idx].rows.push(row);
+        check_row(table, &self.catalog.tables[idx], &row)?;
+        Arc::make_mut(&mut self.data[idx].rows).push(row);
         self.invalidate_indexes(idx);
         self.memo.invalidate();
         Ok(())
@@ -446,11 +473,11 @@ impl Database {
                     .filter_map(|c| schema.column_index(c))
                     .collect();
                 let referenced: HashSet<Vec<String>> = self.data[ref_idx]
-                    .rows
+                    .rows()
                     .iter()
                     .map(|r| ref_cols.iter().map(|c| r[*c].to_string()).collect())
                     .collect();
-                for (ri, row) in self.data[ti].rows.iter().enumerate() {
+                for (ri, row) in self.data[ti].rows().iter().enumerate() {
                     let key: Vec<String> = own_cols.iter().map(|c| row[*c].to_string()).collect();
                     if own_cols.iter().any(|c| row[*c].is_null()) {
                         continue; // NULL FKs are permitted.
@@ -471,6 +498,29 @@ impl Database {
         }
         violations
     }
+}
+
+/// Checks one row against its table's schema: arity, then each cell's
+/// type. `table` is the name the error reports.
+fn check_row(table: &str, schema: &TableSchema, row: &[Value]) -> Result<(), EngineError> {
+    if row.len() != schema.columns.len() {
+        return Err(EngineError::Arity {
+            table: table.to_string(),
+            expected: schema.columns.len(),
+            got: row.len(),
+        });
+    }
+    for (value, col) in row.iter().zip(&schema.columns) {
+        if !type_matches(value, col.ty) {
+            return Err(EngineError::TypeMismatch {
+                table: table.to_string(),
+                column: col.name.clone(),
+                expected: col.ty,
+                got: format!("{value:?}"),
+            });
+        }
+    }
+    Ok(())
 }
 
 fn type_matches(value: &Value, ty: DataType) -> bool {

@@ -984,8 +984,9 @@ fn exec_aggregate(
 }
 
 /// Evaluates an expression over a group: aggregates fold over the group's
-/// rows; anything else reads the first row (a literal, or NULL, for an
-/// empty group).
+/// rows, operators and function calls combine their operands' group
+/// values, and anything else reads the first row (a literal, or NULL, for
+/// an empty group).
 fn eval_agg(
     db: &Database,
     expr: &Expr,
@@ -1007,6 +1008,13 @@ fn eval_agg(
         Expr::Unary { op, expr } => {
             let v = eval_agg(db, expr, rel, group, outer)?;
             apply_unary(*op, &v)
+        }
+        Expr::Func { name, args } => {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(eval_agg(db, a, rel, group, outer)?);
+            }
+            apply_function(name, &vals)
         }
         other => match (group.first(), other) {
             (Some(&ri), _) => {

@@ -17,7 +17,7 @@
 use sqlkit::morph::{MorphError, MorphOp, MorphSchema, MorphTable};
 
 use crate::catalog::{Catalog, ColumnDef, ForeignKey, TableSchema};
-use crate::db::Database;
+use crate::db::{Database, TableData};
 use crate::value::Value;
 
 fn eq_ci(a: &str, b: &str) -> bool {
@@ -97,20 +97,18 @@ fn pk_indexes(t: &TableSchema) -> Result<Vec<usize>, MorphError> {
         .collect()
 }
 
-/// Stored rows of a whole instance: `InstanceRows[i]` belongs to
-/// `catalog.tables[i]`.
-pub type InstanceRows = Vec<Vec<Vec<Value>>>;
-
 /// Apply one op to a catalog and its stored rows (`rows[i]` belongs to
 /// `catalog.tables[i]`). Returns the migrated pair; the source is
-/// untouched.
+/// untouched. Every table the op does not name keeps sharing its rows
+/// with the source: renames build no rows at all, a split builds its
+/// table's two halves and a merge the table it merges into.
 pub fn migrate(
     catalog: &Catalog,
-    rows: &[Vec<Vec<Value>>],
+    rows: &[TableData],
     op: &MorphOp,
-) -> Result<(Catalog, InstanceRows), MorphError> {
+) -> Result<(Catalog, Vec<TableData>), MorphError> {
     let mut tables = catalog.tables.clone();
-    let mut rows: InstanceRows = rows.to_vec();
+    let mut rows = rows.to_vec();
     match op {
         MorphOp::RenameTable { from, to } => {
             if tables.iter().any(|t| eq_ci(&t.name, to)) {
@@ -255,9 +253,10 @@ pub fn migrate(
                 }
             }
 
-            let mut base_rows = Vec::with_capacity(rows[ti].len());
-            let mut ext_rows = Vec::with_capacity(rows[ti].len());
-            for row in &rows[ti] {
+            let source = rows[ti].rows();
+            let mut base_rows = Vec::with_capacity(source.len());
+            let mut ext_rows = Vec::with_capacity(source.len());
+            for row in source {
                 let mut e: Vec<Value> = pk_idx.iter().map(|&i| row[i].clone()).collect();
                 let mut b = Vec::with_capacity(row.len());
                 for (i, v) in row.iter().enumerate() {
@@ -271,9 +270,9 @@ pub fn migrate(
                 ext_rows.push(e);
             }
             tables[ti] = base_schema;
-            rows[ti] = base_rows;
+            rows[ti] = TableData::new(base_rows);
             tables.push(ext_schema);
-            rows.push(ext_rows);
+            rows.push(TableData::new(ext_rows));
         }
         MorphOp::MergeTable { ext, into } => {
             let ei = tables
@@ -325,22 +324,23 @@ pub fn migrate(
             }
 
             // Data side condition: exactly one extension row per base row.
+            let (ext_rows, base_rows) = (rows[ei].rows(), rows[bi].rows());
             let mut by_key = std::collections::BTreeMap::new();
-            for (ri, row) in rows[ei].iter().enumerate() {
+            for (ri, row) in ext_rows.iter().enumerate() {
                 if by_key.insert(pk_key(row, &e_pk_idx), ri).is_some() {
                     return Err(MorphError::Unsupported(format!(
                         "duplicate key in extension `{ext}`"
                     )));
                 }
             }
-            if by_key.len() != rows[bi].len() {
+            if by_key.len() != base_rows.len() {
                 return Err(MorphError::Unsupported(format!(
                     "merge is not 1:1 between `{ext}` and `{into}`"
                 )));
             }
 
-            let mut merged_rows = Vec::with_capacity(rows[bi].len());
-            for row in &rows[bi] {
+            let mut merged_rows = Vec::with_capacity(base_rows.len());
+            for row in base_rows {
                 let ri = *by_key.get(&pk_key(row, &b_pk_idx)).ok_or_else(|| {
                     MorphError::Unsupported(format!(
                         "base row of `{into}` missing from extension `{ext}`"
@@ -348,7 +348,7 @@ pub fn migrate(
                 })?;
                 let mut r = row.clone();
                 for &i in &extra_idx {
-                    r.push(rows[ei][ri][i].clone());
+                    r.push(ext_rows[ri][i].clone());
                 }
                 merged_rows.push(r);
             }
@@ -371,7 +371,7 @@ pub fn migrate(
                 }
             }
             tables[bi] = merged;
-            rows[bi] = merged_rows;
+            rows[bi] = TableData::new(merged_rows);
             tables.remove(ei);
             rows.remove(ei);
         }
@@ -388,23 +388,17 @@ pub fn migrate(
 }
 
 /// Apply a whole op chain to a database, producing the morphed database.
+/// It shares the rows of every table no op rebuilt with `db` (see
+/// [`migrate`]); inserting into either copies them first.
 pub fn migrate_database(db: &Database, ops: &[MorphOp]) -> Result<Database, MorphError> {
     let mut catalog = db.catalog().clone();
-    let mut rows: InstanceRows = catalog
-        .tables
-        .iter()
-        .map(|t| db.rows(&t.name).expect("catalog table has rows").to_vec())
-        .collect();
+    let mut rows = db.tables().to_vec();
     for op in ops {
         (catalog, rows) = migrate(&catalog, &rows, op)?;
     }
-    let names: Vec<String> = catalog.tables.iter().map(|t| t.name.clone()).collect();
-    let mut out = Database::new(catalog).with_dialect(db.dialect());
-    for (name, table_rows) in names.iter().zip(rows) {
-        out.insert_all(name, table_rows)
-            .map_err(|e| MorphError::Unsupported(format!("migrated data rejected: {e}")))?;
-    }
-    Ok(out)
+    Database::from_tables(catalog, rows)
+        .map(|out| out.with_dialect(db.dialect()))
+        .map_err(|e| MorphError::Unsupported(format!("migrated data rejected: {e}")))
 }
 
 #[cfg(test)]

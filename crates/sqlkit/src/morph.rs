@@ -40,6 +40,7 @@
 //! through a correlated scope stack, so the op rewrites only ever touch
 //! fully-qualified references.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::ast::{ColumnRef, Expr, Join, JoinKind, Query, QueryBody, Select, SelectItem, TableRef};
@@ -771,13 +772,20 @@ impl MorphChain {
     /// error, for every input. A rewrite error at an op comes before
     /// that op's schema error, as when the schemas evolve per query.
     pub fn rewrite_sql(&self, sql: &str) -> Result<String, MorphError> {
-        let mut q = parse_query(sql).map_err(|e| MorphError::Parse(e.to_string()))?;
+        let q = parse_query(sql).map_err(|e| MorphError::Parse(e.to_string()))?;
+        self.rewrite_query(&q).map(|q| to_sql(&q))
+    }
+
+    /// [`MorphChain::rewrite_sql`] on a parsed query, without the parse
+    /// and the print.
+    pub fn rewrite_query(&self, q: &Query) -> Result<Query, MorphError> {
+        let mut q = Cow::Borrowed(q);
         for (op, schema) in self.ops.iter().zip(&self.schemas) {
-            q = rewrite_query(schema, op, &q)?;
+            q = Cow::Owned(rewrite_query(schema, op, &q)?);
         }
         match &self.broken {
             Some(e) => Err(e.clone()),
-            None => Ok(to_sql(&q)),
+            None => Ok(q.into_owned()),
         }
     }
 }

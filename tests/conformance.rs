@@ -202,6 +202,37 @@ fn not_in_with_null_member_returns_no_nonmembers() {
     assert!(rs.rows.is_empty(), "got {:?}", rs.rows);
 }
 
+/// Regression (function calls in an aggregate query's SELECT list): the
+/// engine and the reference interpreter evaluated a function call by
+/// the scalar rule over the group's first row, so an aggregate inside a
+/// function failed with "aggregate outside aggregation context", and a
+/// function of literals read NULL on an empty group. A function now
+/// evaluates its arguments as group values, on every engine
+/// configuration and in the reference.
+#[test]
+fn function_calls_in_aggregate_queries_evaluate_over_the_group() {
+    let _g = mode_guard();
+    let db = null_db();
+    for (sql, want) in [
+        ("SELECT abs(SUM(v)) FROM t", vec![Value::Int(7)]),
+        (
+            "SELECT COUNT(*), abs(-1), upper('a') FROM t WHERE id < 0",
+            vec![Value::Int(0), Value::Int(1), Value::text("A")],
+        ),
+    ] {
+        assert!(
+            check_case(&db, &QueryCache::new(), sql).is_none(),
+            "diverged: {sql}"
+        );
+        assert_eq!(
+            execute_sql(&db, sql).unwrap().rows,
+            vec![want.clone()],
+            "{sql}"
+        );
+        assert_eq!(ref_execute_sql(&db, sql).unwrap().rows, vec![want], "{sql}");
+    }
+}
+
 /// A minimized counterexample must itself be a counterexample: it
 /// parses and still satisfies the divergence predicate. The minimizer
 /// shrinks by clause-atom count with the clause differ as distance
