@@ -664,8 +664,10 @@ fn r_aggregate(
 }
 
 /// Evaluates an expression over a group: aggregates fold the group's
-/// rows, operators and function calls combine their operands' group
-/// values, and everything else reads the first row (NULL on an empty
+/// rows; operators, function calls, BETWEEN, IN lists and IS NULL
+/// combine their operands' group values; `IN (subquery)` tests its
+/// operand's group value against the subquery run over the group's
+/// first row; everything else reads the first row (NULL on an empty
 /// group, except literals which still evaluate).
 fn r_eval_agg(
     db: &Database,
@@ -674,6 +676,7 @@ fn r_eval_agg(
     group: &[usize],
     outer: Option<&Scope<'_>>,
 ) -> Result<Value, EngineError> {
+    let over_group = |e| r_eval_agg(db, e, rel, group, outer);
     match expr {
         Expr::Agg {
             func,
@@ -681,21 +684,55 @@ fn r_eval_agg(
             arg,
         } => r_compute_aggregate(db, *func, *distinct, arg.as_deref(), rel, group, outer),
         Expr::Binary { left, op, right } => {
-            let l = r_eval_agg(db, left, rel, group, outer)?;
-            let r = r_eval_agg(db, right, rel, group, outer)?;
+            let l = over_group(left)?;
+            let r = over_group(right)?;
             r_binary(&l, *op, &r, db.dialect())
         }
-        Expr::Unary { op, expr } => {
-            let v = r_eval_agg(db, expr, rel, group, outer)?;
-            r_unary(*op, &v)
-        }
+        Expr::Unary { op, expr } => r_unary(*op, &over_group(expr)?),
         Expr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(r_eval_agg(db, a, rel, group, outer)?);
-            }
+            let vals = args.iter().map(over_group).collect::<Result<Vec<_>, _>>()?;
             r_function(name, &vals)
         }
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            let v = over_group(expr)?;
+            let lo = over_group(low)?;
+            let hi = over_group(high)?;
+            r_between(&v, &lo, &hi, *negated, db.dialect())
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let v = over_group(expr)?;
+            let items = list.iter().map(over_group).collect::<Result<Vec<_>, _>>()?;
+            in_membership(&v, &items, *negated, db.dialect())
+        }
+        Expr::InSubquery {
+            expr,
+            query,
+            negated,
+        } => {
+            let v = over_group(expr)?;
+            let rs = match group.first() {
+                Some(&ri) => {
+                    let scope = Scope {
+                        cols: &rel.cols,
+                        row: &rel.rows[ri],
+                        parent: outer,
+                    };
+                    r_query(db, query, Some(&scope))?
+                }
+                None => r_query(db, query, outer)?,
+            };
+            in_membership(&v, &first_column(&rs), *negated, db.dialect())
+        }
+        Expr::IsNull { expr, negated } => Ok(Value::Bool(over_group(expr)?.is_null() != *negated)),
         other => match group.first() {
             Some(&ri) => {
                 let scope = Scope {
@@ -867,12 +904,7 @@ fn r_eval(db: &Database, expr: &Expr, scope: &Scope<'_>) -> Result<Value, Engine
         } => {
             let v = r_eval(db, expr, scope)?;
             let rs = r_query(db, query, Some(scope))?;
-            let items: Vec<Value> = rs
-                .rows
-                .iter()
-                .map(|row| row.first().cloned().unwrap_or(Value::Null))
-                .collect();
-            in_membership(&v, &items, *negated, db.dialect())
+            in_membership(&v, &first_column(&rs), *negated, db.dialect())
         }
         Expr::Exists { query, negated } => {
             let rs = r_query(db, query, Some(scope))?;
@@ -895,19 +927,37 @@ fn r_eval(db: &Database, expr: &Expr, scope: &Scope<'_>) -> Result<Value, Engine
             let v = r_eval(db, expr, scope)?;
             let lo = r_eval(db, low, scope)?;
             let hi = r_eval(db, high, scope)?;
-            let dialect = db.dialect();
-            let ge = v.sql_cmp(&lo, dialect)?.map(|o| o != Ordering::Less);
-            let le = v.sql_cmp(&hi, dialect)?.map(|o| o != Ordering::Greater);
-            Ok(match (ge, le) {
-                (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
-                _ => Value::Null,
-            })
+            r_between(&v, &lo, &hi, *negated, db.dialect())
         }
         Expr::IsNull { expr, negated } => {
             let v = r_eval(db, expr, scope)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
     }
+}
+
+/// SQL `[NOT] BETWEEN`: UNKNOWN unless both bound comparisons are known.
+fn r_between(
+    v: &Value,
+    lo: &Value,
+    hi: &Value,
+    negated: bool,
+    dialect: Dialect,
+) -> Result<Value, EngineError> {
+    let ge = v.sql_cmp(lo, dialect)?.map(|o| o != Ordering::Less);
+    let le = v.sql_cmp(hi, dialect)?.map(|o| o != Ordering::Greater);
+    Ok(match (ge, le) {
+        (Some(a), Some(b)) => Value::Bool((a && b) != negated),
+        _ => Value::Null,
+    })
+}
+
+/// The first column of a subquery result, NULL for a row without one.
+fn first_column(rs: &ResultSet) -> Vec<Value> {
+    rs.rows
+        .iter()
+        .map(|row| row.first().cloned().unwrap_or(Value::Null))
+        .collect()
 }
 
 /// SQL `[NOT] IN` membership per the three-valued rules: a NULL probe is

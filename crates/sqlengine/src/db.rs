@@ -17,6 +17,13 @@
 //! bounce one cache line. Each thread increments a slot chosen by a
 //! thread-local stripe id; reads sum the stripes, so totals are exact.
 //!
+//! Beside the indexes, each `(table, column)` pair has a lazily
+//! computed distinct-value count ([`Database::distinct_values`]), the
+//! statistic the planner's cardinality estimates divide by. Like an
+//! index it is a pure function of the stored rows, computed on first
+//! use, and dropped for a table on any mutation; unlike an index it is
+//! kept by `Clone`, whose rows are the same.
+//!
 //! Each database also owns its query-result memo
 //! ([`Database::query_cache`]): every caller that executes against the
 //! database — predict's failure checks, scoring, serving — shares it,
@@ -39,7 +46,7 @@ use sqlkit::Dialect;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A stored table's rows, in the order of its catalog entry's columns.
 /// Cloning shares the rows (one `Arc` handle), it never copies them.
@@ -214,6 +221,9 @@ pub struct Database {
     indexes: [IndexShard; INDEX_SHARDS],
     index_builds: AtomicU64,
     probe_stripes: [ProbeStripe; INDEX_SHARDS],
+    /// Lazily computed distinct-value counts, one slot per catalog
+    /// column of each table.
+    distinct: Vec<Box<[OnceLock<usize>]>>,
     /// Query-result memo shared by every caller executing against this
     /// database.
     memo: QueryCache,
@@ -222,7 +232,8 @@ pub struct Database {
 impl Clone for Database {
     /// Clones catalog and dialect and shares every table's rows; the
     /// index cache and the query memo start empty (both refill lazily)
-    /// and counters reset.
+    /// and counters reset. Distinct-value counts computed so far carry
+    /// over, since they describe the same rows.
     fn clone(&self) -> Database {
         Database {
             catalog: self.catalog.clone(),
@@ -232,6 +243,7 @@ impl Clone for Database {
             indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             index_builds: AtomicU64::new(0),
             probe_stripes: std::array::from_fn(|_| ProbeStripe::default()),
+            distinct: self.distinct.clone(),
             memo: QueryCache::new(),
         }
     }
@@ -250,6 +262,11 @@ impl Database {
             .map(|_| TableData::default())
             .collect();
         let catalog_fp = crate::morph::catalog_fingerprint(&catalog);
+        let distinct = catalog
+            .tables
+            .iter()
+            .map(|t| t.columns.iter().map(|_| OnceLock::new()).collect())
+            .collect();
         Database {
             catalog,
             catalog_fp,
@@ -258,6 +275,7 @@ impl Database {
             indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             index_builds: AtomicU64::new(0),
             probe_stripes: std::array::from_fn(|_| ProbeStripe::default()),
+            distinct,
             memo: QueryCache::new(),
         }
     }
@@ -356,6 +374,26 @@ impl Database {
         )
     }
 
+    /// The number of distinct non-NULL values in `(table, column)`,
+    /// counted on first use and cached until the table changes. `None`
+    /// when the table or column does not exist. Values count as distinct
+    /// exactly when their [`IndexKey`]s differ, so this is also the key
+    /// count of the column's index, but computing it builds no index.
+    pub fn distinct_values(&self, table: &str, column: &str) -> Option<usize> {
+        let t = self.table_index(table)?;
+        let c = self.catalog.tables[t].column_index(column)?;
+        Some(*self.distinct[t][c].get_or_init(|| {
+            let mut seen: HashSet<IndexKey, BuildHasherDefault<KeyHasher>> = HashSet::default();
+            seen.extend(
+                self.data[t]
+                    .rows()
+                    .iter()
+                    .filter_map(|r| IndexKey::of(&r[c])),
+            );
+            seen.len()
+        }))
+    }
+
     /// Records a batch of equality probes answered through an index.
     /// The per-row join loops tally locally and flush once per
     /// operator through here, so the hot path pays two atomic adds per
@@ -417,6 +455,9 @@ impl Database {
         check_row(table, &self.catalog.tables[idx], &row)?;
         Arc::make_mut(&mut self.data[idx].rows).push(row);
         self.invalidate_indexes(idx);
+        self.distinct[idx]
+            .iter_mut()
+            .for_each(|d| *d = OnceLock::new());
         self.memo.invalidate();
         Ok(())
     }
@@ -766,6 +807,33 @@ mod tests {
         assert_eq!(c.index_stats().builds, 0);
         assert_eq!(c.query_cache().stats(), CacheStats::default());
         assert_eq!(c.row_count("team"), 1);
+    }
+
+    #[test]
+    fn distinct_values_are_counted_once_and_dropped_by_insert() {
+        let mut d = db();
+        for (pid, tid) in [
+            (10, Value::Int(1)),
+            (11, Value::Int(2)),
+            (12, Value::Int(1)),
+        ] {
+            d.insert("player", vec![Value::Int(pid), tid, Value::Int(0)])
+                .unwrap();
+        }
+        d.insert("player", vec![Value::Int(13), Value::Null, Value::Int(0)])
+            .unwrap();
+        assert_eq!(
+            d.distinct_values("player", "team_id"),
+            Some(2),
+            "NULL is no value"
+        );
+        assert_eq!(d.distinct_values("player", "player_id"), Some(4));
+        assert_eq!(d.distinct_values("player", "nope"), None);
+        assert_eq!(d.index_stats().builds, 0, "counting builds no index");
+        assert_eq!(d.clone().distinct_values("player", "team_id"), Some(2));
+        d.insert("player", vec![Value::Int(14), Value::Int(3), Value::Int(0)])
+            .unwrap();
+        assert_eq!(d.distinct_values("player", "team_id"), Some(3));
     }
 
     #[test]

@@ -984,9 +984,11 @@ fn exec_aggregate(
 }
 
 /// Evaluates an expression over a group: aggregates fold over the group's
-/// rows, operators and function calls combine their operands' group
-/// values, and anything else reads the first row (a literal, or NULL, for
-/// an empty group).
+/// rows; operators, function calls, BETWEEN, IN lists and IS NULL
+/// combine their operands' group values; `IN (subquery)` tests its
+/// operand's group value against the subquery run over the group's
+/// first row; anything else reads the first row (a literal, or NULL,
+/// for an empty group).
 fn eval_agg(
     db: &Database,
     expr: &Expr,
@@ -994,6 +996,13 @@ fn eval_agg(
     group: &[usize],
     outer: Option<&Env<'_>>,
 ) -> Result<Value, EngineError> {
+    let first_row = |ri| Env {
+        cols: rel.cols(),
+        row: Row::Rel(rel, ri),
+        parent: outer,
+        plan: None,
+    };
+    let over_group = |e| eval_agg(db, e, rel, group, outer);
     match expr {
         Expr::Agg {
             func,
@@ -1001,31 +1010,53 @@ fn eval_agg(
             arg,
         } => compute_aggregate(db, *func, *distinct, arg.as_deref(), rel, group, outer),
         Expr::Binary { left, op, right } => {
-            let l = eval_agg(db, left, rel, group, outer)?;
-            let r = eval_agg(db, right, rel, group, outer)?;
+            let l = over_group(left)?;
+            let r = over_group(right)?;
             apply_binary(&l, *op, &r, db.dialect())
         }
-        Expr::Unary { op, expr } => {
-            let v = eval_agg(db, expr, rel, group, outer)?;
-            apply_unary(*op, &v)
-        }
+        Expr::Unary { op, expr } => apply_unary(*op, &over_group(expr)?),
         Expr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_agg(db, a, rel, group, outer)?);
-            }
+            let vals = args.iter().map(over_group).collect::<Result<Vec<_>, _>>()?;
             apply_function(name, &vals)
         }
-        other => match (group.first(), other) {
-            (Some(&ri), _) => {
-                let env = Env {
-                    cols: rel.cols(),
-                    row: Row::Rel(rel, ri),
-                    parent: outer,
-                    plan: None,
-                };
-                eval(db, other, &env)
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            let v = over_group(expr)?;
+            let lo = over_group(low)?;
+            let hi = over_group(high)?;
+            between(&v, &lo, &hi, *negated, db.dialect())
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let v = over_group(expr)?;
+            let items = list.iter().map(|e| over_group(e).map(Cow::Owned));
+            in_values(&v, items, *negated, db.dialect())
+        }
+        Expr::InSubquery {
+            expr,
+            query,
+            negated,
+        } => {
+            let v = over_group(expr)?;
+            if v.is_null() {
+                return Ok(Value::Null);
             }
+            let rs = match group.first() {
+                Some(&ri) => exec_query(db, query, Some(&first_row(ri)))?,
+                None => exec_query(db, query, outer)?,
+            };
+            in_values(&v, subquery_items(&rs), *negated, db.dialect())
+        }
+        Expr::IsNull { expr, negated } => Ok(Value::Bool(over_group(expr)?.is_null() != *negated)),
+        other => match (group.first(), other) {
+            (Some(&ri), _) => eval(db, other, &first_row(ri)),
             (None, Expr::Literal(l)) => Ok(lit_value(l)),
             (None, _) => Ok(Value::Null),
         },
@@ -1270,23 +1301,8 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             negated,
         } => {
             let v = operand(db, expr, env)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let w = operand(db, item, env)?;
-                match v.sql_eq(&w, db.dialect())? {
-                    Some(true) => return Ok(Value::Bool(!negated)),
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
+            let items = list.iter().map(|item| operand(db, item, env));
+            in_values(&v, items, *negated, db.dialect())
         }
         Expr::InSubquery {
             expr,
@@ -1298,20 +1314,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
                 return Ok(Value::Null);
             }
             let rs = exec_query(db, query, Some(env))?;
-            let mut saw_null = false;
-            for row in &rs.rows {
-                let w = row.first().unwrap_or(&Value::Null);
-                match v.sql_eq(w, db.dialect())? {
-                    Some(true) => return Ok(Value::Bool(!negated)),
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
+            in_values(&v, subquery_items(&rs), *negated, db.dialect())
         }
         Expr::Exists { query, negated } => {
             let rs = exec_query(db, query, Some(env))?;
@@ -1334,23 +1337,71 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             let v = operand(db, expr, env)?;
             let lo = operand(db, low, env)?;
             let hi = operand(db, high, env)?;
-            let dialect = db.dialect();
-            let ge = v
-                .sql_cmp(&lo, dialect)?
-                .map(|o| o != std::cmp::Ordering::Less);
-            let le = v
-                .sql_cmp(&hi, dialect)?
-                .map(|o| o != std::cmp::Ordering::Greater);
-            Ok(match (ge, le) {
-                (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
-                _ => Value::Null,
-            })
+            between(&v, &lo, &hi, *negated, db.dialect())
         }
         Expr::IsNull { expr, negated } => {
             let v = operand(db, expr, env)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
     }
+}
+
+/// `v [NOT] BETWEEN lo AND hi` under three-valued logic: UNKNOWN when
+/// either bound compares as UNKNOWN.
+fn between(
+    v: &Value,
+    lo: &Value,
+    hi: &Value,
+    negated: bool,
+    dialect: Dialect,
+) -> Result<Value, EngineError> {
+    let ge = v
+        .sql_cmp(lo, dialect)?
+        .map(|o| o != std::cmp::Ordering::Less);
+    let le = v
+        .sql_cmp(hi, dialect)?
+        .map(|o| o != std::cmp::Ordering::Greater);
+    Ok(match (ge, le) {
+        (Some(a), Some(b)) => Value::Bool((a && b) != negated),
+        _ => Value::Null,
+    })
+}
+
+/// `v [NOT] IN (items)` under three-valued logic: a NULL probe is
+/// UNKNOWN; a match decides, and the items after it are never
+/// evaluated; otherwise a NULL item makes the answer UNKNOWN.
+fn in_values<'v>(
+    v: &Value,
+    items: impl IntoIterator<Item = Result<Cow<'v, Value>, EngineError>>,
+    negated: bool,
+    dialect: Dialect,
+) -> Result<Value, EngineError> {
+    if v.is_null() {
+        return Ok(Value::Null);
+    }
+    let mut saw_null = false;
+    for w in items {
+        match v.sql_eq(w?.as_ref(), dialect)? {
+            Some(true) => return Ok(Value::Bool(!negated)),
+            Some(false) => {}
+            None => saw_null = true,
+        }
+    }
+    Ok(if saw_null {
+        Value::Null
+    } else {
+        Value::Bool(negated)
+    })
+}
+
+/// The first column of each row of an `IN (subquery)` result, NULL for
+/// a row without columns.
+fn subquery_items(
+    rs: &ResultSet,
+) -> impl Iterator<Item = Result<Cow<'_, Value>, EngineError>> + '_ {
+    rs.rows
+        .iter()
+        .map(|r| Ok(r.first().map_or(Cow::Owned(Value::Null), Cow::Borrowed)))
 }
 
 /// Evaluates an operand that is only read, never kept: a column
@@ -2401,20 +2452,39 @@ mod tests {
     #[test]
     fn join_order_planner_respects_dependencies() {
         let db = test_db();
-        // The second join's ON references the first join's binding, so
-        // no reorder is possible and the planner pins written order.
-        let s = match sqlkit::parse_query(
-            "SELECT 1 FROM game AS g \
-             JOIN team AS h ON g.home_id = h.team_id \
-             JOIN team AS a ON h.team_id = a.team_id",
-        )
-        .unwrap()
-        .body
-        {
-            QueryBody::Select(s) => s,
-            _ => unreachable!(),
+        let order = |sql: &str| {
+            let QueryBody::Select(s) = sqlkit::parse_query(sql).unwrap().body else {
+                unreachable!()
+            };
+            let plan = crate::plan::plan_select(&db, &s, s.where_clause.as_ref());
+            plan.executed().collect::<Vec<_>>()
         };
-        assert_eq!(crate::plan::plan_join_order(&db, &s, &[]), vec![0, 1]);
+        // The second join's ON references the first join's binding, so
+        // `a` can only join after `h`: written order.
+        let sql = "SELECT 1 FROM game AS g \
+                   JOIN team AS h ON g.home_id = h.team_id \
+                   JOIN team AS a ON h.team_id = a.team_id";
+        assert_eq!(order(sql), vec![0, 1, 2]);
+        // A filter on `a` lets it lead; `g` is reachable only through
+        // `h`, so `h` follows.
+        assert_eq!(
+            order(&format!("{sql} WHERE a.name = 'Japan'")),
+            vec![2, 1, 0]
+        );
+        // Same result rows in the same order as the written plan.
+        let rs = run(
+            &db,
+            "SELECT g.game_id, h.name FROM game AS g \
+                           JOIN team AS h ON g.home_id = h.team_id \
+                           JOIN team AS a ON h.team_id = a.team_id WHERE a.name = 'Brazil'",
+        );
+        assert_eq!(
+            rs.rows,
+            vec![
+                vec![Value::Int(1), Value::text("Brazil")],
+                vec![Value::Int(4), Value::text("Brazil")]
+            ]
+        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Query plan explanation.
 //!
 //! Describes, without executing, how the executor will evaluate a query:
-//! which scans receive pushed-down predicates and whether they resolve
-//! through an index (`index lookup(binding.col)`) or a sequential scan,
-//! the join algorithm per join — index nested-loop, hash (with the
-//! cost-chosen build side), or nested loop — the cost-based join order,
-//! what remains as a residual filter, and the aggregation/ordering
-//! tail. Every decision is read off the one [`crate::plan::SelectPlan`]
+//! the relation that leads and its scan, which scans receive pushed-down
+//! predicates and whether they resolve through an index
+//! (`index lookup(binding.col)`) or a sequential scan, the cost-based
+//! join order when it differs from the written one, the join algorithm
+//! and the ON conjuncts checked at each step — index nested-loop, hash
+//! (with the cost-chosen build side), or nested loop — what remains as a
+//! residual filter, and the aggregation/ordering tail. Every decision is read off the one [`crate::plan::SelectPlan`]
 //! the executor obeys — EXPLAIN renders the plan tree, it does not
 //! re-derive it — so the displayed plan is the executed plan. Used by
 //! the SQL shell's `\explain` and by tests pinning the planner's
@@ -14,7 +15,7 @@
 
 use crate::db::Database;
 use crate::exec::fold_uncorrelated;
-use crate::plan::{plan_select, Access, JoinAlgo};
+use crate::plan::{plan_select, relation, Access, JoinAlgo};
 use sqlkit::ast::*;
 use sqlkit::printer::expr_to_sql;
 use std::fmt::Write;
@@ -174,7 +175,8 @@ fn explain_select(db: &Database, s: &Select, indent: usize, out: &mut String) {
     pad(out, indent);
     let _ = writeln!(out, "select ({} output column(s))", s.projections.len());
 
-    for (t, sp) in s.from.iter().zip(&plan.scans) {
+    for (r, sp) in &plan.lead {
+        let t = relation(s, *r);
         pad(out, indent + 1);
         let rows = t.base_table().map(|b| db.row_count(b)).unwrap_or_default();
         let filters = pushed_for(t.binding());
@@ -190,18 +192,14 @@ fn explain_select(db: &Database, s: &Select, indent: usize, out: &mut String) {
             explain_query(db, query, indent + 2, out);
         }
     }
-    // Joins print in the plan's cost-chosen order.
-    if plan.join_order.iter().enumerate().any(|(i, st)| i != st.ji) {
+    // Relations print in the plan's cost-chosen order, lead first.
+    if plan.reordered() {
         pad(out, indent + 1);
-        let names: Vec<&str> = plan
-            .join_order
-            .iter()
-            .map(|st| s.joins[st.ji].table.binding())
-            .collect();
+        let names: Vec<&str> = plan.executed().map(|r| relation(s, r).binding()).collect();
         let _ = writeln!(out, "join order (cost-based): {}", names.join(", "));
     }
     for step in &plan.join_order {
-        let j = &s.joins[step.ji];
+        let t = relation(s, step.rel);
         pad(out, indent + 1);
         let algo = match &step.algo {
             JoinAlgo::IndexNestedLoop { .. } => "index nested-loop join".to_string(),
@@ -211,39 +209,26 @@ fn explain_select(db: &Database, s: &Select, indent: usize, out: &mut String) {
             ),
             JoinAlgo::NestedLoop => "nested-loop join".to_string(),
         };
-        let kind = match j.kind {
+        let kind = match step.kind {
             JoinKind::Inner => "",
             JoinKind::Left => " (left outer)",
         };
-        let rows = j
-            .table
-            .base_table()
-            .map(|b| db.row_count(b))
-            .unwrap_or_default();
-        let _ = write!(
-            out,
-            "{algo}{kind} {} [{rows} row(s)]",
-            table_label(&j.table)
-        );
-        let filters = pushed_for(j.table.binding());
-        if !filters.is_empty() && j.kind == JoinKind::Inner {
+        let rows = t.base_table().map(|b| db.row_count(b)).unwrap_or_default();
+        let _ = write!(out, "{algo}{kind} {} [{rows} row(s)]", table_label(t));
+        let filters = pushed_for(t.binding());
+        if !filters.is_empty() && step.kind == JoinKind::Inner {
             let _ = write!(out, " filter: {}", filters.join(" AND "));
         }
         if let JoinAlgo::IndexNestedLoop { right_col, .. } = &step.algo {
-            let _ = write!(
-                out,
-                " via index lookup({}.{})",
-                j.table.binding(),
-                right_col
-            );
-        } else if let Some(access) = access_str(&j.table, &step.scan.access) {
+            let _ = write!(out, " via index lookup({}.{})", t.binding(), right_col);
+        } else if let Some(access) = access_str(t, &step.scan.access) {
             let _ = write!(out, " via {access}");
         }
-        if let Some(on) = &j.on {
-            let _ = write!(out, " on {}", expr_to_sql(on));
+        if let Some(on) = step.on.iter().cloned().reduce(Expr::and) {
+            let _ = write!(out, " on {}", expr_to_sql(&on));
         }
         out.push('\n');
-        if let TableRef::Derived { query, .. } = &j.table {
+        if let TableRef::Derived { query, .. } = t {
             explain_query(db, query, indent + 2, out);
         }
     }
@@ -308,15 +293,22 @@ mod tests {
             "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE a.x > 1 AND b.y = 103",
         )
         .unwrap();
-        // Non-equality filter: no index driver for the scan.
+        // b.y = 103 selects one of u's five rows, fewer than a's range
+        // filter keeps, so b leads through its index.
         assert!(
-            plan.contains("scan t AS a [5 row(s)] filter: a.x > 1 via seq scan"),
+            plan.contains("scan u AS b [5 row(s)] filter: b.y = 103 via index lookup(b.y)"),
             "{plan}"
         );
-        // Equi-join against a named base table probes its lazy index.
-        assert!(plan.contains("index nested-loop join"), "{plan}");
-        assert!(plan.contains("via index lookup(b.id)"), "{plan}");
-        assert!(plan.contains("filter: b.y = 103"), "{plan}");
+        assert!(plan.contains("join order (cost-based): b, a"), "{plan}");
+        // Equi-join against a named base table probes its lazy index;
+        // the non-equality filter is checked on the candidates.
+        assert!(
+            plan.contains(
+                "index nested-loop join t AS a [5 row(s)] filter: a.x > 1 \
+                 via index lookup(a.id) on a.id = b.id"
+            ),
+            "{plan}"
+        );
         assert!(!plan.contains("residual"), "{plan}");
     }
 
@@ -377,9 +369,10 @@ mod tests {
              JOIN small ON small.tid = t.id",
         )
         .unwrap();
-        // The small join commutes ahead of the big one.
+        // The small join commutes ahead of the big one; with no filter
+        // anywhere, the FROM item keeps the lead.
         assert!(
-            plan.contains("join order (cost-based): small, big"),
+            plan.contains("join order (cost-based): t, small, big"),
             "{plan}"
         );
     }
@@ -478,7 +471,7 @@ mod tests {
             report.contains("execution (wall times are not deterministic):"),
             "{report}"
         );
-        assert!(report.contains("join b [index nested-loop]"), "{report}");
+        assert!(report.contains("join a [index nested-loop]"), "{report}");
         assert!(report.contains("probes="), "{report}");
         assert!(report.contains("result: 1 row(s), 1 column(s)"), "{report}");
     }
@@ -491,10 +484,14 @@ mod tests {
         // SELECT block runs on the one columnar executor.
         let sql = "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE b.y = 103";
         let plan = explain_sql(&db, sql).unwrap();
-        assert!(plan.contains("index nested-loop join u AS b"), "{plan}");
+        assert!(plan.contains("index nested-loop join t AS a"), "{plan}");
         assert!(!plan.contains("executor:"), "{plan}");
         let report = explain_analyze_sql(&db, sql).unwrap();
-        assert!(report.contains("join b [index nested-loop]"), "{report}");
+        assert!(
+            report.contains("scan b [index lookup (1 key(s))]"),
+            "{report}"
+        );
+        assert!(report.contains("join a [index nested-loop]"), "{report}");
         // A derived table, including the subquery it runs, also executes
         // in column batches.
         let sql = "SELECT a.x FROM t AS a JOIN (SELECT id FROM u) AS b ON a.id = b.id";

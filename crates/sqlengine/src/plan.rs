@@ -1,17 +1,41 @@
 //! Logical→physical planning.
 //!
 //! Every planner decision — predicate pushdown, per-scan access path,
-//! join order, join algorithm and hash build side — is a pure function
-//! of the catalog statistics, the query text, and the process-wide
+//! the relation that leads, join order, join algorithm and hash build
+//! side — is a pure function of the database's statistics (row and
+//! distinct-value counts), the query text, and the process-wide
 //! planner toggles. [`plan_select`] folds all of them into one explicit
 //! [`SelectPlan`] that the executor (`vexec`) and
 //! [`crate::explain`](mod@crate::explain) both consume, so the rendered plan can never
 //! drift from the executed one.
 //!
+//! # Join order
+//!
+//! A block whose relations are all named tables and whose joins are all
+//! plain inner joins (see `plain_pool`) computes the same rows in any
+//! join order: its ON conjuncts form one pool, and each conjunct runs
+//! at the first step that has all its bindings in scope. Such a block
+//! leads with its single FROM item or with a join relation that has a
+//! pushed predicate, whichever has the smallest estimate. An unfiltered
+//! join relation never leads: leading with it only trades one full scan
+//! for another. Each further step joins the relation with the smallest
+//! estimate among those a pooled conjunct connects to the relations in
+//! scope. Any other block (outer joins, derived tables, subqueries,
+//! unqualified or outer columns in an ON clause) runs its relations in
+//! written order. The executor puts the column layout and the row order
+//! back in written order afterwards, so the order chosen here never
+//! shows in a result.
+//!
+//! Estimates follow System R (Selinger et al., SIGMOD 1979): a scan's
+//! table rows, times `keys ÷ distinct values` for each pushed equality
+//! or IN list on a column, times 1/3 for any other pushed predicate.
+//!
 //! Planning never touches index *state*: access paths are decided from
 //! `scan_index_choice` alone and the executor fetches (and lazily
 //! builds) the index at run time, so EXPLAIN leaves `index_builds`
-//! untouched.
+//! untouched. Distinct counts are cached statistics of the
+//! [`Database`], computed without an index, so the indexed and
+//! forced-seqscan paths plan the same order.
 
 use crate::catalog::DataType;
 use crate::db::Database;
@@ -40,8 +64,6 @@ pub struct ScanPlan {
     /// The binding (alias or table name) this scan is visible under.
     pub binding: String,
     pub access: Access,
-    /// Estimated post-filter cardinality (`scan_estimate`).
-    pub est: usize,
 }
 
 /// Join algorithm, decided at plan time.
@@ -50,21 +72,27 @@ pub enum JoinAlgo {
     /// Probe the right table's hash index per left row. `lpos` is the
     /// outer key's position in the accumulated left layout.
     IndexNestedLoop { right_col: String, lpos: usize },
-    /// Hash join on the ON clause's equi-pairs; `build_left` hashes the
+    /// Hash join on the step's equi-pairs; `build_left` hashes the
     /// estimated-smaller left input and probes with the right.
     Hash { build_left: bool },
-    /// Candidate-pair nested loop (no equi-key in the ON clause).
+    /// Candidate-pair nested loop (no equi-key among the conjuncts).
     NestedLoop,
 }
 
 /// One join in execution order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinStep {
-    /// Index into the query's written join list.
-    pub ji: usize,
+    /// The joined relation's position in written order (see
+    /// [`relation`]).
+    pub rel: usize,
+    /// Inner, or left outer. A relation joined out of written order is
+    /// always an inner join.
+    pub kind: JoinKind,
+    /// The ON conjuncts this step checks on every candidate pair.
+    pub on: Vec<Expr>,
     pub algo: JoinAlgo,
-    /// Access path for the join's table (unused for index nested-loop,
-    /// which never materializes its right side).
+    /// Access path for the joined relation (unused for index
+    /// nested-loop, which never materializes its right side).
     pub scan: ScanPlan,
 }
 
@@ -77,10 +105,37 @@ pub struct SelectPlan {
     pub pushed: Vec<(String, Expr)>,
     /// Residual WHERE predicate evaluated after all joins.
     pub residual: Option<Expr>,
-    /// One scan plan per FROM item, in written order.
-    pub scans: Vec<ScanPlan>,
-    /// Joins in cost-chosen execution order.
+    /// The relations scanned first and cross-joined in this order, each
+    /// with its written position: every FROM item as written, or the
+    /// one relation chosen to lead.
+    pub lead: Vec<(usize, ScanPlan)>,
+    /// Joins in execution order.
     pub join_order: Vec<JoinStep>,
+}
+
+impl SelectPlan {
+    /// Written positions of the relations in execution order: the lead,
+    /// then each join step.
+    pub fn executed(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lead
+            .iter()
+            .map(|(r, _)| *r)
+            .chain(self.join_order.iter().map(|st| st.rel))
+    }
+
+    /// True when the relations execute out of written order.
+    pub fn reordered(&self) -> bool {
+        self.executed().enumerate().any(|(i, r)| i != r)
+    }
+}
+
+/// A block's relation at written position `i`: the FROM items first,
+/// then each join's table.
+pub fn relation(s: &Select, i: usize) -> &TableRef {
+    match s.from.get(i) {
+        Some(t) => t,
+        None => &s.joins[i - s.from.len()].table,
+    }
 }
 
 /// Plans one SELECT block. `folded_where` is the WHERE clause after
@@ -89,8 +144,16 @@ pub struct SelectPlan {
 /// free.
 pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> SelectPlan {
     let (pushed, residual) = plan_pushdown(s, folded_where);
-    let scans: Vec<ScanPlan> = s.from.iter().map(|t| plan_scan(db, t, &pushed)).collect();
-    let order = plan_join_order(db, s, &pushed);
+    // Estimates steer join decisions only, so a block without joins
+    // reads no statistics.
+    let est: Vec<f64> = if s.joins.is_empty() {
+        Vec::new()
+    } else {
+        (0..s.from.len() + s.joins.len())
+            .map(|r| scan_estimate(db, relation(s, r), &pushed))
+            .collect()
+    };
+    let (lead, steps) = plan_join_order(db, s, &pushed, &est);
 
     // Static column layout of the accumulated left relation, tracked in
     // execution order. A derived table makes the layout opaque: its
@@ -99,23 +162,26 @@ pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> Se
     // hash join is result- and fuel-identical.
     let mut layout: Vec<(String, String, DataType)> = Vec::new();
     let mut opaque = false;
-    for t in &s.from {
-        extend_layout(db, t, &mut layout, &mut opaque);
+    for &r in &lead {
+        extend_layout(db, relation(s, r), &mut layout, &mut opaque);
     }
+    let mut left_est: f64 = lead.iter().filter_map(|&r| est.get(r)).product();
+    let lead = lead
+        .into_iter()
+        .map(|r| (r, plan_scan(db, relation(s, r), &pushed)))
+        .collect();
 
-    let mut left_est: usize = scans
-        .iter()
-        .map(|p| p.est)
-        .fold(1usize, |a, b| a.saturating_mul(b));
-
-    let mut join_order = Vec::with_capacity(order.len());
-    for ji in order {
-        let j = &s.joins[ji];
-        let right_est = scan_estimate(db, &j.table, &pushed);
-        let inl = if force_seqscan() {
+    let mut join_order = Vec::with_capacity(steps.len());
+    for (r, on) in steps {
+        let t = relation(s, r);
+        let kind = r
+            .checked_sub(s.from.len())
+            .map_or(JoinKind::Inner, |j| s.joins[j].kind);
+        let right_est = est[r];
+        let inl = if force_seqscan() || kind != JoinKind::Inner {
             None
         } else {
-            inl_key(db, j).and_then(|(left_col, right_col, right_ty)| {
+            inl_key(db, t, &on).and_then(|(left_col, right_col, right_ty)| {
                 find_col_static(&layout, opaque, &left_col)
                     .filter(|&lpos| same_key_class(layout[lpos].2, right_ty))
                     .map(|lpos| (right_col, lpos))
@@ -123,38 +189,39 @@ pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> Se
         };
         let algo = match inl {
             Some((right_col, lpos)) => JoinAlgo::IndexNestedLoop { right_col, lpos },
-            None if has_equi_key(&j.on) => JoinAlgo::Hash {
+            None if has_equi_key(&on) => JoinAlgo::Hash {
                 build_left: left_est < right_est,
             },
             None => JoinAlgo::NestedLoop,
         };
-        let equi = !matches!(algo, JoinAlgo::NestedLoop);
-        left_est = if equi {
-            left_est.max(right_est)
+        left_est = if matches!(algo, JoinAlgo::NestedLoop) {
+            left_est * right_est
         } else {
-            left_est.saturating_mul(right_est)
+            left_est.max(right_est)
         };
-        extend_layout(db, &j.table, &mut layout, &mut opaque);
+        extend_layout(db, t, &mut layout, &mut opaque);
         // Pushed predicates only ever target inner-join bindings, but a
         // FROM binding can shadow an outer-join binding of the same
         // name: an outer join's scan must stay unfiltered, exactly as
         // the executor treats it.
-        let scan_pushed: &[(String, Expr)] = if j.kind == JoinKind::Inner {
+        let scan_pushed: &[(String, Expr)] = if kind == JoinKind::Inner {
             &pushed
         } else {
             &[]
         };
         join_order.push(JoinStep {
-            ji,
+            rel: r,
+            kind,
+            on,
             algo,
-            scan: plan_scan(db, &j.table, scan_pushed),
+            scan: plan_scan(db, t, scan_pushed),
         });
     }
 
     SelectPlan {
         pushed,
         residual,
-        scans,
+        lead,
         join_order,
     }
 }
@@ -164,7 +231,6 @@ pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> Se
 /// index at run time, so planning (and EXPLAIN) never builds one.
 fn plan_scan(db: &Database, t: &TableRef, pushed: &[(String, Expr)]) -> ScanPlan {
     let binding = t.binding().to_string();
-    let est = scan_estimate(db, t, pushed);
     let access = match t {
         TableRef::Derived { .. } => Access::Derived,
         TableRef::Named { name, .. } => {
@@ -191,11 +257,7 @@ fn plan_scan(db: &Database, t: &TableRef, pushed: &[(String, Expr)]) -> ScanPlan
             }
         }
     };
-    ScanPlan {
-        binding,
-        access,
-        est,
-    }
+    ScanPlan { binding, access }
 }
 
 /// Appends a source's statically known columns (with their declared
@@ -256,11 +318,10 @@ fn find_col_static(
     }
 }
 
-/// True when the ON clause contains at least one column=column equi-pair
-/// (the hash-join criterion).
-pub(crate) fn has_equi_key(on: &Option<Expr>) -> bool {
-    let Some(on) = on else { return false };
-    on.conjuncts().iter().any(|c| {
+/// True when a step's conjuncts contain at least one column=column
+/// equi-pair (the hash-join criterion).
+pub(crate) fn has_equi_key(on: &[Expr]) -> bool {
+    on.iter().any(|c| {
         matches!(
             c,
             Expr::Binary { left, op: BinOp::Eq, right }
@@ -318,76 +379,43 @@ pub(crate) fn scan_index_choice(
     schema: &crate::catalog::TableSchema,
     mine: &[&Expr],
 ) -> Option<(usize, Vec<Value>)> {
-    for e in mine {
-        match e {
-            Expr::Binary {
-                left,
-                op: BinOp::Eq,
-                right,
-            } => {
-                for (c, l) in [(left, right), (right, left)] {
-                    if let (Expr::Column(cr), Expr::Literal(lit)) = (c.as_ref(), l.as_ref()) {
-                        if let Some(ci) = schema.column_index(&cr.column) {
-                            let key = lit_value(lit);
-                            if probe_type_compatible(schema.columns[ci].ty, &key) {
-                                return Some((ci, vec![key]));
-                            }
-                        }
-                    }
-                }
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated: false,
-            } => {
-                if let Expr::Column(cr) = expr.as_ref() {
-                    if let Some(ci) = schema.column_index(&cr.column) {
-                        let keys: Option<Vec<Value>> = list
-                            .iter()
-                            .map(|item| match item {
-                                Expr::Literal(l) => Some(lit_value(l)),
-                                _ => None,
-                            })
-                            .collect();
-                        if let Some(keys) = keys {
-                            if keys
-                                .iter()
-                                .all(|k| probe_type_compatible(schema.columns[ci].ty, k))
-                            {
-                                return Some((ci, keys));
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    mine.iter().find_map(|e| {
+        let (column, lits) = equality_keys(e)?;
+        let ci = schema.column_index(column)?;
+        let keys: Vec<Value> = lits
+            .iter()
+            .filter_map(|k| match k {
+                Expr::Literal(l) => Some(lit_value(l)),
+                _ => None,
+            })
+            .collect();
+        keys.iter()
+            .all(|k| probe_type_compatible(schema.columns[ci].ty, k))
+            .then_some((ci, keys))
+    })
 }
 
-/// The index-nested-loop criterion for one join: an inner join against a
-/// named base table whose subquery-free ON clause has a conjunct
+/// The index-nested-loop criterion for one inner-join step: a named
+/// base table joined on subquery-free conjuncts, one of which is
 /// `outer.col = inner.col`, where the inner side is qualified with the
-/// join's binding and names a real column, and the outer side is
+/// table's binding and names a real column, and the outer side is
 /// qualified with a different binding. Returns the outer column
 /// reference and the inner column's name and declared type. Pure
 /// function of catalog and query (shared with EXPLAIN).
-pub(crate) fn inl_key(db: &Database, join: &Join) -> Option<(ColumnRef, String, DataType)> {
-    if join.kind != JoinKind::Inner {
-        return None;
-    }
-    let TableRef::Named { name, .. } = &join.table else {
+pub(crate) fn inl_key(
+    db: &Database,
+    t: &TableRef,
+    on: &[Expr],
+) -> Option<(ColumnRef, String, DataType)> {
+    let TableRef::Named { name, .. } = t else {
         return None;
     };
     let schema = db.schema(name)?;
-    let binding = join.table.binding();
-    let on = join.on.as_ref()?;
-    if contains_subquery(on) {
+    let binding = t.binding();
+    if on.iter().any(contains_subquery) {
         return None;
     }
-    for conj in on.conjuncts() {
+    for conj in on {
         let Expr::Binary {
             left,
             op: BinOp::Eq,
@@ -413,104 +441,191 @@ pub(crate) fn inl_key(db: &Database, join: &Join) -> Option<(ColumnRef, String, 
     None
 }
 
-/// Greedy ordering of commutative inner joins: while joins remain, pick
-/// the eligible one (every ON-referenced binding already in scope) with
-/// the smallest estimated post-filter cardinality. Falls back to the
-/// written order when any join is an outer join or derived table, lacks
-/// an ON clause, references unqualified columns, or contains a subquery
-/// — commutativity is only certain for the simple shape. Depends only
-/// on catalog statistics and the query text, never on execution mode or
-/// runtime cardinalities, so indexed and forced-seqscan runs order
-/// identically.
-pub(crate) fn plan_join_order(db: &Database, s: &Select, pushed: &[(String, Expr)]) -> Vec<usize> {
-    let n = s.joins.len();
-    let natural: Vec<usize> = (0..n).collect();
-    if n < 2 {
-        return natural;
+/// The ON conjuncts of a block that may run in any join order, each
+/// with the relations it reads as a bit set over written positions, in
+/// written order; `None` for any other block. That takes named tables
+/// only, each under its own binding, and plain inner joins only: an
+/// inner join whose ON clause has no subquery or aggregate, and whose
+/// every column is qualified with the binding of one of the block's
+/// relations and names a column of that relation's table. A conjunct of
+/// such a clause reads only this block's rows, so it gives the same
+/// verdict at any step that has its bindings in scope. That includes a
+/// binding written after the join (co-rewritten morph SQL joins a split
+/// table's extension after the joins that read it): the conjunct waits
+/// for that relation.
+fn plain_pool<'s>(db: &Database, s: &'s Select) -> Option<Vec<(&'s Expr, u64)>> {
+    let n = s.from.len() + s.joins.len();
+    if n > 64 {
+        return None;
     }
-    let mut refs: Vec<Vec<String>> = Vec::with_capacity(n);
-    for j in &s.joins {
-        if j.kind != JoinKind::Inner || !matches!(j.table, TableRef::Named { .. }) {
-            return natural;
+    let mut scope: Vec<(&str, &crate::catalog::TableSchema)> = Vec::with_capacity(n);
+    for t in s.table_refs() {
+        let TableRef::Named { name, .. } = t else {
+            return None;
+        };
+        if scope
+            .iter()
+            .any(|(b, _)| b.eq_ignore_ascii_case(t.binding()))
+        {
+            return None;
         }
-        let Some(on) = &j.on else { return natural };
-        if contains_subquery(on) {
-            return natural;
-        }
-        let mut bindings = Vec::new();
-        let mut qualified = true;
-        on.visit(&mut |x| {
-            if let Expr::Column(c) = x {
-                match &c.table {
-                    Some(t) => {
-                        let t = t.to_lowercase();
-                        if !bindings.contains(&t) {
-                            bindings.push(t);
-                        }
+        scope.push((t.binding(), db.schema(name)?));
+    }
+    let mut pool = Vec::new();
+    for join in &s.joins {
+        let on = match (join.kind, &join.on) {
+            (JoinKind::Inner, Some(on)) if !contains_subquery(on) && !on.contains_aggregate() => on,
+            _ => return None,
+        };
+        for conj in on.conjuncts() {
+            let mut reads = 0u64;
+            let mut plain = true;
+            conj.visit(&mut |x| {
+                if let Expr::Column(c) = x {
+                    let pos = c.table.as_deref().and_then(|t| {
+                        scope.iter().position(|(b, schema)| {
+                            b.eq_ignore_ascii_case(t) && schema.column_index(&c.column).is_some()
+                        })
+                    });
+                    match pos {
+                        Some(p) => reads |= 1 << p,
+                        None => plain = false,
                     }
-                    None => qualified = false,
                 }
+            });
+            if !plain {
+                return None;
             }
-        });
-        if !qualified {
-            return natural;
+            pool.push((conj, reads));
         }
-        refs.push(bindings);
     }
-    let est: Vec<usize> = s
-        .joins
-        .iter()
-        .map(|j| scan_estimate(db, &j.table, pushed))
-        .collect();
-    let mut in_scope: Vec<String> = s.from.iter().map(|t| t.binding().to_lowercase()).collect();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    while !remaining.is_empty() {
-        let mut best: Option<usize> = None; // position in `remaining`
-        for (pos, &ji) in remaining.iter().enumerate() {
-            let own = s.joins[ji].table.binding().to_lowercase();
-            let eligible = refs[ji].iter().all(|b| *b == own || in_scope.contains(b));
-            if eligible
-                && match best {
-                    None => true,
-                    Some(bp) => est[ji] < est[remaining[bp]],
-                }
-            {
-                best = Some(pos);
-            }
-        }
-        // A join whose ON references a binding introduced by a later
-        // join (right-deep dependency) pins the written order.
-        let Some(bp) = best else { return natural };
-        let ji = remaining.remove(bp);
-        in_scope.push(s.joins[ji].table.binding().to_lowercase());
-        order.push(ji);
-    }
-    order
+    Some(pool)
 }
 
-/// Estimated post-filter cardinality of a scan: the table's row count
-/// discounted per pushed predicate (equality and IN are treated as
-/// highly selective, anything else mildly so). Only the relative order
-/// of estimates matters; the constants follow the classic System R
-/// defaults.
-pub(crate) fn scan_estimate(db: &Database, t: &TableRef, pushed: &[(String, Expr)]) -> usize {
-    let TableRef::Named { name, .. } = t else {
-        // Derived table: unknown cardinality, order conservatively late.
-        return usize::MAX;
+/// Chooses the lead and the join order of one block (see the module
+/// docs): returns the written positions of the relations that lead and
+/// each later step's relation with the ON conjuncts it checks. `est`
+/// holds each relation's [`scan_estimate`]. A block that is not plain
+/// keeps written order, every join with its own ON conjuncts. Depends
+/// only on statistics and the query text, never on execution mode or
+/// runtime cardinalities, so indexed and forced-seqscan runs order
+/// identically.
+pub(crate) fn plan_join_order(
+    db: &Database,
+    s: &Select,
+    pushed: &[(String, Expr)],
+    est: &[f64],
+) -> (Vec<usize>, Vec<(usize, Vec<Expr>)>) {
+    let nf = s.from.len();
+    let pool = match plain_pool(db, s) {
+        Some(pool) if !s.joins.is_empty() => pool,
+        _ => {
+            let steps = s.joins.iter().enumerate().map(|(j, join)| {
+                let on = join.on.as_ref().map(Expr::conjuncts).unwrap_or_default();
+                (nf + j, on.into_iter().cloned().collect())
+            });
+            return ((0..nf).collect(), steps.collect());
+        }
     };
-    let mut est = db.row_count(name).max(1);
+    let n = nf + s.joins.len();
+    let smallest = |a: &usize, b: &usize| est[*a].total_cmp(&est[*b]);
+    let lead: Vec<usize> = if nf == 1 {
+        let filtered = |r: usize| {
+            let b = relation(s, r).binding();
+            pushed.iter().any(|(p, _)| p.eq_ignore_ascii_case(b))
+        };
+        // `min_by` keeps the first of equal estimates: the FROM item
+        // wins a tie.
+        let lead = (0..n).filter(|&r| r == 0 || filtered(r)).min_by(smallest);
+        vec![lead.expect("the FROM item is a candidate")]
+    } else {
+        (0..nf).collect()
+    };
+    let mut scope: u64 = lead.iter().fold(0, |m, &r| m | 1 << r);
+    let mut placed = vec![false; pool.len()];
+    let mut steps = Vec::with_capacity(n - lead.len());
+    for _ in lead.len()..n {
+        let remaining = (0..n).filter(|&r| scope & 1 << r == 0);
+        let connected = |r: &usize| {
+            let with = scope | 1 << r;
+            pool.iter().zip(&placed).any(|(&(_, reads), &done)| {
+                !done && reads & 1 << r != 0 && reads & scope != 0 && reads & !with == 0
+            })
+        };
+        // The cheapest relation a conjunct links to the scope; with
+        // none linked, a cross product is unavoidable and the next
+        // relation in written order takes it.
+        let next = remaining
+            .clone()
+            .filter(connected)
+            .min_by(smallest)
+            .or_else(|| remaining.clone().next())
+            .expect("a relation remains");
+        scope |= 1 << next;
+        let mut on = Vec::new();
+        for (&(conj, reads), done) in pool.iter().zip(&mut placed) {
+            if !*done && reads & !scope == 0 {
+                *done = true;
+                on.push(conj.clone());
+            }
+        }
+        steps.push((next, on));
+    }
+    (lead, steps)
+}
+
+/// Estimated post-filter cardinality of a scan: the table's rows times
+/// the selectivity of each pushed predicate. An equality with a literal
+/// or an IN list of `keys` literals on a column selects `keys ÷ distinct
+/// values` of the rows (at most all of them); any other predicate
+/// selects a third, System R's default. A derived table's size is
+/// unknown, so it estimates as infinite and never looks cheap.
+pub(crate) fn scan_estimate(db: &Database, t: &TableRef, pushed: &[(String, Expr)]) -> f64 {
+    let TableRef::Named { name, .. } = t else {
+        return f64::INFINITY;
+    };
+    let mut est = db.row_count(name).max(1) as f64;
     for (b, e) in pushed {
         if !b.eq_ignore_ascii_case(t.binding()) {
             continue;
         }
-        let selective = matches!(
-            e,
-            Expr::Binary { op: BinOp::Eq, .. } | Expr::InList { negated: false, .. }
-        );
-        est = (est / if selective { 10 } else { 3 }).max(1);
+        let distinct = equality_keys(e).and_then(|(column, keys)| {
+            db.distinct_values(name, column)
+                .map(|d| (keys.len() as f64 / d.max(1) as f64).min(1.0))
+        });
+        est *= distinct.unwrap_or(1.0 / 3.0);
     }
     est
+}
+
+/// The column and the literal keys of a `column = literal` (either side)
+/// or `column IN (literal, ...)` predicate: the shape an index lookup
+/// can answer and a distinct count can estimate. Every key is an
+/// `Expr::Literal`.
+fn equality_keys(e: &Expr) -> Option<(&str, &[Expr])> {
+    let (column, keys) = match e {
+        Expr::Binary {
+            left,
+            op: BinOp::Eq,
+            right,
+        } => match (left.as_ref(), right.as_ref()) {
+            (Expr::Column(c), lit @ Expr::Literal(_))
+            | (lit @ Expr::Literal(_), Expr::Column(c)) => (c, std::slice::from_ref(lit)),
+            _ => return None,
+        },
+        Expr::InList {
+            expr,
+            list,
+            negated: false,
+        } => match expr.as_ref() {
+            Expr::Column(c) => (c, list.as_slice()),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    keys.iter()
+        .all(|k| matches!(k, Expr::Literal(_)))
+        .then_some((&column.column, keys))
 }
 
 /// Splits the WHERE conjunction into per-binding pushable predicates and
@@ -637,7 +752,7 @@ mod tests {
         let db = db();
         let plan = plan_of(&db, "SELECT x FROM t WHERE id = 3");
         assert!(matches!(
-            &plan.scans[0].access,
+            &plan.lead[0].1.access,
             Access::Index { column, keys } if column == "id" && keys == &[Value::Int(3)]
         ));
     }
@@ -646,9 +761,9 @@ mod tests {
     fn range_predicate_falls_back_to_filtered_scan() {
         let db = db();
         let plan = plan_of(&db, "SELECT x FROM t WHERE id > 3");
-        assert_eq!(plan.scans[0].access, Access::Filtered);
+        assert_eq!(plan.lead[0].1.access, Access::Filtered);
         let plan = plan_of(&db, "SELECT x FROM t");
-        assert_eq!(plan.scans[0].access, Access::Seq);
+        assert_eq!(plan.lead[0].1.access, Access::Seq);
     }
 
     #[test]
@@ -657,7 +772,58 @@ mod tests {
         let before = db.index_stats().builds;
         let _ = plan_of(&db, "SELECT x FROM t WHERE id = 3");
         let _ = plan_of(&db, "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id");
+        // The lead moves to the filtered join relation: its estimate
+        // reads a distinct count, which is no index either.
+        let moved = plan_of(
+            &db,
+            "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE b.y = 103",
+        );
+        assert_eq!(moved.executed().collect::<Vec<_>>(), vec![1, 0]);
         assert_eq!(db.index_stats().builds, before);
+        assert_eq!(db.cached_index_count(), 0);
+    }
+
+    #[test]
+    fn a_filtered_join_relation_leads_when_its_estimate_is_smallest() {
+        let db = db();
+        // b.y = 103 selects 5 × 1/5 rows of u; the FROM item is all 5 of
+        // t. Its conjunct runs at the step that brings a into scope.
+        let plan = plan_of(
+            &db,
+            "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE b.y = 103",
+        );
+        assert_eq!(plan.lead[0].0, 1);
+        assert_eq!(plan.lead[0].1.binding, "b");
+        let step = &plan.join_order[0];
+        assert_eq!((step.rel, step.kind), (0, JoinKind::Inner));
+        assert_eq!(step.on.len(), 1);
+        assert!(matches!(
+            &step.algo,
+            JoinAlgo::IndexNestedLoop { right_col, lpos } if right_col == "id" && *lpos == 0
+        ));
+        assert!(plan.reordered());
+        // An unfiltered join relation never leads, and a filter on the
+        // FROM item keeps it in front on a tie.
+        for sql in [
+            "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id",
+            "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE a.x = 10 AND b.y = 103",
+        ] {
+            assert!(!plan_of(&db, sql).reordered(), "{sql}");
+        }
+    }
+
+    #[test]
+    fn estimates_divide_by_distinct_values() {
+        let db = db();
+        let pushed =
+            |sql: &str| plan_pushdown(&select_of(sql), select_of(sql).where_clause.as_ref()).0;
+        let t = select_of("SELECT x FROM t").from[0].clone();
+        let est = |sql: &str| scan_estimate(&db, &t, &pushed(sql));
+        assert_eq!(est("SELECT x FROM t"), 5.0);
+        assert_eq!(est("SELECT x FROM t WHERE id = 3"), 1.0);
+        assert_eq!(est("SELECT x FROM t WHERE id IN (1, 2)"), 2.0);
+        assert_eq!(est("SELECT x FROM t WHERE id IN (1, 2, 3, 4, 5, 6)"), 5.0);
+        assert_eq!(est("SELECT x FROM t WHERE x > 3"), 5.0 * (1.0 / 3.0));
     }
 
     #[test]
@@ -680,7 +846,7 @@ mod tests {
         // The derived left side makes the layout opaque, so the plan
         // conservatively falls back to the (result-identical) hash join.
         assert!(matches!(&plan.join_order[0].algo, JoinAlgo::Hash { .. }));
-        assert_eq!(plan.scans[0].access, Access::Derived);
+        assert_eq!(plan.lead[0].1.access, Access::Derived);
     }
 
     #[test]

@@ -26,18 +26,23 @@
 //! joins left-major with right candidates ascending whichever side the
 //! plan hashes — so results, fuel charges and the deterministic trace
 //! counters are pure functions of the database, the query and the
-//! planner configuration. Only the advisory fields differ between
-//! access paths: `detail` strings, index probes and the `batches_out`
-//! column-vector counter (all excluded from the digests). The
-//! conformance harness holds results bit-identical across {indexed,
-//! forced seqscan} × {fresh, cached} and checks them against the naive
-//! reference interpreter (`conformance::reference`).
+//! planner configuration. Run in written order, a join therefore emits
+//! its rows sorted by their written-order row ids. When the plan leads
+//! with another relation or joins out of written order, the executor
+//! restores that order (`restore_written_order`): the column slots go
+//! back to written order and the rows are sorted by those ids. A result
+//! never shows the join order the planner chose. Only the advisory
+//! fields differ between access paths: `detail` strings, index probes
+//! and the `batches_out` column-vector counter (all excluded from the
+//! digests). The conformance harness holds results bit-identical across
+//! {indexed, forced seqscan} × {fresh, cached} and checks them against
+//! the naive reference interpreter (`conformance::reference`).
 
 use crate::budget::charge;
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::exec::{eval, exec_query, find_col, output_stage, row_key, ColumnPlan, Env, Row, Slot};
-use crate::plan::{Access, JoinAlgo, JoinStep, SelectPlan};
+use crate::plan::{relation, Access, JoinAlgo, JoinStep, SelectPlan};
 use crate::result::ResultSet;
 use crate::trace;
 use crate::value::{IndexKey, Value};
@@ -227,26 +232,24 @@ pub(crate) fn exec_select_vec(
     plan: &SelectPlan,
     outer: Option<&Env<'_>>,
 ) -> Result<ResultSet, EngineError> {
-    // 1. FROM + joins: every operator emits gather vectors. Commutative
-    // inner joins run in the plan's cost-chosen order, with the column
-    // layout restored to the written order afterwards.
+    // 1. FROM + joins: every operator emits gather vectors. Relations
+    // run in the plan's order, from its lead; the column layout and the
+    // row order are put back in written order afterwards.
     let mut rel: Option<VRel<'_>> = None;
-    for (item, sp) in s.from.iter().zip(&plan.scans) {
-        let r = vscan(db, item, &plan.pushed, &sp.access, outer)?;
+    for (r, sp) in &plan.lead {
+        let scanned = vscan(db, relation(s, *r), &plan.pushed, &sp.access, outer)?;
         rel = Some(match rel {
-            None => r,
-            Some(l) => vcross_join(l, r)?,
+            None => scanned,
+            Some(l) => vcross_join(l, scanned)?,
         });
     }
     let mut rel = rel.unwrap_or_else(VRel::unit);
-    let from_width = rel.width();
-    let mut blocks: Vec<(usize, usize)> = Vec::with_capacity(plan.join_order.len());
     for step in &plan.join_order {
-        let before = rel.width();
-        rel = vexec_join(db, rel, &s.joins[step.ji], step, &plan.pushed, outer)?;
-        blocks.push((step.ji, rel.width() - before));
+        rel = vexec_join(db, rel, relation(s, step.rel), step, &plan.pushed, outer)?;
     }
-    restore_column_order(&mut rel, from_width, &blocks);
+    if plan.reordered() {
+        restore_written_order(&mut rel, plan);
+    }
 
     // 2. Residual WHERE predicates (multi-table or non-pushable): a
     // selection vector, no value movement.
@@ -435,33 +438,33 @@ fn vcross_join<'a>(left: VRel<'a>, right: VRel<'a>) -> Result<VRel<'a>, EngineEr
 /// fetched at run time; if the catalog can't serve it the step degrades
 /// to the result-identical hash path), otherwise the right side is
 /// scanned through the plan's access path and joined by hash or nested
-/// loop.
+/// loop. `t` is the step's relation.
 fn vexec_join<'a>(
     db: &'a Database,
     left: VRel<'a>,
-    join: &Join,
+    t: &TableRef,
     step: &JoinStep,
     pushed: &[(String, Expr)],
     outer: Option<&Env<'_>>,
 ) -> Result<VRel<'a>, EngineError> {
-    if let JoinAlgo::IndexNestedLoop { right_col, lpos } = &step.algo {
-        if let TableRef::Named { name, .. } = &join.table {
+    if let JoinAlgo::IndexNestedLoop { right_col, .. } = &step.algo {
+        if let TableRef::Named { name, .. } = t {
             if let Some(ix) = db.index(name, right_col) {
-                return vinl_join(db, left, join, *lpos, &ix, pushed, outer);
+                return vinl_join(db, left, t, step, &ix, pushed, outer);
             }
         }
     }
     // Pushed predicates only ever target inner-join bindings, but guard
     // against a FROM binding shadowing an outer-join binding of the same
     // name: an outer join's scan must stay unfiltered.
-    let right_pushed: &[(String, Expr)] = if join.kind == JoinKind::Inner {
+    let right_pushed: &[(String, Expr)] = if step.kind == JoinKind::Inner {
         pushed
     } else {
         &[]
     };
-    let right = vscan(db, &join.table, right_pushed, &step.scan.access, outer)?;
-    let _span = trace::span_labeled("join", || join.table.binding().to_string());
-    let out = vjoin_relations(db, left, right, join, &step.algo, outer);
+    let right = vscan(db, t, right_pushed, &step.scan.access, outer)?;
+    let _span = trace::span_labeled("join", || t.binding().to_string());
+    let out = vjoin_relations(db, left, right, step, outer);
     if let Ok(rel) = &out {
         trace::rows_out(rel.len as u64);
         trace::batches(batches_of(rel.len));
@@ -469,36 +472,53 @@ fn vexec_join<'a>(
     out
 }
 
-/// Index-nested-loop join: probes the right table's hash index with
-/// each left row's key; the matching right rows stay in the base table.
-/// Candidate postings are ascending in row order and the full ON clause
-/// (plus any pushed right-side predicates) is re-evaluated per
-/// candidate, so the output and the per-emitted-row fuel are identical
-/// to the hash-join path.
+/// True when every expression is true over `env`; stops at the first
+/// that is not.
+fn holds<'e>(
+    db: &Database,
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    env: &Env<'_>,
+) -> Result<bool, EngineError> {
+    for e in exprs {
+        if !eval(db, e, env)?.is_true() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Index-nested-loop join of the named table `t`: probes its hash
+/// index `ix` with each left row's key; the matching right rows stay in
+/// the base table. Candidate postings are ascending in row order and
+/// every ON conjunct of the step (plus any pushed right-side
+/// predicates) is re-evaluated per candidate, so the output and the
+/// per-emitted-row fuel are identical to the hash-join path.
 ///
 /// A right row's pushed predicates give the same verdict for every left
 /// row that probes it whenever they read only the right table and the
 /// outer scope, so that verdict is memoized per right row id for this
 /// one execution: evaluated at the row's first encounter, in the same
 /// order as before (so the first error is the same error), and reused
-/// after. The ON clause is still evaluated for every passing candidate,
-/// key conjunct included, because index-key equality is not `=` for
-/// NaN. `eval` charges no fuel, so the charges are unchanged.
+/// after. The ON conjuncts are still evaluated for every passing
+/// candidate, key conjunct included, because index-key equality is not
+/// `=` for NaN. `eval` charges no fuel, so the charges are unchanged.
 fn vinl_join<'a>(
     db: &'a Database,
     left: VRel<'a>,
-    join: &Join,
-    lpos: usize,
+    t: &TableRef,
+    step: &JoinStep,
     ix: &crate::db::ColumnIndex,
     pushed: &[(String, Expr)],
     outer: Option<&Env<'_>>,
 ) -> Result<VRel<'a>, EngineError> {
-    let _span = trace::span_labeled("join", || join.table.binding().to_string());
+    let _span = trace::span_labeled("join", || t.binding().to_string());
     trace::detail(|| "index nested-loop".to_string());
-    let TableRef::Named { name, .. } = &join.table else {
+    let (TableRef::Named { name, .. }, JoinAlgo::IndexNestedLoop { lpos, .. }) = (t, &step.algo)
+    else {
         unreachable!("INL join requires a named table");
     };
-    let binding = join.table.binding();
+    let on = &step.on;
+    let binding = t.binding();
     let schema = db.schema(name).expect("checked by the planner");
     let right_rows = db.rows(name).expect("a cataloged table has rows");
     let mut cols = left.cols.clone();
@@ -510,14 +530,13 @@ fn vinl_join<'a>(
     );
 
     // Pushed right-side predicates first (cheap, single-table), then the
-    // full ON clause, all resolved once against the joined layout.
+    // ON conjuncts, all resolved once against the joined layout.
     let mine: Vec<&Expr> = pushed
         .iter()
         .filter(|(b, _)| b.eq_ignore_ascii_case(binding))
         .map(|(_, e)| e)
         .collect();
-    let on = join.on.as_ref().expect("checked by the planner");
-    let cplan = ColumnPlan::compile(mine.iter().copied().chain([on]), &cols);
+    let cplan = ColumnPlan::compile(mine.iter().copied().chain(on), &cols);
     // The memo's guard: every column the pushed predicates read resolves
     // into the probed table's block or to the outer scope, never to the
     // left rows.
@@ -553,7 +572,7 @@ fn vinl_join<'a>(
     let scanned: Result<(), EngineError> = (|| {
         for lrow in 0..left.len {
             probes += 1;
-            let candidates = match ix.lookup(left.value(lrow, lpos)) {
+            let candidates = match ix.lookup(left.value(lrow, *lpos)) {
                 Some(c) => {
                     hits += 1;
                     c
@@ -570,20 +589,14 @@ fn vinl_join<'a>(
                 let pass = match verdicts.get(ri as usize).copied().flatten() {
                     Some(pass) => pass,
                     None => {
-                        let mut pass = true;
-                        for e in &mine {
-                            if !eval(db, e, &env)?.is_true() {
-                                pass = false;
-                                break;
-                            }
-                        }
+                        let pass = holds(db, mine.iter().copied(), &env)?;
                         if let Some(v) = verdicts.get_mut(ri as usize) {
                             *v = Some(pass);
                         }
                         pass
                     }
                 };
-                if !pass || !eval(db, on, &env)?.is_true() {
+                if !pass || !holds(db, on, &env)? {
                     continue;
                 }
                 charge("join", 1, width)?;
@@ -615,54 +628,53 @@ fn vinl_join<'a>(
     Ok(rel)
 }
 
-/// Joins two relations with hash-join acceleration for equi-conditions.
-/// The equi-key pairs are re-derived against the actual layouts (the
-/// plan's `has_equi_key` check is a superset: a pair it saw may resolve
-/// to an outer binding at run time and drop to the residual); the plan
-/// supplies only the build side. Both build sides emit left-major with
-/// right candidates ascending, so the choice (a pure function of
-/// catalog estimates) never changes the output or the fuel charged.
+/// Joins two relations on one step's ON conjuncts, with hash-join
+/// acceleration for equi-conditions. The equi-key pairs are re-derived
+/// against the actual layouts (the plan's `has_equi_key` check is a
+/// superset: a pair it saw may resolve to an outer binding at run time
+/// and drop to the residual); the plan supplies only the build side.
+/// Both build sides emit left-major with right candidates ascending, so
+/// the choice (a pure function of catalog estimates) never changes the
+/// output or the fuel charged.
 fn vjoin_relations<'a>(
     db: &Database,
     left: VRel<'a>,
     right: VRel<'a>,
-    join: &Join,
-    algo: &JoinAlgo,
+    step: &JoinStep,
     outer: Option<&Env<'_>>,
 ) -> Result<VRel<'a>, EngineError> {
     let mut cols = left.cols.clone();
     cols.extend(right.cols.iter().cloned());
+    let outer_join = step.kind == JoinKind::Left;
 
     let mut left_keys = Vec::new();
     let mut right_keys = Vec::new();
     let mut residual: Vec<&Expr> = Vec::new();
-    if let Some(on) = &join.on {
-        for conj in on.conjuncts() {
-            if let Expr::Binary {
-                left: a,
-                op: BinOp::Eq,
-                right: b,
-            } = conj
-            {
-                if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                    let la = find_col(&left.cols, ca);
-                    let rb = find_col(&right.cols, cb);
-                    if let (Some(i), Some(j)) = (la, rb) {
-                        left_keys.push(i);
-                        right_keys.push(j);
-                        continue;
-                    }
-                    let lb = find_col(&left.cols, cb);
-                    let ra = find_col(&right.cols, ca);
-                    if let (Some(i), Some(j)) = (lb, ra) {
-                        left_keys.push(i);
-                        right_keys.push(j);
-                        continue;
-                    }
+    for conj in &step.on {
+        if let Expr::Binary {
+            left: a,
+            op: BinOp::Eq,
+            right: b,
+        } = conj
+        {
+            if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
+                let la = find_col(&left.cols, ca);
+                let rb = find_col(&right.cols, cb);
+                if let (Some(i), Some(j)) = (la, rb) {
+                    left_keys.push(i);
+                    right_keys.push(j);
+                    continue;
+                }
+                let lb = find_col(&left.cols, cb);
+                let ra = find_col(&right.cols, ca);
+                if let (Some(i), Some(j)) = (lb, ra) {
+                    left_keys.push(i);
+                    right_keys.push(j);
+                    continue;
                 }
             }
-            residual.push(conj);
         }
+        residual.push(conj);
     }
     // Hash keys match by storage class, but `=` coerces across classes
     // (numeric text equals its number, or is an error under
@@ -693,14 +705,9 @@ fn vjoin_relations<'a>(
                 parent: outer,
                 plan: Some(&cplan),
             };
-            for e in &residual {
-                if !eval(db, e, &env)?.is_true() {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
+            holds(db, residual.iter().copied(), &env)
         };
-        if matches!(algo, JoinAlgo::Hash { build_left: true }) {
+        if matches!(step.algo, JoinAlgo::Hash { build_left: true }) {
             // Build on the left: collect per-left-row match lists during
             // the right-side probe, then emit in left order.
             trace::detail(|| "hash (build left)".to_string());
@@ -736,7 +743,7 @@ fn vjoin_relations<'a>(
                         matched = true;
                     }
                 }
-                if !matched && join.kind == JoinKind::Left {
+                if !matched && outer_join {
                     charge("join", 1, width)?;
                     lpicks.push(l as u32);
                     rpicks.push(NONE_ROW);
@@ -770,7 +777,7 @@ fn vjoin_relations<'a>(
                         }
                     }
                 }
-                if !matched && join.kind == JoinKind::Left {
+                if !matched && outer_join {
                     charge("join", 1, width)?;
                     lpicks.push(l as u32);
                     rpicks.push(NONE_ROW);
@@ -785,30 +792,24 @@ fn vjoin_relations<'a>(
         // extra candidate charges stay mode-independent.
         trace::detail(|| "nested loop".to_string());
         let width = cols.len() as u64;
-        let cplan = join.on.as_ref().map(|on| ColumnPlan::compile([on], &cols));
+        let cplan = ColumnPlan::compile(&step.on, &cols);
         for l in 0..left.len {
             let mut matched = false;
             for r in 0..right.len {
                 charge("join", 1, width)?;
-                let ok = match &join.on {
-                    Some(on) => {
-                        let env = Env {
-                            cols: &cols,
-                            row: Row::Pair(&left, l, &right, r),
-                            parent: outer,
-                            plan: cplan.as_ref(),
-                        };
-                        eval(db, on, &env)?.is_true()
-                    }
-                    None => true,
+                let env = Env {
+                    cols: &cols,
+                    row: Row::Pair(&left, l, &right, r),
+                    parent: outer,
+                    plan: Some(&cplan),
                 };
-                if ok {
+                if holds(db, &step.on, &env)? {
                     lpicks.push(l as u32);
                     rpicks.push(r as u32);
                     matched = true;
                 }
             }
-            if !matched && join.kind == JoinKind::Left {
+            if !matched && outer_join {
                 charge("join", 1, width)?;
                 lpicks.push(l as u32);
                 rpicks.push(NONE_ROW);
@@ -837,55 +838,45 @@ fn key_classes(rel: &VRel<'_>, col: usize) -> u8 {
     seen
 }
 
-/// After greedy join reordering the column layout follows the execution
-/// order; permute the join slots back to the query's written order so
-/// wildcard projections and unqualified resolution see the expected
-/// layout. Every join step contributed exactly one slot, so this (and
-/// recomputing the column offsets) is pure metadata work — no row
-/// movement at all.
-fn restore_column_order(rel: &mut VRel<'_>, from_width: usize, blocks: &[(usize, usize)]) {
-    let nfrom = rel.slots.iter().filter(|s| s.start < from_width).count();
-    debug_assert_eq!(rel.slots.len(), nfrom + blocks.len());
-    let mut order: Vec<(usize, usize)> = blocks
-        .iter()
-        .enumerate()
-        .map(|(k, &(ji, _))| (ji, nfrom + k))
-        .collect();
-    order.sort_by_key(|&(ji, _)| ji);
-    if order
-        .iter()
-        .enumerate()
-        .all(|(k, &(_, si))| si == nfrom + k)
-    {
-        return;
-    }
-    let perm: Vec<usize> = (0..nfrom).chain(order.iter().map(|&(_, si)| si)).collect();
-    let segments: Vec<&[(String, String)]> = rel
-        .slots
-        .iter()
-        .map(|s| &rel.cols[s.start..s.start + s.width])
-        .collect();
-    let new_cols: Vec<(String, String)> = perm
-        .iter()
-        .flat_map(|&oi| segments[oi].iter().cloned())
-        .collect();
+/// Puts a join output computed out of written order back in written
+/// order. Every relation contributed exactly one slot, in execution
+/// order, so the columns are put back by permuting slots (metadata
+/// only). The rows are then sorted by their written-order row ids,
+/// slot by slot. Each operator emits left-major with ascending
+/// candidates, and scans visit ascending row ids, so the written plan
+/// emits its rows in exactly that order: the result is the written
+/// plan's, row for row. The ids of one output row never all tie with
+/// another's, so the unstable sort is deterministic.
+fn restore_written_order(rel: &mut VRel<'_>, plan: &SelectPlan) {
+    let executed: Vec<usize> = plan.executed().collect();
+    debug_assert_eq!(rel.slots.len(), executed.len());
     let mut old: Vec<Option<VSlot<'_>>> = std::mem::take(&mut rel.slots)
         .into_iter()
         .map(Some)
         .collect();
-    let mut new_slots = Vec::with_capacity(old.len());
+    let mut by_position: Vec<usize> = (0..executed.len()).collect();
+    by_position.sort_unstable_by_key(|&k| executed[k]);
+    let mut cols = Vec::with_capacity(rel.cols.len());
     let mut start = 0;
-    for &oi in &perm {
-        let mut s = old[oi].take().expect("permutation visits each slot once");
-        s.start = start;
-        start += s.width;
-        new_slots.push(s);
+    for k in by_position {
+        let mut slot = old[k].take().expect("each slot moves once");
+        cols.extend_from_slice(&rel.cols[slot.start..slot.start + slot.width]);
+        slot.start = start;
+        start += slot.width;
+        rel.slots.push(slot);
     }
-    rel.cols = new_cols;
-    let mut col_slot = vec![0; rel.cols.len()];
-    for (i, s) in new_slots.iter().enumerate() {
-        col_slot[s.start..s.start + s.width].fill(i);
+    let mut order: Vec<u32> = (0..rel.len as u32).collect();
+    let slots = &rel.slots;
+    order.sort_unstable_by(|&a, &b| {
+        slots
+            .iter()
+            .map(|s| s.gather[a as usize].cmp(&s.gather[b as usize]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    for slot in &mut rel.slots {
+        slot.gather = compose(&slot.gather, &order);
     }
-    rel.slots = new_slots;
-    rel.col_slot = col_slot;
+    let parts = std::mem::take(&mut rel.slots);
+    *rel = VRel::from_parts(cols, parts, rel.len);
 }

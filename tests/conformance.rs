@@ -233,6 +233,116 @@ fn function_calls_in_aggregate_queries_evaluate_over_the_group() {
     }
 }
 
+/// Runs one grouped query through the conformance harness, the engine
+/// and the reference, and checks both answer `want`.
+#[track_caller]
+fn assert_group_answer(db: &Database, sql: &str, want: Vec<Vec<Value>>) {
+    assert!(
+        check_case(db, &QueryCache::new(), sql).is_none(),
+        "diverged: {sql}"
+    );
+    assert_eq!(execute_sql(db, sql).unwrap().rows, want, "{sql}");
+    assert_eq!(ref_execute_sql(db, sql).unwrap().rows, want, "{sql}");
+}
+
+// An aggregate inside BETWEEN, an IN list, IN (subquery)'s left operand
+// or IS NULL evaluates over the group, as PostgreSQL does; each shape
+// used to fail with "aggregate outside aggregation context". In
+// `null_db`, v groups as 3 (one row), NULL (two), 1 (two) and 2 (one).
+
+#[test]
+fn aggregate_inside_between_evaluates_over_the_group() {
+    let _g = mode_guard();
+    let sql = "SELECT v FROM t GROUP BY v HAVING COUNT(*) BETWEEN 2 AND 3";
+    assert_group_answer(
+        &null_db(),
+        sql,
+        vec![vec![Value::Null], vec![Value::Int(1)]],
+    );
+}
+
+#[test]
+fn aggregate_inside_in_list_evaluates_over_the_group() {
+    let _g = mode_guard();
+    let sql = "SELECT v FROM t GROUP BY v HAVING COUNT(*) IN (2, 5)";
+    assert_group_answer(
+        &null_db(),
+        sql,
+        vec![vec![Value::Null], vec![Value::Int(1)]],
+    );
+}
+
+#[test]
+fn aggregate_left_of_in_subquery_evaluates_over_the_group() {
+    let _g = mode_guard();
+    let sql = "SELECT v FROM t GROUP BY v HAVING COUNT(*) IN (SELECT 2)";
+    assert_group_answer(
+        &null_db(),
+        sql,
+        vec![vec![Value::Null], vec![Value::Int(1)]],
+    );
+}
+
+#[test]
+fn aggregate_inside_is_null_evaluates_over_the_group() {
+    let _g = mode_guard();
+    let db = null_db();
+    assert_group_answer(
+        &db,
+        "SELECT MAX(v) IS NULL FROM t",
+        vec![vec![Value::Bool(false)]],
+    );
+    // An empty group's MAX is NULL.
+    let sql = "SELECT MAX(v) IS NULL FROM t WHERE id < 0";
+    assert_group_answer(&db, sql, vec![vec![Value::Bool(true)]]);
+}
+
+/// The planner may lead with any filtered relation and join in any
+/// order; the result still comes back in the written plan's row order,
+/// which is the reference interpreter's nested-loop order. Each `f` row
+/// has three `j1` and two `j2` matches, so joining `j2` (the smaller)
+/// first would emit the pairs in another order.
+#[test]
+fn join_order_is_invisible_in_results() {
+    let _g = mode_guard();
+    let mut db = Database::new(Catalog::new(vec![
+        TableSchema::new("f")
+            .column("id", DataType::Int)
+            .pk(&["id"]),
+        TableSchema::new("j1")
+            .column("id", DataType::Int)
+            .column("f_id", DataType::Int)
+            .pk(&["id"]),
+        TableSchema::new("j2")
+            .column("id", DataType::Int)
+            .column("f_id", DataType::Int)
+            .pk(&["id"]),
+    ]));
+    for id in 1..=3 {
+        db.insert("f", vec![Value::Int(id)]).unwrap();
+    }
+    for id in 1..=9 {
+        db.insert("j1", vec![Value::Int(id), Value::Int((id - 1) % 3 + 1)])
+            .unwrap();
+    }
+    for id in 1..=6 {
+        db.insert("j2", vec![Value::Int(id), Value::Int((id - 1) % 3 + 1)])
+            .unwrap();
+    }
+    let sql = "SELECT f.id, j1.id, j2.id FROM f \
+               JOIN j1 ON j1.f_id = f.id JOIN j2 ON j2.f_id = f.id";
+    for sql in [sql.to_string(), format!("{sql} WHERE j2.id = 4")] {
+        let want = ref_execute_sql(&db, &sql).unwrap().rows;
+        assert_eq!(want.len(), if sql.contains("WHERE") { 3 } else { 18 });
+        for force in [false, true] {
+            set_force_seqscan(Some(force));
+            let got = execute_sql(&db, &sql);
+            set_force_seqscan(None);
+            assert_eq!(got.unwrap().rows, want, "{sql} (forced seqscan: {force})");
+        }
+    }
+}
+
 /// A minimized counterexample must itself be a counterexample: it
 /// parses and still satisfies the divergence predicate. The minimizer
 /// shrinks by clause-atom count with the clause differ as distance
@@ -863,7 +973,7 @@ fn engine_counters_match_the_pinned_digest() {
         }
     }
     assert_eq!(
-        digest, 0x759a_1594_84ea_82e9,
+        digest, 0x8582_9671_07c6_6b7a,
         "engine counters moved: {digest:#018x}"
     );
 }
@@ -897,9 +1007,11 @@ fn traced_agreement(db: &Database, sql: &str) -> (Result<ResultSet, EngineError>
 /// per squad member; a chain of 1:1 split joins (the shape synthesized
 /// normalizing models produce) probes through several extension
 /// tables. Results, the first error, the logical digest and the full
-/// counter tree (fuel and rows per span) must be what per-probe
-/// evaluation gave; the pinned counter trees were recorded before the
-/// memo existed.
+/// counter tree (fuel and rows per span) must agree with the
+/// forced-seqscan path, which has no memo. The first four queries' trees
+/// were recorded before the memo existed and re-recorded when their
+/// filtered `national_team` side took the lead; the fifth keeps
+/// `squad` in the lead, so its 23 probes of one team reuse one verdict.
 #[test]
 fn inl_predicate_memo_is_invisible() {
     let _g = mode_guard();
@@ -928,29 +1040,34 @@ fn inl_predicate_memo_is_invisible() {
                 ON T1.team_id = T2.team_id WHERE T2.confederation = 'UEFA' \
                 AND T2.fifa_ranking < 20 GROUP BY T2.teamname ORDER BY 2 DESC, 1 LIMIT 3";
     let split_uefa = rewrite_sql(&footballdb::v1_shape(), &ops, uefa).unwrap();
+    let argentina = "SELECT T2.teamname, count(*) FROM squad AS T1 JOIN national_team AS T2 \
+                     ON T1.team_id = T2.team_id WHERE T1.world_cup_id = 1 AND T1.team_id = 1 \
+                     AND T2.fifa_ranking < 20 GROUP BY T2.teamname";
     for (db, sql, want) in [
         (&v1, germany, PINNED_GERMANY),
         (&split, split_germany.as_str(), PINNED_SPLIT_GERMANY),
         (&v1, uefa, PINNED_UEFA),
         (&split, split_uefa.as_str(), PINNED_SPLIT_UEFA),
+        (&v1, argentina, PINNED_ARGENTINA),
     ] {
         let (out, tree) = traced_agreement(db, sql);
         let got = format!("{}\n{tree}", render_outcome(&out));
         assert_eq!(got, want, "{sql}");
     }
 
-    // A pushed predicate that errors under PostgreSQL. The index path
-    // evaluates it in probe order, so the error names the team of the
-    // first squad row; memoized, it is still that first error. (The
-    // seqscan path meets another team first, so only "an error" is
-    // common to every path.)
+    // A pushed predicate that errors under PostgreSQL. Its equality
+    // estimates one national_team row, so that side leads on both access
+    // paths (the text column has no index probe for an integer), and
+    // both scan it in row order: the error names the same first team.
     let bad = "SELECT T1.squad_id FROM squad AS T1 JOIN national_team AS T2 \
                ON T1.team_id = T2.team_id WHERE T2.teamname = 7";
-    set_force_seqscan(Some(false));
-    let (out, span) = trace_execute_sql(&v1, bad);
-    set_force_seqscan(None);
-    let got = format!("{}\n{}", render_outcome(&out), span.counter_tree());
-    assert_eq!(got, PINNED_BAD, "{bad}");
+    for force in [false, true] {
+        set_force_seqscan(Some(force));
+        let (out, span) = trace_execute_sql(&v1, bad);
+        set_force_seqscan(None);
+        let got = format!("{}\n{}", render_outcome(&out), span.counter_tree());
+        assert_eq!(got, PINNED_BAD, "{bad} (forced seqscan: {force})");
+    }
     assert!(ref_execute_sql(&v1, bad).is_err());
     // Under SQLite the comparison is simply false.
     let lite = v1.clone().with_dialect(Dialect::Sqlite);
@@ -958,15 +1075,17 @@ fn inl_predicate_memo_is_invisible() {
     assert_eq!(out.unwrap().rows.len(), 0);
 }
 
-// Outcomes and counter trees recorded before the INL memo and the
-// plan-resolved literals existed.
+// Outcomes and counter trees of the queries above. The outcomes were
+// recorded before the INL memo and the plan-resolved literals existed;
+// the trees were re-recorded when the lead relation became a plan
+// choice.
 const PINNED_GERMANY: &str = r#"[[Int(7)]]
 root rows=0 steps=0 cells=0
   parse rows=0 steps=0 cells=0
   query rows=1 steps=0 cells=0
     plan rows=0 steps=0 cells=0
-    scan T1 rows=11247 steps=0 cells=0
-    join T2 rows=161 steps=161 cells=2093
+    scan T2 rows=1 steps=0 cells=0
+    join T1 rows=161 steps=161 cells=2093
     aggregate rows=1 steps=161 cells=2093
 "#;
 const PINNED_SPLIT_GERMANY: &str = r#"[[Int(7)]]
@@ -974,10 +1093,10 @@ root rows=0 steps=0 cells=0
   parse rows=0 steps=0 cells=0
   query rows=1 steps=0 cells=0
     plan rows=0 steps=0 cells=0
-    scan T1 rows=11247 steps=0 cells=0
-    join T2 rows=11247 steps=11247 cells=123717
-    join T2_national_team_info rows=11247 steps=11247 cells=146211
-    join T2_national_team_info_national_team_names rows=161 steps=161 cells=2415
+    scan T2_national_team_info_national_team_names rows=1 steps=0 cells=0
+    join T2_national_team_info rows=1 steps=1 cells=4
+    join T2 rows=1 steps=1 cells=9
+    join T1 rows=161 steps=161 cells=2415
     aggregate rows=1 steps=161 cells=2415
 "#;
 const PINNED_UEFA: &str = r#"[[Text("France"), Int(276)], [Text("Italy"), Int(276)], [Text("Turkey"), Int(230)]]
@@ -985,8 +1104,8 @@ root rows=0 steps=0 cells=0
   parse rows=0 steps=0 cells=0
   query rows=3 steps=0 cells=0
     plan rows=0 steps=0 cells=0
-    scan T1 rows=11247 steps=0 cells=0
-    join T2 rows=2047 steps=2047 cells=26611
+    scan T2 rows=10 steps=0 cells=0
+    join T1 rows=2047 steps=2047 cells=26611
     aggregate rows=10 steps=2047 cells=26611
 "#;
 const PINNED_SPLIT_UEFA: &str = r#"[[Text("France"), Int(276)], [Text("Italy"), Int(276)], [Text("Turkey"), Int(230)]]
@@ -994,19 +1113,27 @@ root rows=0 steps=0 cells=0
   parse rows=0 steps=0 cells=0
   query rows=3 steps=0 cells=0
     plan rows=0 steps=0 cells=0
-    scan T1 rows=11247 steps=0 cells=0
-    join T2 rows=4186 steps=4186 cells=46046
-    join T2_national_team_info rows=2047 steps=2047 cells=26611
-    join T2_national_team_info_national_team_names rows=2047 steps=2047 cells=30705
+    scan T2_national_team_info rows=40 steps=0 cells=0
+    join T2 rows=10 steps=10 cells=70
+    join T2_national_team_info_national_team_names rows=10 steps=10 cells=90
+    join T1 rows=2047 steps=2047 cells=30705
     aggregate rows=10 steps=2047 cells=30705
 "#;
-const PINNED_BAD: &str = r#"error: eval: invalid input syntax for type numeric: "Uruguay"
+const PINNED_ARGENTINA: &str = r#"[[Text("Argentina"), Int(23)]]
+root rows=0 steps=0 cells=0
+  parse rows=0 steps=0 cells=0
+  query rows=1 steps=0 cells=0
+    plan rows=0 steps=0 cells=0
+    scan T1 rows=23 steps=0 cells=0
+    join T2 rows=23 steps=23 cells=299
+    aggregate rows=1 steps=23 cells=299
+"#;
+const PINNED_BAD: &str = r#"error: eval: invalid input syntax for type numeric: "Argentina"
 root rows=0 steps=0 cells=0
   parse rows=0 steps=0 cells=0
   query rows=0 steps=0 cells=0
     plan rows=0 steps=0 cells=0
-    scan T1 rows=11247 steps=0 cells=0
-    join T2 rows=0 steps=0 cells=0
+    scan T2 rows=0 steps=0 cells=0
 "#;
 const PINNED_LITERALS: &str = r#"[[Int(1202)]]
 [[Int(42)]]

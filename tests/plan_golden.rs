@@ -2,13 +2,14 @@
 //!
 //! Pins the *entire* rendered plan — not substrings — for one
 //! representative query per planner decision: predicate pushdown,
-//! access-path choice, index nested-loop joins, hash joins with their
-//! cost-chosen build side, cost-based join reordering, left-join
-//! residuals, derived tables, correlated subqueries, FROM-less selects,
-//! and the aggregation/ordering tail. EXPLAIN renders the one
+//! access-path choice, the lead relation, index nested-loop joins, hash
+//! joins with their cost-chosen build side, cost-based join reordering,
+//! left-join residuals, derived tables, correlated subqueries,
+//! FROM-less selects, and the aggregation/ordering tail. EXPLAIN renders the one
 //! `sqlengine::plan` tree the executor obeys, so any drift in these
 //! snapshots is a planner behavior change and must be reviewed as one.
 
+use footballdb::DataModel;
 use sqlengine::{explain_sql, set_force_seqscan, Catalog, DataType, Database, TableSchema, Value};
 use std::sync::Mutex;
 
@@ -52,13 +53,76 @@ fn assert_plan(db: &Database, sql: &str, golden: &str) {
 fn golden_pushdown_and_index_nested_loop() {
     let _g = mode_guard();
     let db = fixture();
+    // b.y = 103 keeps 5 × 1/5 of u's rows (y has five distinct
+    // values); a.x > 1 keeps a third of t's. So b leads.
     assert_plan(
         &db,
         "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE a.x > 1 AND b.y = 103",
         "select (1 output column(s))\n\
+         \u{20} scan u AS b [5 row(s)] filter: b.y = 103 via index lookup(b.y)\n\
+         \u{20} join order (cost-based): b, a\n\
+         \u{20} index nested-loop join t AS a [5 row(s)] filter: a.x > 1 \
+         via index lookup(a.id) on a.id = b.id\n",
+    );
+    // With a range filter on b too, the estimates tie and the FROM item
+    // keeps the lead.
+    assert_plan(
+        &db,
+        "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id WHERE a.x > 1 AND b.y > 102",
+        "select (1 output column(s))\n\
          \u{20} scan t AS a [5 row(s)] filter: a.x > 1 via seq scan\n\
-         \u{20} index nested-loop join u AS b [5 row(s)] filter: b.y = 103 \
+         \u{20} index nested-loop join u AS b [5 row(s)] filter: b.y > 102 \
          via index lookup(b.id) on a.id = b.id\n",
+    );
+}
+
+/// The lead is the smallest estimate among the FROM item and the
+/// filtered join relations, on the generated FootballDB instance.
+#[test]
+fn golden_lead_relation_on_footballdb() {
+    let _g = mode_guard();
+    let domain = footballdb::generate(footballdb::DEFAULT_SEED);
+    // One club by name, then its players through player's FK index,
+    // instead of every player probing club.
+    let v3 = footballdb::load(&domain, DataModel::V3);
+    assert_plan(
+        &v3,
+        "SELECT T1.full_name FROM player AS T1 JOIN club AS T2 ON T1.club_id = T2.club_id \
+         WHERE T2.name = 'Eastvale Wanderers'",
+        "select (1 output column(s))\n\
+         \u{20} scan club AS T2 [1874 row(s)] filter: T2.name = 'Eastvale Wanderers' \
+         via index lookup(T2.name)\n\
+         \u{20} join order (cost-based): T2, T1\n\
+         \u{20} index nested-loop join player AS T1 [8933 row(s)] \
+         via index lookup(T1.club_id) on T1.club_id = T2.club_id\n",
+    );
+    // An unfiltered relation never leads: the filter sits in an OR
+    // residual, so match keeps the lead although national_team is far
+    // smaller.
+    let v2 = footballdb::load(&domain, DataModel::V2);
+    assert_plan(
+        &v2,
+        "SELECT count(*) FROM match AS T1 \
+         JOIN plays_as_home AS T2 ON T1.match_id = T2.match_id \
+         JOIN plays_as_away AS T3 ON T1.match_id = T3.match_id \
+         JOIN national_team AS T4 ON T2.team_id = T4.team_id \
+         JOIN national_team AS T5 ON T3.team_id = T5.team_id \
+         WHERE (T4.teamname = 'Brazil' AND T5.teamname = 'Germany') \
+         OR (T4.teamname = 'Germany' AND T5.teamname = 'Brazil')",
+        "select (1 output column(s))\n\
+         \u{20} scan match AS T1 [964 row(s)] via seq scan\n\
+         \u{20} join order (cost-based): T1, T2, T4, T3, T5\n\
+         \u{20} index nested-loop join plays_as_home AS T2 [964 row(s)] \
+         via index lookup(T2.match_id) on T1.match_id = T2.match_id\n\
+         \u{20} index nested-loop join national_team AS T4 [86 row(s)] \
+         via index lookup(T4.team_id) on T2.team_id = T4.team_id\n\
+         \u{20} index nested-loop join plays_as_away AS T3 [964 row(s)] \
+         via index lookup(T3.match_id) on T1.match_id = T3.match_id\n\
+         \u{20} index nested-loop join national_team AS T5 [86 row(s)] \
+         via index lookup(T5.team_id) on T3.team_id = T5.team_id\n\
+         \u{20} residual filter: T4.teamname = 'Brazil' AND T5.teamname = 'Germany' \
+         OR T4.teamname = 'Germany' AND T5.teamname = 'Brazil'\n\
+         \u{20} aggregate: single group\n",
     );
 }
 
@@ -147,7 +211,7 @@ fn golden_cost_based_join_reorder() {
         "SELECT t.id FROM t JOIN big ON big.tid = t.id JOIN small ON small.tid = t.id",
         "select (1 output column(s))\n\
          \u{20} scan t [4 row(s)] via seq scan\n\
-         \u{20} join order (cost-based): small, big\n\
+         \u{20} join order (cost-based): t, small, big\n\
          \u{20} index nested-loop join small [4 row(s)] \
          via index lookup(small.tid) on small.tid = t.id\n\
          \u{20} index nested-loop join big [40 row(s)] \
