@@ -7,8 +7,9 @@
 //!
 //! 1. **EX-equality conformance** — every gold and template query,
 //!    co-rewritten onto every model, is bit-identical across the four
-//!    engine configs + reference interpreter on the morphed database AND
-//!    EX-equal to the source-model result (zero divergences required);
+//!    engine configs on the morphed database AND EX-equal to the
+//!    source-model result (zero divergences required), and each of its
+//!    ON clauses names only bindings written at or before its join;
 //! 2. **Thread determinism** — the rewritten corpus per model executes
 //!    bit-identically under 1 vs 8 workers;
 //! 3. **Sweep** — every system runs the co-rewritten test set on every
@@ -129,6 +130,7 @@ fn main() {
     let mut total_execs = 0usize;
     let mut total_errored = 0usize;
     let mut thread_diffs = 0usize;
+    let mut forward_refs = 0usize;
     let mut model_list: Vec<Json> = Vec::new();
     for m in &models {
         let db = load_morphed(&domain, m).with_dialect(dialect);
@@ -145,6 +147,13 @@ fn main() {
             .iter()
             .filter_map(|sql| m.rewrite(sql).ok())
             .collect();
+        for sql in &rewritten {
+            let q = sqlkit::parse_query(sql).ok();
+            if let Some(r) = q.as_ref().and_then(sqlkit::morph::forward_on_reference) {
+                eprintln!("[{}] ON clause names {r} before its join: {sql}", m.name);
+                forward_refs += 1;
+            }
+        }
         let single = run_threaded(&db, &rewritten, 1);
         let eight = run_threaded(&db, &rewritten, 8);
         let mut diffs = 0usize;
@@ -186,6 +195,7 @@ fn main() {
         corpus.len()
     );
     println!("morph threads: {{1, 8}} workers, {thread_diffs} divergences");
+    println!("morph joins: {forward_refs} ON clauses name a later binding");
 
     // Axis 3: the sweep. Baseline v1 at distance 0, then every model,
     // twice — serial and pooled — byte-compared.
@@ -238,6 +248,7 @@ fn main() {
     record.invariant("deterministic_identical", deterministic_identical);
     record.invariant("no_divergences", failures == 0);
     record.invariant("no_thread_divergences", thread_diffs == 0);
+    record.invariant("on_clauses_name_earlier_bindings", forward_refs == 0);
     record.invariant("no_panics", panics == 0);
     record.deterministic("suite", "morph");
     record.deterministic("mode", if smoke { "smoke" } else { "full" });

@@ -129,10 +129,10 @@ mod tests {
         let path = temp_file("kept.json");
         std::fs::write(&path, "previous record\n").unwrap();
         let mut r = record();
-        r.invariant("no_shard_drift", false);
+        r.invariant("no_divergences", false);
         r.invariant("monotonic", true);
         let violations = r.try_write(path.to_str().unwrap()).unwrap_err();
-        assert_eq!(violations, ["no_shard_drift"]);
+        assert_eq!(violations, ["no_divergences"]);
         let kept = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(kept, "previous record\n");

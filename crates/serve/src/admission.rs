@@ -87,7 +87,7 @@ pub fn class_key(model: DataModel, sql: &str) -> (DataModel, String) {
 /// Profiles every distinct `(model, sql)` pair by executing it once
 /// under the policy budget (fanned out over the worker pool; each
 /// profile runs under its own [`TraceGuard`] so fuel never
-/// cross-contaminates). Executions go through the sharded caches, so
+/// cross-contaminates). Executions go through the snapshots' memos, so
 /// profiling doubles as cache warmup — exactly what a server's first
 /// wave of traffic does.
 pub fn classify(

@@ -5,8 +5,9 @@
 //! reproduction's engine and measures it:
 //!
 //! * [`snapshot`] — immutable `Arc`-shared data-model snapshots, each
-//!   database with its lock-striped [`sqlengine::QueryCache`]: the only
-//!   shared mutable state contends at shard granularity;
+//!   database with its [`sqlengine::QueryCache`], lazy column indexes
+//!   and probe counters: one lock or atomic per structure is the only
+//!   shared mutable state;
 //! * [`workload`] — an open-loop traffic generator replaying the
 //!   interaction log's statistics (Zipf popularity, burst phases,
 //!   no-SQL fraction, injected runaways) on the seeded `SimClock`;
@@ -18,8 +19,8 @@
 //!   admitted stream against the shared snapshots (advisory timing).
 //!
 //! The split mirrors the repo-wide determinism contract: queueing
-//! outcomes, latency quantiles, shed/admit counts, and shard-counter
-//! invariants are bit-identical across runs and thread counts;
+//! outcomes, latency quantiles, shed/admit counts, and memo entry and
+//! build counts are bit-identical across runs and thread counts;
 //! wall-clock throughput is advisory.
 
 pub mod admission;
@@ -92,7 +93,6 @@ pub struct ServeReport {
     pub dialect: sqlengine::Dialect,
     pub rates: Vec<RateOutcome>,
     pub cache: CacheStats,
-    pub shard_drift: u64,
     pub escaped_panics: u64,
 }
 
@@ -127,7 +127,6 @@ impl ServeReport {
             .with("dialect", self.dialect.to_string())
             .with("rates", Json::arr(rates))
             .with("escaped_panics", self.escaped_panics)
-            .with("shard_drift", self.shard_drift)
             .with("cache_entries", self.cache.entries)
             .with("cache_builds", self.cache.builds)
             .with("cache_oversize", self.cache.oversize)
@@ -219,7 +218,6 @@ pub fn run(cfg: &ServeConfig, pipeline: &PipelineConfig) -> ServeReport {
         dialect: state.dialect(),
         rates,
         cache: state.cache_stats(),
-        shard_drift: state.shard_drift(),
         escaped_panics,
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! This is the half of the benchmark that actually exercises the
 //! contention story: `threads` workers pull requests from one atomic
-//! cursor and execute them through the lock-striped caches against
+//! cursor and execute them through each database's shared memo against
 //! `Arc`-shared databases. Wall time and throughput here are advisory
 //! (they depend on the machine); the deterministic counters are the
 //! executed/error totals, which depend only on the admitted stream and
@@ -48,7 +48,7 @@ impl PoolReport {
 /// workers. Work distribution is dynamic (atomic cursor), panics are
 /// isolated per request, and each worker keeps private counters that
 /// are merged once at join — there is no shared mutable state beyond
-/// the cursor and the striped caches under test.
+/// the cursor and the databases' memos, indexes and counters.
 pub fn replay(
     state: &ServeState,
     requests: &[Request],

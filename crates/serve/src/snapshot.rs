@@ -1,13 +1,14 @@
 //! Immutable shared state for the serving layer.
 //!
 //! A server holds one snapshot per data model: the loaded [`Database`]
-//! behind an `Arc`. Workers share it read-only; its lazy index cache and
-//! its sharded query-result memo ([`Database::query_cache`], the one
-//! prediction and execution both use) are internally lock-striped.
-//! Nothing here is copied per worker and nothing is guarded by a single
-//! global lock, so the only shared mutable state contends at shard
-//! granularity. Every snapshot is loaded in the state's dialect, so
-//! states in different dialects can serve side by side in one process.
+//! behind an `Arc`. Workers share it read-only. Its derived state is
+//! internally synchronized, one lock or atomic per structure: the
+//! query-result memo ([`Database::query_cache`], the one prediction and
+//! execution both use) behind one `RwLock`, each lazy column index in a
+//! `OnceLock`, and the probe counters as one `AtomicU64` pair. Nothing
+//! here is copied per worker and no lock spans two databases. Every
+//! snapshot is loaded in the state's dialect, so states in different
+//! dialects can serve side by side in one process.
 
 use evalkit::par_map;
 use footballdb::{generate, load, DataModel, Domain};
@@ -58,20 +59,11 @@ impl ServeState {
         self.db(model).query_cache()
     }
 
-    fn databases(&self) -> impl Iterator<Item = &Arc<Database>> {
-        self.models.iter().map(|(_, db)| db)
-    }
-
     /// Aggregated memo counters over every snapshot.
     pub fn cache_stats(&self) -> CacheStats {
-        self.databases().map(|db| db.query_cache().stats()).sum()
-    }
-
-    /// Σ per-shard |builds − entries| over all memos: 0 whenever the
-    /// racing-miss single-build invariant held on every shard.
-    pub fn shard_drift(&self) -> u64 {
-        self.databases()
-            .map(|db| db.query_cache().shard_drift())
+        self.models
+            .iter()
+            .map(|(_, db)| db.query_cache().stats())
             .sum()
     }
 

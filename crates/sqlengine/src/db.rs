@@ -2,35 +2,31 @@
 //! access-path layer.
 //!
 //! Every `(table, column)` pair can serve equality lookups through a
-//! hash index mapping non-NULL key values to ascending row ids. Indexes
-//! are built on first use, cached behind a set of lock stripes (the
-//! evaluation pipeline and the serving layer share one `Database` per
-//! data model across their worker pools, so a single `RwLock` would
-//! serialize every access-path decision), and invalidated wholesale for
-//! a table on any mutation. Index content is a pure function of the
-//! stored rows, so concurrent builds racing on the same slot produce
-//! identical maps and first-write-wins keeps the cache deterministic.
+//! hash index mapping non-NULL key values to ascending row ids. Each
+//! column's index sits in a `OnceLock`, built on first use by exactly
+//! one thread however many race for it (the others wait for that
+//! build), and dropped for a table on any mutation. Index content is a
+//! pure function of the stored rows. The evaluation pipeline and the
+//! serving layer share one `Database` per data model across their
+//! worker pools: a built index is read without any lock, and the
+//! operators that probe it (`vscan`, `vinl_join`) tally locally and
+//! flush their counts into one shared `AtomicU64` pair once per
+//! operator.
 //!
-//! The probe counters are striped too: `note_index_probe` runs on the
-//! hottest path in the engine (tens of millions of calls per benchmark
-//! pass), and a single shared `AtomicU64` pair would make every worker
-//! bounce one cache line. Each thread increments a slot chosen by a
-//! thread-local stripe id; reads sum the stripes, so totals are exact.
-//!
-//! Beside the indexes, each `(table, column)` pair has a lazily
-//! computed distinct-value count ([`Database::distinct_values`]), the
-//! statistic the planner's cardinality estimates divide by. Like an
-//! index it is a pure function of the stored rows, computed on first
-//! use, and dropped for a table on any mutation; unlike an index it is
-//! kept by `Clone`, whose rows are the same.
+//! Beside its index, each `(table, column)` pair has a lazily computed
+//! distinct-value count ([`Database::distinct_values`]), the statistic
+//! the planner's cardinality estimates divide by. Like an index it is a
+//! pure function of the stored rows, computed on first use, and dropped
+//! for a table on any mutation; unlike an index it is kept by `Clone`,
+//! whose rows are the same.
 //!
 //! Each database also owns its query-result memo
 //! ([`Database::query_cache`]): every caller that executes against the
 //! database — predict's failure checks, scoring, serving — shares it,
 //! so each distinct query runs once per database. Like the indexes it
 //! is derived state: `Clone` starts it empty and every insert drops it.
-//! Insert holds `&mut self`, so both invalidations reach the stripes
-//! through `RwLock::get_mut` (no lock taken) and skip empty ones.
+//! Insert holds `&mut self`, so it resets the table's `OnceLock`s and
+//! reaches the memo through `RwLock::get_mut`, taking no lock.
 //!
 //! Stored rows are shared, not owned: each table's rows sit behind an
 //! `Arc` ([`TableData`]), so a clone, or a database migrated through a
@@ -46,7 +42,7 @@ use sqlkit::Dialect;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// A stored table's rows, in the order of its catalog entry's columns.
 /// Cloning shares the rows (one `Arc` handle), it never copies them.
@@ -164,44 +160,23 @@ pub struct IndexStats {
     pub hits: u64,
 }
 
-/// Number of lock stripes over the index cache, and of counter stripes.
-const INDEX_SHARDS: usize = 16;
-
-/// One cache-line-sized stripe of the probe counters. The alignment
-/// keeps two stripes from sharing a line, which is the whole point.
-#[repr(align(64))]
+/// What a database derives lazily from one column's stored rows.
 #[derive(Debug, Default)]
-struct ProbeStripe {
-    probes: AtomicU64,
-    hits: AtomicU64,
+struct ColumnCache {
+    distinct: OnceLock<usize>,
+    index: OnceLock<ColumnIndex>,
 }
 
-/// Stripe id for the current thread: threads are dealt stripes
-/// round-robin on first use, so up to [`INDEX_SHARDS`] workers touch
-/// disjoint counter lines.
-fn counter_stripe() -> usize {
-    use std::cell::Cell;
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|slot| {
-        let mut s = slot.get();
-        if s == usize::MAX {
-            s = (NEXT.fetch_add(1, Ordering::Relaxed) as usize) % INDEX_SHARDS;
-            slot.set(s);
+impl Clone for ColumnCache {
+    /// Keeps the distinct-value count and drops the index: a cloned
+    /// database rebuilds its indexes on first use.
+    fn clone(&self) -> ColumnCache {
+        ColumnCache {
+            distinct: self.distinct.clone(),
+            index: OnceLock::new(),
         }
-        s
-    })
+    }
 }
-
-/// Deterministic stripe selector for an index-cache key.
-fn index_shard_of(table: usize, column: usize) -> usize {
-    table.wrapping_mul(31).wrapping_add(column) % INDEX_SHARDS
-}
-
-/// One lock stripe of the lazily built index cache.
-type IndexShard = RwLock<HashMap<(usize, usize), Arc<ColumnIndex>>>;
 
 /// An in-memory relational database.
 #[derive(Debug)]
@@ -215,15 +190,12 @@ pub struct Database {
     /// follows (see DESIGN.md §14).
     dialect: Dialect,
     data: Vec<TableData>,
-    /// Lazily built per-`(table, column)` hash indexes, lock-striped by
-    /// a hash of the key so concurrent access-path setup on different
-    /// columns never contends on one lock.
-    indexes: [IndexShard; INDEX_SHARDS],
+    /// Lazily computed distinct-value counts and hash indexes, one slot
+    /// per catalog column of each table.
+    columns: Vec<Box<[ColumnCache]>>,
     index_builds: AtomicU64,
-    probe_stripes: [ProbeStripe; INDEX_SHARDS],
-    /// Lazily computed distinct-value counts, one slot per catalog
-    /// column of each table.
-    distinct: Vec<Box<[OnceLock<usize>]>>,
+    index_probes: AtomicU64,
+    index_hits: AtomicU64,
     /// Query-result memo shared by every caller executing against this
     /// database.
     memo: QueryCache,
@@ -240,10 +212,10 @@ impl Clone for Database {
             catalog_fp: self.catalog_fp,
             dialect: self.dialect,
             data: self.data.clone(),
-            indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            columns: self.columns.clone(),
             index_builds: AtomicU64::new(0),
-            probe_stripes: std::array::from_fn(|_| ProbeStripe::default()),
-            distinct: self.distinct.clone(),
+            index_probes: AtomicU64::new(0),
+            index_hits: AtomicU64::new(0),
             memo: QueryCache::new(),
         }
     }
@@ -262,20 +234,20 @@ impl Database {
             .map(|_| TableData::default())
             .collect();
         let catalog_fp = crate::morph::catalog_fingerprint(&catalog);
-        let distinct = catalog
+        let columns = catalog
             .tables
             .iter()
-            .map(|t| t.columns.iter().map(|_| OnceLock::new()).collect())
+            .map(|t| t.columns.iter().map(|_| ColumnCache::default()).collect())
             .collect();
         Database {
             catalog,
             catalog_fp,
             dialect: Dialect::Postgres,
             data,
-            indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            columns,
             index_builds: AtomicU64::new(0),
-            probe_stripes: std::array::from_fn(|_| ProbeStripe::default()),
-            distinct,
+            index_probes: AtomicU64::new(0),
+            index_hits: AtomicU64::new(0),
             memo: QueryCache::new(),
         }
     }
@@ -349,29 +321,16 @@ impl Database {
         &self.data
     }
 
-    /// The hash index for `(table, column)`, building and caching it on
-    /// first use. `None` when the table or column does not exist.
-    ///
-    /// The build happens outside the lock: two threads may race to build
-    /// the same index, but both compute the identical map (content is a
-    /// pure function of the rows) and `or_insert` keeps the first.
-    pub fn index(&self, table: &str, column: &str) -> Option<Arc<ColumnIndex>> {
+    /// The hash index for `(table, column)`, building it on first use.
+    /// `None` when the table or column does not exist. Threads racing
+    /// on an unbuilt index wait for one build, which counts once.
+    pub fn index(&self, table: &str, column: &str) -> Option<&ColumnIndex> {
         let t = self.table_index(table)?;
         let c = self.catalog.tables[t].column_index(column)?;
-        let shard = &self.indexes[index_shard_of(t, c)];
-        if let Some(ix) = shard.read().unwrap().get(&(t, c)) {
-            return Some(ix.clone());
-        }
-        let built = Arc::new(ColumnIndex::build(self.data[t].rows(), c));
-        self.index_builds.fetch_add(1, Ordering::Relaxed);
-        Some(
-            shard
-                .write()
-                .unwrap()
-                .entry((t, c))
-                .or_insert(built)
-                .clone(),
-        )
+        Some(self.columns[t][c].index.get_or_init(|| {
+            self.index_builds.fetch_add(1, Ordering::Relaxed);
+            ColumnIndex::build(self.data[t].rows(), c)
+        }))
     }
 
     /// The number of distinct non-NULL values in `(table, column)`,
@@ -382,7 +341,7 @@ impl Database {
     pub fn distinct_values(&self, table: &str, column: &str) -> Option<usize> {
         let t = self.table_index(table)?;
         let c = self.catalog.tables[t].column_index(column)?;
-        Some(*self.distinct[t][c].get_or_init(|| {
+        Some(*self.columns[t][c].distinct.get_or_init(|| {
             let mut seen: HashSet<IndexKey, BuildHasherDefault<KeyHasher>> = HashSet::default();
             seen.extend(
                 self.data[t]
@@ -397,16 +356,14 @@ impl Database {
     /// Records a batch of equality probes answered through an index.
     /// The per-row join loops tally locally and flush once per
     /// operator through here, so the hot path pays two atomic adds per
-    /// operator instead of per probe. The counters stay striped per
-    /// thread (exact totals, no shared cache line).
+    /// operator instead of per probe.
     pub fn note_index_probes(&self, probes: u64, hits: u64) {
         if probes == 0 {
             return;
         }
-        let stripe = &self.probe_stripes[counter_stripe()];
-        stripe.probes.fetch_add(probes, Ordering::Relaxed);
+        self.index_probes.fetch_add(probes, Ordering::Relaxed);
         if hits > 0 {
-            stripe.hits.fetch_add(hits, Ordering::Relaxed);
+            self.index_hits.fetch_add(hits, Ordering::Relaxed);
         }
         // Mirror the probes into the active trace span (if any), so
         // per-query traces attribute probes to the operator that issued
@@ -414,36 +371,22 @@ impl Database {
         crate::trace::probes(probes, hits);
     }
 
-    /// Snapshot of the index-layer counters (stripes summed).
+    /// Snapshot of the index-layer counters.
     pub fn index_stats(&self) -> IndexStats {
-        let mut probes = 0;
-        let mut hits = 0;
-        for stripe in &self.probe_stripes {
-            probes += stripe.probes.load(Ordering::Relaxed);
-            hits += stripe.hits.load(Ordering::Relaxed);
-        }
         IndexStats {
             builds: self.index_builds.load(Ordering::Relaxed),
-            probes,
-            hits,
+            probes: self.index_probes.load(Ordering::Relaxed),
+            hits: self.index_hits.load(Ordering::Relaxed),
         }
     }
 
     /// Number of currently cached indexes (for tests).
     pub fn cached_index_count(&self) -> usize {
-        self.indexes.iter().map(|s| s.read().unwrap().len()).sum()
-    }
-
-    /// Drops every cached index for one table (called on mutation).
-    fn invalidate_indexes(&mut self, table_idx: usize) {
-        for shard in &mut self.indexes {
-            let map = shard
-                .get_mut()
-                .expect("index shard poisoned by a panicking build");
-            if !map.is_empty() {
-                map.retain(|(t, _), _| *t != table_idx);
-            }
-        }
+        self.columns
+            .iter()
+            .flat_map(|t| t.iter())
+            .filter(|c| c.index.get().is_some())
+            .count()
     }
 
     /// Inserts a row after type-checking it against the schema. Rows
@@ -454,10 +397,10 @@ impl Database {
             .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
         check_row(table, &self.catalog.tables[idx], &row)?;
         Arc::make_mut(&mut self.data[idx].rows).push(row);
-        self.invalidate_indexes(idx);
-        self.distinct[idx]
-            .iter_mut()
-            .for_each(|d| *d = OnceLock::new());
+        for c in self.columns[idx].iter_mut() {
+            c.distinct.take();
+            c.index.take();
+        }
         self.memo.invalidate();
         Ok(())
     }
@@ -719,6 +662,7 @@ mod tests {
         d.insert("team", vec![Value::Int(1), Value::text("A")])
             .unwrap();
         let before = d.index("team", "team_id").unwrap();
+        assert_eq!(before.lookup(&Value::Int(2)), None);
         assert_eq!(d.index_stats().builds, 1);
         d.index("team", "team_id").unwrap();
         assert_eq!(d.index_stats().builds, 1, "second access served from cache");
@@ -728,19 +672,16 @@ mod tests {
         assert_eq!(d.query_cache().stats().hits, 1);
 
         // Mutation drops the table's indexes and every memoized result;
-        // the next access rebuilds over the new rows while old Arcs stay
-        // valid but stale.
+        // the next access rebuilds over the new rows.
         d.insert("team", vec![Value::Int(2), Value::text("B")])
             .unwrap();
         assert_eq!(d.cached_index_count(), 0);
         let after = d.index("team", "team_id").unwrap();
-        assert_eq!(d.index_stats().builds, 2);
-        assert_eq!(before.lookup(&Value::Int(2)), None);
         assert_eq!(after.lookup(&Value::Int(2)), Some(&[1u32][..]));
+        assert_eq!(d.index_stats().builds, 2);
         let s = d.query_cache().stats();
         assert_eq!((s.entries, s.builds), (0, 0), "the insert dropped the memo");
         assert_eq!(count_teams(&d), Value::Int(2), "the new row is counted");
-        assert_eq!(d.query_cache().shard_drift(), 0);
     }
 
     /// Small integers key as `f64` bit patterns whose low bits are all
@@ -765,7 +706,45 @@ mod tests {
     }
 
     #[test]
-    fn striped_probe_counters_are_exact_across_threads() {
+    fn racing_first_index_accesses_build_once() {
+        let mut d = db();
+        for (pid, tid) in [(10, 1), (11, 2), (12, 1), (13, 3), (14, 1)] {
+            d.insert(
+                "player",
+                vec![Value::Int(pid), Value::Int(tid), Value::Int(0)],
+            )
+            .unwrap();
+        }
+        let threads = 8;
+        let barrier = std::sync::Barrier::new(threads);
+        let lookups: Vec<Vec<Option<Vec<u32>>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let ix = d.index("player", "team_id").unwrap();
+                        (0..5)
+                            .map(|k| ix.lookup(&Value::Int(k)).map(<[u32]>::to_vec))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(d.index_stats().builds, 1, "one build however many race");
+        assert_eq!(d.cached_index_count(), 1);
+        let want = vec![
+            None,
+            Some(vec![0, 2, 4]),
+            Some(vec![1]),
+            Some(vec![3]),
+            None,
+        ];
+        assert!(lookups.iter().all(|l| *l == want), "{lookups:?}");
+    }
+
+    #[test]
+    fn probe_counters_are_exact_across_threads() {
         let mut d = db();
         d.insert("team", vec![Value::Int(1), Value::text("A")])
             .unwrap();

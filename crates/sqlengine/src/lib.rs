@@ -59,7 +59,7 @@ pub mod value;
 mod vexec;
 
 pub use budget::ExecBudget;
-pub use cache::{CacheStats, QueryCache, ShardStats};
+pub use cache::{CacheStats, QueryCache};
 pub use catalog::{Catalog, ColumnDef, DataType, ForeignKey, TableSchema};
 pub use db::{ColumnIndex, Database, IndexStats};
 pub use error::EngineError;

@@ -41,7 +41,7 @@
 use crate::budget::charge;
 use crate::db::Database;
 use crate::error::EngineError;
-use crate::exec::{eval, exec_query, find_col, output_stage, row_key, ColumnPlan, Env, Row, Slot};
+use crate::exec::{eval, exec_query, find_col, output_stage, row_key, ColumnPlan, Env, Row};
 use crate::plan::{relation, Access, JoinAlgo, JoinStep, SelectPlan};
 use crate::result::ResultSet;
 use crate::trace;
@@ -450,7 +450,7 @@ fn vexec_join<'a>(
     if let JoinAlgo::IndexNestedLoop { right_col, .. } = &step.algo {
         if let TableRef::Named { name, .. } = t {
             if let Some(ix) = db.index(name, right_col) {
-                return vinl_join(db, left, t, step, &ix, pushed, outer);
+                return vinl_join(db, left, t, step, ix, pushed, outer);
             }
         }
     }
@@ -495,13 +495,17 @@ fn holds<'e>(
 /// per-emitted-row fuel are identical to the hash-join path.
 ///
 /// A right row's pushed predicates give the same verdict for every left
-/// row that probes it whenever they read only the right table and the
-/// outer scope, so that verdict is memoized per right row id for this
-/// one execution: evaluated at the row's first encounter, in the same
-/// order as before (so the first error is the same error), and reused
-/// after. The ON conjuncts are still evaluated for every passing
-/// candidate, key conjunct included, because index-key equality is not
-/// `=` for NaN. `eval` charges no fuel, so the charges are unchanged.
+/// row that probes it, because they read only the right table. A pushed
+/// conjunct names a single binding (`plan_pushdown` gives a block with
+/// joins no default binding for bare columns and never pushes a
+/// subquery), and `check_bindings` rejects a repeated binding, so that
+/// binding is the probed table's. The verdict is therefore memoized per
+/// right row id for this one execution: evaluated at the row's first
+/// encounter, in the same order as before (so the first error is the
+/// same error), and reused after. The ON conjuncts are still evaluated
+/// for every passing candidate, key conjunct included, because
+/// index-key equality is not `=` for NaN. `eval` charges no fuel, so the
+/// charges are unchanged.
 fn vinl_join<'a>(
     db: &'a Database,
     left: VRel<'a>,
@@ -537,29 +541,13 @@ fn vinl_join<'a>(
         .map(|(_, e)| e)
         .collect();
     let cplan = ColumnPlan::compile(mine.iter().copied().chain(on), &cols);
-    // The memo's guard: every column the pushed predicates read resolves
-    // into the probed table's block or to the outer scope, never to the
-    // left rows.
     let left_width = left.width();
-    let right_only = mine.iter().all(|e| {
-        let mut ok = true;
-        e.visit(&mut |x| {
-            if let Expr::Column(c) = x {
-                ok &= match cplan.get(c) {
-                    Some(Slot::Local(i)) => i >= left_width,
-                    Some(Slot::Deferred) => true,
-                    Some(Slot::Ambiguous) | None => false,
-                };
-            }
-        });
-        ok
-    });
     // Per right row, once evaluated: do its pushed predicates pass?
-    // Empty when the memo is off.
-    let mut verdicts: Vec<Option<bool>> = if right_only && !mine.is_empty() {
-        vec![None; right_rows.len()]
-    } else {
+    // Empty when there are none.
+    let mut verdicts: Vec<Option<bool>> = if mine.is_empty() {
         Vec::new()
+    } else {
+        vec![None; right_rows.len()]
     };
 
     let width = cols.len() as u64;

@@ -1094,11 +1094,12 @@ fn split_select(
         .ok_or_else(|| MorphError::UnknownTable(table.to_string()))?;
 
     // Build the scope, assigning a unique extension binding per occurrence
-    // of the split table, and remember (binding, ext binding, join kind).
+    // of the split table, and remember (binding, ext binding, join kind,
+    // number of written joins before the occurrence's extension join).
     let mut scope: Scope = Vec::new();
-    let mut ext_joins: Vec<(String, String, JoinKind)> = Vec::new();
+    let mut ext_joins: Vec<(String, String, JoinKind, usize)> = Vec::new();
     {
-        let mut handle = |r: &TableRef, kind: JoinKind| -> Result<(), MorphError> {
+        let mut handle = |r: &TableRef, kind: JoinKind, at: usize| -> Result<(), MorphError> {
             let mut b = binding_of(schema, r)?;
             if matches!(r, TableRef::Named { name, .. } if eq_ci(name, table)) {
                 let mut eb = format!("{}_{}", b.name, ext);
@@ -1109,16 +1110,16 @@ fn split_select(
                 }
                 taken.push(eb.clone());
                 b.ext = Some(eb.clone());
-                ext_joins.push((b.name.clone(), eb, kind));
+                ext_joins.push((b.name.clone(), eb, kind, at));
             }
             scope.push(b);
             Ok(())
         };
         for r in &sel.from {
-            handle(r, JoinKind::Inner)?;
+            handle(r, JoinKind::Inner, 0)?;
         }
-        for j in &sel.joins {
-            handle(&j.table, j.kind)?;
+        for (i, j) in sel.joins.iter().enumerate() {
+            handle(&j.table, j.kind, i + 1)?;
         }
     }
 
@@ -1136,23 +1137,38 @@ fn split_select(
         return Err(e);
     }
 
-    // Append the 1:1 extension joins, mirroring the base reference's join
-    // kind so LEFT-join NULL extension carries over to the moved columns.
-    for (b, eb, kind) in ext_joins {
+    // Insert each 1:1 extension join directly after the relation it
+    // extends (a FROM item's at the head of the joins), so every later ON
+    // clause that reads a moved column names a binding already written.
+    // Only the extended join's own ON clause could still read a moved
+    // column ahead of its extension; `forward_on_reference` finds that.
+    // The join mirrors the base reference's kind so LEFT-join NULL
+    // extension carries over to the moved columns.
+    let ext_join = |(b, eb, kind, _): (String, String, JoinKind, usize)| {
         let on = pk
             .iter()
             .map(|k| Expr::eq(Expr::col(&b, k), Expr::col(&eb, k)))
             .reduce(Expr::and)
             .expect("split table has a primary key");
-        sel.joins.push(Join {
+        Join {
             kind,
             table: TableRef::Named {
                 name: ext.to_string(),
                 alias: Some(eb),
             },
             on: Some(on),
-        });
+        }
+    };
+    let mut pending = ext_joins.into_iter().peekable();
+    let mut joins = Vec::new();
+    for (i, j) in std::mem::take(&mut sel.joins).into_iter().enumerate() {
+        while let Some(e) = pending.next_if(|&(.., at)| at == i) {
+            joins.push(ext_join(e));
+        }
+        joins.push(j);
     }
+    joins.extend(pending.map(ext_join));
+    sel.joins = joins;
     Ok(scope)
 }
 
@@ -1214,6 +1230,35 @@ fn split_expr(
         Expr::IsNull { expr, .. } => split_expr(expr, scopes, schema, table, ext, moved)?,
     }
     Ok(())
+}
+
+/// The first ON-clause column reference in `q`, as `binding.column`,
+/// whose qualifier names a binding its select writes after that join:
+/// `FROM a JOIN b ON b.x = c.y JOIN c ON …` gives `c.y`. PostgreSQL
+/// rejects such a reference. `None` when every ON clause names only
+/// bindings written at or before its join, or outside its select. A
+/// correct co-rewrite never returns `Some`.
+pub fn forward_on_reference(q: &Query) -> Option<String> {
+    let mut found = None;
+    q.visit_selects(&mut |s| {
+        let bindings: Vec<&str> = s.table_refs().map(TableRef::binding).collect();
+        for (i, j) in s.joins.iter().enumerate() {
+            let later = &bindings[s.from.len() + i + 1..];
+            let Some(on) = &j.on else { continue };
+            on.visit(&mut |e| {
+                if let Expr::Column(ColumnRef {
+                    table: Some(t),
+                    column,
+                }) = e
+                {
+                    if found.is_none() && later.iter().any(|b| eq_ci(b, t)) {
+                        found = Some(format!("{t}.{column}"));
+                    }
+                }
+            });
+        }
+    });
+    found
 }
 
 // ---- merge -----------------------------------------------------------------

@@ -12,11 +12,15 @@
 //!   v1 end to end (migrated data + co-rewritten SQL);
 //! * a model's cached chain rewrites the schema-sweep corpus exactly as
 //!   re-deriving every intermediate schema per query does;
+//! * a split's extension join is written before every join that reads
+//!   a moved column, so co-rewritten ON clauses name only bindings
+//!   already in scope;
 //! * synthesis draws the same models it always drew (a pinned digest);
 //! * a migrated database shares the rows of every table its ops leave
 //!   alone with its source, and writes to it never reach the source.
 
 use footballdb::{generate, load, synthesize_models, v1_shape, DataModel};
+use sqlengine::conformance::ref_execute_sql;
 use sqlengine::morph::{migrate_database, schema_of};
 use sqlengine::{execute_sql, Database, Value};
 use sqlkit::morph::{
@@ -202,6 +206,74 @@ fn cached_chain_rewrites_exactly_as_the_uncached_path() {
         );
     }
     assert!(rewrite_sql(&shape, &broken, GOLD[2]).is_err());
+}
+
+/// Seed 1's model m05 moves `match.world_cup_id` into an extension
+/// table, and gold item 0 joins `world_cup` on it after joining `match`.
+/// The extension join must come before that join: written after it, the
+/// ON clause names a binding not yet in scope, which the reference
+/// interpreter (like PostgreSQL) rejects.
+#[test]
+fn split_extension_join_precedes_the_joins_that_read_it() {
+    let corpus = sweep_corpus(1);
+    let models = synthesize_models(1, 24, &corpus);
+    let m05 = models
+        .iter()
+        .find(|m| m.name == "m05")
+        .expect("seed 1 has m05");
+    let rewritten = m05.rewrite(&corpus[0]).expect("item 0 rewrites");
+    assert!(rewritten.contains("T2_match_ext"), "{rewritten}");
+    let db = migrate_database(v1(), &m05.ops).expect("m05 migrates");
+    let engine = execute_sql(&db, &rewritten).expect("the engine answers");
+    let source = execute_sql(v1(), &corpus[0]).expect("v1 answers");
+    assert!(engine.matches(&source), "{rewritten}");
+    // The reference joins whole tables by nested loops, which takes
+    // minutes here. Its copy of the database keeps only the rows that
+    // pass the query's single-table filters, which leaves the answer
+    // alone.
+    let filters = [
+        ("card", "card_type = 'red'"),
+        ("player", "country = 'Denmark'"),
+        ("world_cup", "year = 2002"),
+    ];
+    let mut slice = Database::new(db.catalog().clone());
+    for t in &db.catalog().tables {
+        let filter = filters.iter().find(|(name, _)| *name == t.name);
+        let sql = match filter {
+            Some((name, f)) => format!("SELECT * FROM {name} WHERE {f}"),
+            None => format!("SELECT * FROM {}", t.name),
+        };
+        let rows = execute_sql(&db, &sql).expect("a table reads").rows;
+        slice.insert_all(&t.name, rows).expect("rows type-check");
+    }
+    assert!(filters.iter().all(|(name, _)| slice.row_count(name) > 0));
+    assert!(execute_sql(&slice, &rewritten).unwrap().matches(&engine));
+    let reference = ref_execute_sql(&slice, &rewritten).expect("the reference answers");
+    assert!(reference.matches(&engine), "{rewritten}");
+}
+
+#[test]
+fn co_rewritten_on_clauses_name_only_earlier_bindings() {
+    for seed in [1, 7] {
+        let corpus = sweep_corpus(seed);
+        let models = synthesize_models(seed, 24, &corpus);
+        let mut forward = Vec::new();
+        for m in &models {
+            for (item, sql) in corpus.iter().enumerate() {
+                let rewritten = m.rewrite(sql).expect("the corpus rewrites");
+                let q = sqlkit::parse_query(&rewritten).expect("a rewrite parses");
+                if let Some(r) = sqlkit::morph::forward_on_reference(&q) {
+                    forward.push(format!("{} item {item}: {r} in {rewritten}", m.name));
+                }
+            }
+        }
+        assert!(
+            forward.is_empty(),
+            "seed {seed}: {} forward references, e.g. {:?}",
+            forward.len(),
+            &forward[..forward.len().min(3)]
+        );
+    }
 }
 
 /// 64-bit FNV-1a.
