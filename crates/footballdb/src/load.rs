@@ -12,8 +12,24 @@ fn b(v: bool) -> Value {
     Value::text(if v { "True" } else { "False" })
 }
 
-/// Builds the database instance of `model` from the domain.
+/// The database instance of `model` for the domain.
+///
+/// The domain builds each model's instance on its first load and keeps
+/// it; every load returns a clone. So the returned database shares its
+/// rows with every other load of `model` on this domain, and with each
+/// morphed database [`load_morphed`](crate::load_morphed) migrates from
+/// v1, while its indexes, query memo and probe counters start empty. An
+/// insert copies the table's rows first, so no load sees another's
+/// writes. Two domains, even two clones of one, share no rows.
 pub fn load(domain: &Domain, model: DataModel) -> Database {
+    domain
+        .loaded
+        .get_or_init(model, || build(domain, model))
+        .clone()
+}
+
+/// Builds `model`'s instance from the domain's entities.
+fn build(domain: &Domain, model: DataModel) -> Database {
     let mut db = Database::new(model.catalog());
     load_shared(&mut db, domain, model);
     match model {
@@ -399,10 +415,82 @@ fn load_v3(db: &mut Database, d: &Domain) {
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use sqlengine::execute_sql;
+    use sqlengine::{execute_sql, CacheStats, IndexStats};
 
     fn domain() -> Domain {
         generate(7)
+    }
+
+    /// Where each table's rows sit, in catalog order. Empty vectors
+    /// share a dangling pointer, so every table must have rows.
+    fn row_ptrs(db: &Database) -> Vec<*const Vec<Value>> {
+        db.catalog()
+            .tables
+            .iter()
+            .map(|t| {
+                let rows = db.rows(&t.name).expect("catalog table");
+                assert!(!rows.is_empty(), "{} is empty", t.name);
+                rows.as_ptr()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn loads_of_one_domain_share_rows_and_nothing_derived() {
+        let d = domain();
+        for model in DataModel::ALL {
+            assert_eq!(
+                row_ptrs(&load(&d, model)),
+                row_ptrs(&load(&d, model)),
+                "{model}"
+            );
+        }
+        let (a, b) = (load(&d, DataModel::V1), load(&d, DataModel::V1));
+        let sql = "SELECT name FROM stadium WHERE stadium_id = 3";
+        a.query_cache().execute_cached(&a, sql).unwrap();
+        a.query_cache().execute_cached(&a, sql).unwrap();
+        assert!(a.index_stats().builds > 0 && a.index_stats().probes > 0);
+        assert_eq!(a.query_cache().stats().hits, 1);
+        assert_eq!(b.index_stats(), IndexStats::default());
+        assert_eq!(b.cached_index_count(), 0);
+        assert_eq!(b.query_cache().stats(), CacheStats::default());
+        // A later load starts as cold as the first did.
+        let c = load(&d, DataModel::V1);
+        assert_eq!(c.index_stats(), IndexStats::default());
+        assert_eq!(c.query_cache().stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn domains_and_their_clones_share_no_rows() {
+        let d = domain();
+        let v1 = load(&d, DataModel::V1);
+        let shared = row_ptrs(&v1);
+        for other in [domain(), d.clone()] {
+            let v1_again = load(&other, DataModel::V1);
+            assert!(row_ptrs(&v1_again).iter().all(|p| !shared.contains(p)));
+            for t in &v1.catalog().tables {
+                assert_eq!(v1_again.rows(&t.name), v1.rows(&t.name), "{}", t.name);
+            }
+        }
+    }
+
+    #[test]
+    fn an_insert_into_one_load_reaches_no_other() {
+        let d = domain();
+        let mut written = load(&d, DataModel::V1);
+        let mut row = written.rows("stadium").unwrap()[0].clone();
+        row[0] = sqlengine::Value::Int(-1);
+        written.insert("stadium", row).unwrap();
+        let fresh = load(&d, DataModel::V1);
+        assert_eq!(written.row_count("stadium"), fresh.row_count("stadium") + 1);
+        assert_ne!(
+            written.rows("stadium").unwrap().as_ptr(),
+            fresh.rows("stadium").unwrap().as_ptr()
+        );
+        assert_eq!(
+            written.rows("player").unwrap().as_ptr(),
+            fresh.rows("player").unwrap().as_ptr()
+        );
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! information — the property that makes FootballDB the first
 //! multi-schema Text-to-SQL benchmark (Table 8, "Multi-Schema").
 
+use crate::schema::DataModel;
+use sqlengine::Database;
+use std::fmt;
+use std::sync::OnceLock;
+
 /// Knockout/group rounds a match can belong to.
 pub const ROUNDS: [&str; 7] = [
     "Group Stage",
@@ -212,7 +217,15 @@ pub struct ClubSpell {
 }
 
 /// The fully synthesized domain.
-#[derive(Debug, Clone, Default)]
+///
+/// A domain is read-only once [`generate`](crate::generate) returns.
+/// Its entity fields are public to read; [`load`](crate::load()) builds
+/// each data model's database from them once, keeps it, and hands out
+/// clones of it, so an entity edited after a load would not reach the
+/// rows later loads return. `Clone` copies the entities and none of the
+/// loaded databases, so a cloned domain loads afresh; `Debug` prints
+/// the entities only.
+#[derive(Clone, Default)]
 pub struct Domain {
     pub teams: Vec<NationalTeam>,
     pub world_cups: Vec<WorldCup>,
@@ -227,6 +240,51 @@ pub struct Domain {
     pub cards: Vec<Card>,
     pub coaches: Vec<Coach>,
     pub club_spells: Vec<ClubSpell>,
+    /// Each data model's database, built by its first load.
+    pub(crate) loaded: Loaded,
+}
+
+/// One database per data model, each built at most once. Derived
+/// state: a clone starts empty.
+#[derive(Default)]
+pub(crate) struct Loaded([OnceLock<Database>; 3]);
+
+impl Loaded {
+    /// `model`'s database, built by `build` unless a load built it
+    /// before. Threads racing on an unbuilt model wait for one build.
+    pub(crate) fn get_or_init(
+        &self,
+        model: DataModel,
+        build: impl FnOnce() -> Database,
+    ) -> &Database {
+        self.0[model as usize].get_or_init(build)
+    }
+}
+
+impl Clone for Loaded {
+    fn clone(&self) -> Loaded {
+        Loaded::default()
+    }
+}
+
+impl fmt::Debug for Domain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Domain")
+            .field("teams", &self.teams)
+            .field("world_cups", &self.world_cups)
+            .field("stadiums", &self.stadiums)
+            .field("matches", &self.matches)
+            .field("leagues", &self.leagues)
+            .field("clubs", &self.clubs)
+            .field("players", &self.players)
+            .field("squads", &self.squads)
+            .field("appearances", &self.appearances)
+            .field("goals", &self.goals)
+            .field("cards", &self.cards)
+            .field("coaches", &self.coaches)
+            .field("club_spells", &self.club_spells)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Domain {
@@ -266,6 +324,17 @@ impl Domain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn loaded_databases_are_neither_cloned_nor_printed() {
+        let d = Domain::default();
+        d.loaded
+            .get_or_init(DataModel::V1, || Database::new(DataModel::V1.catalog()));
+        assert!(d.loaded.0[0].get().is_some());
+        assert!(d.clone().loaded.0.iter().all(|l| l.get().is_none()));
+        let printed = format!("{d:?}");
+        assert!(printed.ends_with("club_spells: [], .. }"), "{printed}");
+    }
 
     #[test]
     fn home_result_logic() {

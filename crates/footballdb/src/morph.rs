@@ -74,9 +74,14 @@ pub fn v1_shape() -> MorphSchema {
         .clone()
 }
 
-/// Materialize a morphed model's database from the domain (v1 data
-/// migrated through the chain). Panics only on a bug: synthesized chains
-/// are validated against the catalog at draw time.
+/// Materialize a morphed model's database from the domain: the domain's
+/// one v1 (see [`load()`]) migrated through the chain. Every table the
+/// chain leaves alone shares its rows with that v1, and so with every
+/// other load and morphed model of this domain; a split or merge builds
+/// rows only for the tables it names. Indexes, query memo and counters
+/// start empty, and an insert copies the table's rows first. Panics only
+/// on a bug: synthesized chains are validated against the catalog at
+/// draw time.
 pub fn load_morphed(domain: &Domain, model: &MorphModel) -> Database {
     let v1 = load(domain, DataModel::V1);
     migrate_database(&v1, &model.ops)

@@ -73,12 +73,18 @@ pub struct Spanned {
     pub offset: usize,
 }
 
+/// The most tokens one query may have. [`tokenize`] stops at the first
+/// token past it with a [`SqlError`], so the token vector, and with it
+/// the parser's work, is bounded by the cap however long the input is.
+pub const MAX_TOKENS: usize = 4_096;
+
 /// Tokenizes `input` into a vector of spanned tokens under
 /// PostgreSQL's lexical rules: identifiers may be `"double-quoted"` or
-/// `` `backtick` ``-quoted, never `[bracket]`-quoted.
+/// `` `backtick` ``-quoted, never `[bracket]`-quoted. Fails on the
+/// token past [`MAX_TOKENS`].
 pub fn tokenize(input: &str) -> Result<Vec<Spanned>, SqlError> {
     let bytes = input.as_bytes();
-    let mut out = Vec::with_capacity(input.len() / 4 + 4);
+    let mut out = Vec::with_capacity((input.len() / 4 + 4).min(MAX_TOKENS + 1));
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];
@@ -322,6 +328,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, SqlError> {
                 let ch = input[i..].chars().next().unwrap();
                 return Err(SqlError::lex(start, format!("unexpected character {ch:?}")));
             }
+        }
+        if out.len() > MAX_TOKENS {
+            return Err(SqlError::lex(
+                start,
+                format!("query longer than {MAX_TOKENS} tokens"),
+            ));
         }
     }
     Ok(out)

@@ -3,7 +3,8 @@
 //!
 //! This crate is the shared SQL toolkit of the workspace:
 //!
-//! * [`lexer`] — tokenizer with byte offsets and a token counter;
+//! * [`lexer`] — tokenizer with byte offsets, a token counter and the
+//!   token ceiling ([`MAX_TOKENS`]);
 //! * [`ast`] — the SQL subset's abstract syntax tree;
 //! * [`parser`] — recursive-descent parser ([`parse_query`]);
 //! * [`printer`] — canonical SQL rendering ([`to_sql`]) and the paper's
@@ -65,7 +66,7 @@ pub use diff::{
 pub use error::SqlError;
 pub use format::{format_query, format_sql};
 pub use hardness::{classify, classify_sql, mean_hardness, Hardness};
-pub use lexer::{token_count, tokenize, Token};
+pub use lexer::{token_count, tokenize, Token, MAX_TOKENS};
 pub use morph::{
     apply_chain, apply_to_schema, chain_distance, dissolving_transform, rewrite_query, rewrite_sql,
     MorphChain, MorphError, MorphOp, MorphSchema, MorphTable,

@@ -792,14 +792,14 @@ impl MorphChain {
 
 // ---- rename table ----------------------------------------------------------
 
+/// Every binding name in `q`, its nested queries' included:
+/// `visit_selects` already descends into them.
 fn collect_bindings(q: &Query, out: &mut Vec<String>) {
     q.body.visit_selects(&mut |sel| {
         for r in sel.table_refs() {
             out.push(r.binding().to_string());
         }
     });
-    q.body
-        .visit_subqueries(&mut |sub| collect_bindings(sub, out));
 }
 
 fn rewrite_rename_table(q: &Query, from: &str, to: &str) -> Result<Query, MorphError> {
@@ -945,26 +945,16 @@ fn rt_expr(e: &mut Expr, scopes: &mut Vec<Vec<(String, bool)>>, from: &str, to: 
 fn rewrite_rename_column(q: &Query, from: &str, to: &str) -> Result<Query, MorphError> {
     // Alias-capture guard: if any projection alias equals `from`, a bare
     // reference could mean the alias rather than the column. Reject; the
-    // synthesizer simply draws a different synonym.
+    // synthesizer simply draws a different synonym. `visit_selects`
+    // reaches every nested select.
     let mut alias_hit = false;
-    let mut check = |qq: &Query| {
-        qq.body.visit_selects(&mut |sel| {
-            for p in &sel.projections {
-                if let SelectItem::Expr { alias: Some(a), .. } = p {
-                    if eq_ci(a, from) {
-                        alias_hit = true;
-                    }
-                }
+    q.body.visit_selects(&mut |sel| {
+        for p in &sel.projections {
+            if let SelectItem::Expr { alias: Some(a), .. } = p {
+                alias_hit |= eq_ci(a, from);
             }
-        });
-    };
-    check(q);
-    let mut stack: Vec<&Query> = Vec::new();
-    q.body.visit_subqueries(&mut |s| stack.push(s));
-    while let Some(s) = stack.pop() {
-        check(s);
-        s.body.visit_subqueries(&mut |x| stack.push(x));
-    }
+        }
+    });
     if alias_hit {
         return Err(MorphError::Unsupported(format!(
             "rename source `{from}` collides with a projection alias"

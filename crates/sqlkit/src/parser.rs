@@ -4,11 +4,15 @@
 //! expression (`parse_expr`: parenthesized expressions, function and
 //! aggregate arguments, IN lists), a query (`parse_query`: subqueries
 //! and derived tables), a NOT chain or a unary-minus chain, and each of
-//! those entries counts one level. A query nested deeper than
-//! [`MAX_NESTING`] levels is rejected with a [`SqlError`] instead of
-//! overflowing the stack, so every recursive consumer of the AST (the
-//! printer, the differ, the morph rewriter, the engine and the
-//! reference interpreter) sees bounded depth too.
+//! those entries counts one level, except a NOT right before `(`, whose
+//! parenthesis counts it: the printer writes `NOT (a > 1)` for
+//! `NOT a > 1`, and the printed query must not nest deeper than the
+//! parsed one. Left-deep operator chains (`a + b + …`) count no level;
+//! [`MAX_TOKENS`](crate::lexer::MAX_TOKENS) bounds their depth. A query
+//! nested deeper than [`MAX_NESTING`] levels is rejected with a
+//! [`SqlError`] instead of overflowing the stack, so every recursive
+//! consumer of the AST (the printer, the differ, the morph rewriter, the
+//! engine and the reference interpreter) sees bounded depth too.
 
 use crate::ast::*;
 use crate::error::SqlError;
@@ -448,7 +452,13 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr, SqlError> {
         if self.accept_kw("NOT") {
-            let inner = self.nested(Self::parse_not)?;
+            // A NOT right before `(` counts no level: the parenthesis
+            // counts one (see the module docs).
+            let inner = if self.peek().map(|s| &s.token) == Some(&Token::LParen) {
+                self.parse_not()?
+            } else {
+                self.nested(Self::parse_not)?
+            };
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),

@@ -171,7 +171,12 @@ fn write_expr_prec(out: &mut String, e: &Expr, parent_prec: u8) {
             }
             UnaryOp::Neg => {
                 out.push('-');
+                let operand = out.len();
                 write_expr_prec(out, expr, 6);
+                // `--` would open a line comment: `- -a`, not `--a`.
+                if out[operand..].starts_with('-') {
+                    out.insert(operand, ' ');
+                }
             }
         },
         Expr::Binary { left, op, right } => {
@@ -380,6 +385,24 @@ mod tests {
             let once = roundtrip(sql);
             let twice = to_sql(&parse_query(&once).unwrap());
             assert_eq!(once, twice, "unstable for {sql}");
+        }
+    }
+
+    #[test]
+    fn nested_negation_never_prints_a_line_comment() {
+        assert_eq!(roundtrip("SELECT - -a FROM t"), "SELECT - -a FROM t");
+        assert_eq!(
+            roundtrip("SELECT -(-a + 1) FROM t"),
+            "SELECT -(-a + 1) FROM t"
+        );
+        let negated_literal = Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(Expr::Literal(Lit::Int(-5))),
+        };
+        assert_eq!(expr_to_sql(&negated_literal), "- -5");
+        for sql in ["SELECT - - - a FROM t", "SELECT 1 - - -a FROM t"] {
+            let q = parse_query(sql).unwrap();
+            assert_eq!(parse_query(&to_sql(&q)).unwrap(), q, "{sql}");
         }
     }
 

@@ -17,9 +17,14 @@
 //!   already in scope;
 //! * synthesis draws the same models it always drew (a pinned digest);
 //! * a migrated database shares the rows of every table its ops leave
-//!   alone with its source, and writes to it never reach the source.
+//!   alone with its source, and writes to it never reach the source;
+//! * the morphed databases of one domain migrate from that domain's one
+//!   v1, equal the same chains migrated from another domain's v1, and
+//!   keep their indexes to themselves.
 
-use footballdb::{generate, load, synthesize_models, v1_shape, DataModel};
+use footballdb::{
+    generate, load, load_morphed, synthesize_models, v1_shape, DataModel, DEFAULT_SEED,
+};
 use sqlengine::conformance::ref_execute_sql;
 use sqlengine::morph::{migrate_database, schema_of};
 use sqlengine::{execute_sql, Database, Value};
@@ -367,4 +372,126 @@ fn migration_shares_the_tables_its_ops_leave_alone() {
     assert_ne!(rows(&written, "stadium"), before.0);
     assert_eq!((rows(v1, "stadium"), v1.row_count("stadium")), before);
     assert_eq!(rows(&written, "player"), rows(v1, "player"));
+}
+
+/// The tables `ops` leave alone: each one's name after the chain and
+/// its v1 name. A rename keeps a table's rows; a split rebuilds the
+/// table it names, and a merge the table it merges into.
+fn untouched_tables(ops: &[MorphOp]) -> Vec<(String, String)> {
+    let mut tables: Vec<(String, Option<String>)> = v1_shape()
+        .tables
+        .iter()
+        .map(|t| (t.name.clone(), Some(t.name.clone())))
+        .collect();
+    let find = |tables: &[(String, Option<String>)], name: &str| {
+        tables
+            .iter()
+            .position(|(now, _)| now.eq_ignore_ascii_case(name))
+            .unwrap_or_else(|| panic!("no table {name}"))
+    };
+    for op in ops {
+        match op {
+            MorphOp::RenameTable { from, to } => {
+                let i = find(&tables, from);
+                tables[i].0 = to.clone();
+            }
+            MorphOp::RenameColumn { .. } => {}
+            MorphOp::SplitTable { table, ext, .. } => {
+                let i = find(&tables, table);
+                tables[i].1 = None;
+                tables.push((ext.clone(), None));
+            }
+            MorphOp::MergeTable { ext, into } => {
+                let i = find(&tables, ext);
+                tables.remove(i);
+                let i = find(&tables, into);
+                tables[i].1 = None;
+            }
+        }
+    }
+    tables
+        .into_iter()
+        .filter_map(|(now, was)| Some((now, was?)))
+        .collect()
+}
+
+/// Seed 1's 24 synthesized models, loaded on one domain as the
+/// schema-sweep set-up loads them.
+#[test]
+fn morphed_models_of_one_domain_share_its_v1() {
+    let domain = generate(DEFAULT_SEED);
+    let v1 = load(&domain, DataModel::V1);
+    let models = synthesize_models(1, 24, &sweep_corpus(1));
+    let dbs: Vec<Database> = models.iter().map(|m| load_morphed(&domain, m)).collect();
+    let rows = |db: &Database, table: &str| db.rows(table).expect("table exists").as_ptr();
+    let v1_rows: Vec<_> = v1
+        .catalog()
+        .tables
+        .iter()
+        .map(|t| {
+            // Empty vectors share a dangling pointer; every v1 table has rows.
+            assert!(v1.row_count(&t.name) > 0, "{}", t.name);
+            rows(&v1, &t.name)
+        })
+        .collect();
+
+    // Each model shares v1's rows for exactly the tables its ops leave
+    // alone, and no table of it shares another domain's rows.
+    let second = load(&generate(DEFAULT_SEED), DataModel::V1);
+    let (mut shared, mut rebuilt) = (0, 0);
+    for (m, db) in models.iter().zip(&dbs) {
+        let untouched = untouched_tables(&m.ops);
+        for t in &db.catalog().tables {
+            let at = rows(db, &t.name);
+            match untouched
+                .iter()
+                .find(|(now, _)| now.eq_ignore_ascii_case(&t.name))
+            {
+                Some((_, was)) => {
+                    assert_eq!(at, rows(&v1, was), "{}: {}", m.name, t.name);
+                    shared += 1;
+                }
+                None => {
+                    assert!(!v1_rows.contains(&at), "{}: {}", m.name, t.name);
+                    rebuilt += 1;
+                }
+            }
+        }
+
+        // Table for table and row for row, the model equals its chain
+        // migrated from a second domain's v1, with which it shares nothing.
+        let fresh = migrate_database(&second, &m.ops).expect("the chain migrates");
+        assert_eq!(db.catalog(), fresh.catalog(), "{}", m.name);
+        for t in &db.catalog().tables {
+            assert_eq!(
+                db.rows(&t.name),
+                fresh.rows(&t.name),
+                "{}: {}",
+                m.name,
+                t.name
+            );
+            assert_ne!(
+                rows(db, &t.name),
+                rows(&fresh, &t.name),
+                "{}: {}",
+                m.name,
+                t.name
+            );
+        }
+    }
+    assert!(
+        shared > 0 && rebuilt > 0,
+        "{shared} shared, {rebuilt} rebuilt"
+    );
+
+    // A query on one model builds indexes for that model alone.
+    let sql = models[0].rewrite(GOLD[0]).expect("gold rewrites");
+    let answer = execute_sql(&dbs[0], &sql).expect("the model answers");
+    assert!(answer.matches(&execute_sql(&second, GOLD[0]).expect("v1 answers")));
+    assert!(dbs[0].index_stats().builds > 0, "{sql} used no index");
+    for db in dbs[1..].iter().chain([&v1]) {
+        assert_eq!(db.index_stats().builds, 0);
+        assert_eq!(db.cached_index_count(), 0);
+        assert_eq!(db.query_cache().stats().entries, 0);
+    }
 }

@@ -2,22 +2,30 @@
 //! queries, budget aborts never poison the query cache, hazard
 //! templates trip identically across access-path modes, governed runs
 //! stay bit-identical under panic injection at any thread count, deep
-//! nesting is an error rather than a stack overflow, and mutated gold
-//! SQL never panics.
+//! nesting and overlong queries are errors rather than a stack overflow
+//! or unbounded memory, and mutated gold SQL never panics.
 
-use footballdb_repro::evalkit::{run_config_governed, set_thread_override, EvalSetup, Governor};
+use footballdb_repro::evalkit::{
+    classify_engine_error, run_config_governed, set_thread_override, EvalSetup, FailureKind,
+    Governor,
+};
 use footballdb_repro::footballdb::{generate, load, DataModel, DEFAULT_SEED};
 use footballdb_repro::nlq::gold::{build_benchmark, build_raw_corpus, PipelineConfig};
 use footballdb_repro::sqlengine::conformance::{
     check_hazard, corpus_db, gen_corpus, gen_dialect_corpus, gen_hazard_corpus, ref_execute_sql,
     CorpusConfig,
 };
+use footballdb_repro::sqlengine::morph::{migrate_database, schema_of};
 use footballdb_repro::sqlengine::{
-    execute_sql, execute_sql_with_budget, EngineError, ExecBudget, QueryCache,
+    execute_sql, execute_sql_with_budget, Database, EngineError, ExecBudget, QueryCache, ResultSet,
 };
-use footballdb_repro::sqlkit::{diff_sql, nesting_depth, parse_query, to_sql, MAX_NESTING};
+use footballdb_repro::sqlkit::{
+    diff_sql, nesting_depth, parse_query, to_sql, tokenize, MorphChain, MorphOp, MAX_NESTING,
+    MAX_TOKENS,
+};
 use footballdb_repro::textosql::{Budget, FaultPlan, SystemKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::Instant;
 use xrng::Rng;
 
@@ -195,20 +203,65 @@ fn nested(kind: &str, n: usize) -> String {
     }
 }
 
+/// A rename and split chain over the conformance corpus database's
+/// schema. The renames reach the column every nested shape reads, at
+/// the bottom of its nesting.
+fn corpus_chain() -> [MorphOp; 3] {
+    [
+        MorphOp::RenameColumn {
+            from: "pid".to_string(),
+            to: "player_no".to_string(),
+        },
+        MorphOp::RenameTable {
+            from: "player".to_string(),
+            to: "athlete".to_string(),
+        },
+        MorphOp::SplitTable {
+            table: "athlete".to_string(),
+            ext: "athlete_ext".to_string(),
+            moved: vec!["score".to_string(), "ratio".to_string()],
+        },
+    ]
+}
+
+/// `sql` through parse, print, self-diff, the engine and the reference
+/// interpreter, which must agree. Returns the engine's answer.
+fn run_on_both(db: &Database, sql: &str, what: &str) -> ResultSet {
+    let query = parse_query(sql).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let printed = to_sql(&query);
+    assert_eq!(parse_query(&printed), Ok(query), "{what}: {printed}");
+    assert!(diff_sql(sql, sql).unwrap().is_empty(), "{what}");
+    let engine = execute_sql(db, sql).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let reference = ref_execute_sql(db, sql).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(engine.matches(&reference), "{what}: {sql}");
+    engine
+}
+
 /// Deep nesting used to overflow the parser's stack and abort the
 /// process, which no panic isolation can catch. On a pool thread's
 /// 2 MiB stack, 10,000 levels of each shape must be an error, and the
 /// deepest accepted query of each shape must parse, print, diff against
-/// itself and run on both the engine and the reference interpreter.
+/// itself, run on both the engine and the reference interpreter, and
+/// co-rewrite through a rename and split chain into a query that
+/// answers the same on both over the migrated database.
 #[test]
 fn deep_nesting_is_an_error_not_a_stack_overflow() {
     let run = || {
         let db = corpus_db(5);
+        let ops = corpus_chain();
+        let migrated = migrate_database(&db, &ops).expect("the chain migrates");
+        let chain = MorphChain::new(&schema_of(db.catalog()), &ops);
         for kind in ["parentheses", "not", "minus", "subquery"] {
-            let sql = nested(kind, 10_000);
-            let err = parse_query(&sql).expect_err(kind);
-            assert!(err.to_string().contains("nested deeper"), "{kind}: {err}");
-            assert!(execute_sql(&db, &sql).is_err(), "{kind}");
+            // 1,000 levels stay under the token ceiling, so the nesting
+            // ceiling rejects them; 10,000 levels are past both, and the
+            // lexer stops first.
+            for (depth, why) in [(1_000, "nested deeper"), (10_000, "tokens")] {
+                let sql = nested(kind, depth);
+                let err = parse_query(&sql).expect_err(kind);
+                assert!(err.to_string().contains(why), "{kind} {depth}: {err}");
+                assert!(execute_sql(&db, &sql).is_err(), "{kind} {depth}");
+                assert!(chain.rewrite_sql(&sql).is_err(), "{kind} {depth}");
+            }
             let deepest = (1..)
                 .take_while(|&n| parse_query(&nested(kind, n)).is_ok())
                 .last();
@@ -216,12 +269,12 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
                 kind,
                 deepest.unwrap_or_else(|| panic!("{kind} never parses")),
             );
-            let query = parse_query(&sql).unwrap();
-            assert!(!to_sql(&query).is_empty());
-            assert!(diff_sql(&sql, &sql).unwrap().is_empty(), "{kind}");
-            let engine = execute_sql(&db, &sql).unwrap_or_else(|e| panic!("{kind}: {e}"));
-            let reference = ref_execute_sql(&db, &sql).unwrap_or_else(|e| panic!("{kind}: {e}"));
-            assert!(engine.matches(&reference), "{kind}: {sql}");
+            let engine = run_on_both(&db, &sql, kind);
+            let rewritten = chain
+                .rewrite_sql(&sql)
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let morphed = run_on_both(&migrated, &rewritten, kind);
+            assert!(morphed.matches(&engine), "{kind}: {rewritten}");
         }
     };
     std::thread::Builder::new()
@@ -232,28 +285,91 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
         .unwrap();
 }
 
-/// The nesting ceiling sits above every query the system generates: the
-/// gold pool on all three data models, the template corpus and the
-/// conformance corpora.
+/// `SELECT pid + pid + … FROM player` with `n` additions: `4 + 2n`
+/// tokens. Its left-deep `+` tree is `n` levels deep, and no nesting
+/// level counts it.
+fn plus_chain(n: usize) -> String {
+    format!("SELECT pid{} FROM player", " + pid".repeat(n))
+}
+
+/// Past `MAX_TOKENS`, a query is a parse error that names the ceiling,
+/// found at the first token past it however long the input runs on. At
+/// the ceiling, the longest operator chain it admits still runs on both
+/// executors and co-rewrites on a pool thread's 2 MiB stack: the
+/// ceiling bounds the depth nesting levels do not count, not just
+/// memory.
+#[test]
+fn token_ceiling_bounds_length_and_chain_depth() {
+    let run = || {
+        let db = corpus_db(5);
+        let at_cap = plus_chain((MAX_TOKENS - 4) / 2);
+        assert_eq!(tokenize(&at_cap).unwrap().len(), MAX_TOKENS);
+        // Each input with the byte offset of its first token past the cap.
+        let pasts = [
+            (format!("{at_cap};"), at_cap.len()),
+            (
+                plus_chain(1_000_000),
+                "SELECT pid".len() + (MAX_TOKENS - 2) / 2 * " + pid".len() + 1,
+            ),
+        ];
+        for (past, offset) in pasts {
+            let err = parse_query(&past).expect_err("one token too many");
+            assert!(
+                err.to_string()
+                    .contains(&format!("longer than {MAX_TOKENS} tokens")),
+                "{err}"
+            );
+            assert_eq!(err.offset, Some(offset));
+            let engine = execute_sql(&db, &past).expect_err("one token too many");
+            assert_eq!(classify_engine_error(&engine), FailureKind::ParseError);
+        }
+        run_on_both(&db, &at_cap, "chain at the ceiling");
+        // The rewrite qualifies every column, so its text runs past the
+        // ceiling; the rewritten query itself must still come back.
+        let chain = MorphChain::new(&schema_of(db.catalog()), &corpus_chain());
+        let rewritten = chain
+            .rewrite_query(&parse_query(&at_cap).unwrap())
+            .expect("the chain rewrites");
+        assert!(to_sql(&rewritten).contains("athlete.player_no"));
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(run)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// Every query the system generates: the gold pool on all three data
+/// models, the template corpus and the conformance, dialect and hazard
+/// corpora.
+fn generated_queries() -> &'static [String] {
+    static CORPUS: OnceLock<Vec<String>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let domain = generate(DEFAULT_SEED);
+        let benchmark = build_benchmark(&domain, 7, &PipelineConfig::default());
+        let templates = build_raw_corpus(&domain, &mut Rng::new(7 ^ 0x7EAD), 300);
+        let mut corpus: Vec<String> = Vec::new();
+        for e in benchmark.gold_pool.iter().chain(&templates) {
+            corpus.extend(DataModel::ALL.iter().map(|&m| e.sql(m).to_string()));
+        }
+        for seed in 40..45 {
+            let cfg = CorpusConfig {
+                seed,
+                queries: 1200,
+            };
+            corpus.extend(gen_corpus(&cfg));
+            corpus.extend(gen_dialect_corpus(&cfg));
+            corpus.extend(gen_hazard_corpus(&cfg));
+        }
+        corpus
+    })
+}
+
+/// The nesting ceiling sits above every query the system generates.
 #[test]
 fn nesting_ceiling_is_above_every_generated_query() {
-    let domain = generate(DEFAULT_SEED);
-    let benchmark = build_benchmark(&domain, 7, &PipelineConfig::default());
-    let templates = build_raw_corpus(&domain, &mut Rng::new(7 ^ 0x7EAD), 300);
-    let mut corpus: Vec<String> = Vec::new();
-    for e in benchmark.gold_pool.iter().chain(&templates) {
-        corpus.extend(DataModel::ALL.iter().map(|&m| e.sql(m).to_string()));
-    }
-    for seed in 40..45 {
-        let cfg = CorpusConfig {
-            seed,
-            queries: 1200,
-        };
-        corpus.extend(gen_corpus(&cfg));
-        corpus.extend(gen_dialect_corpus(&cfg));
-        corpus.extend(gen_hazard_corpus(&cfg));
-    }
-    let deepest = corpus
+    let deepest = generated_queries()
         .iter()
         .map(|sql| nesting_depth(sql).unwrap_or_else(|e| panic!("{e}: {sql}")))
         .max()
@@ -261,6 +377,20 @@ fn nesting_ceiling_is_above_every_generated_query() {
     assert!(
         deepest < MAX_NESTING,
         "a generated query nests {deepest} deep"
+    );
+}
+
+/// So does the token ceiling.
+#[test]
+fn token_ceiling_is_above_every_generated_query() {
+    let longest = generated_queries()
+        .iter()
+        .map(|sql| tokenize(sql).unwrap_or_else(|e| panic!("{e}: {sql}")).len())
+        .max()
+        .unwrap();
+    assert!(
+        longest < MAX_TOKENS,
+        "a generated query has {longest} tokens"
     );
 }
 
